@@ -1,42 +1,67 @@
 //! Forward must-availability of ghost data — the reaching-definitions side
 //! of commlint, and the static mirror of `verify_plan`'s ghost tracking.
 //!
-//! The abstract state maps each [`CommRef`] to the freshness of its
-//! delivered ghost copy, plus, per in-flight transfer, the set of carried
-//! arrays written since its SR. The join is a *must* join: a ghost is
-//! available only if every incoming path delivered it, and fresh only if
-//! it is fresh on every path. Loop-entry and loop-exit edges kill ghosts
-//! of arrays the loop body writes — the same conservative rule
-//! `verify_plan` applies — and the worklist's back-edge iteration then
-//! recovers anything the body itself re-delivers.
+//! The abstract state records, per interned [`CommRef`](commopt_ir::CommRef),
+//! whether a delivered ghost copy is available, whether it is fresh, and
+//! which transfer delivered it; plus, per transfer with an SR in scope,
+//! the set of carried arrays written since that SR. The join is a *must*
+//! join: a ghost is available only if every incoming path delivered it,
+//! and fresh only if it is fresh on every path. Loop-entry and loop-exit
+//! edges kill ghosts of arrays the loop body writes — the same
+//! conservative rule `verify_plan` applies — and the worklist's back-edge
+//! iteration then recovers anything the body itself re-delivers.
 
+use crate::bits::{words, BitSet};
 use crate::cfg::{Analysis, Cfg, Direction, Node, NodeOp};
 use crate::{Code, Diagnostic};
-use commopt_ir::analysis::CommRef;
 use commopt_ir::{ArrayId, CallKind, Program, TransferId};
-use std::collections::{BTreeMap, BTreeSet};
 
-/// One delivered ghost copy.
+/// `from` entry of a ghost whose delivering transfer is not unique across
+/// paths, or that is not available at all.
+const NO_TRANSFER: u32 = u32::MAX;
+
+/// The forward state, as bitsets over the [`Cfg`]'s ref ids and the
+/// program's transfer ids.
 #[derive(Clone, PartialEq, Debug)]
-pub struct Ghost {
-    /// `false` when the source array was written after the covering SR —
-    /// a read now sees outdated values.
-    pub fresh: bool,
-    /// The delivering transfer, when it is unique across paths.
-    pub from: Option<TransferId>,
-}
-
-/// The forward state.
-#[derive(Clone, PartialEq, Debug, Default)]
 pub struct GhostState {
-    /// Delivered ghost data per (array, offset).
-    pub ghosts: BTreeMap<CommRef, Ghost>,
-    /// Per transfer with an SR in scope: carried arrays written since.
-    pub pending: BTreeMap<TransferId, BTreeSet<ArrayId>>,
+    /// Refs whose ghost data every path delivered.
+    pub avail: BitSet,
+    /// Refs whose delivered ghost data is fresh on every path — the
+    /// source array was not written after the covering SR. A subset of
+    /// `avail`.
+    pub fresh: BitSet,
+    /// Per ref: the delivering transfer when it is unique across paths,
+    /// else a none sentinel (`u32::MAX`); always the sentinel outside
+    /// `avail`, so equal states compare equal.
+    pub from: Vec<u32>,
+    /// Transfers whose SR is in scope on some path.
+    pub scope: BitSet,
+    /// A transfers × ⌈arrays/64⌉ word matrix: row `t` holds the carried
+    /// arrays written since `t`'s SR, on some path. All-zero outside
+    /// `scope`.
+    pub pending: Vec<u64>,
 }
 
-pub struct GhostAnalysis<'p> {
-    pub program: &'p Program,
+pub struct GhostAnalysis<'a> {
+    pub program: &'a Program,
+    pub cfg: &'a Cfg,
+    /// Words per row of the pending matrix.
+    row: usize,
+}
+
+impl<'a> GhostAnalysis<'a> {
+    pub fn new(program: &'a Program, cfg: &'a Cfg) -> GhostAnalysis<'a> {
+        GhostAnalysis {
+            program,
+            cfg,
+            row: words(program.arrays.len()),
+        }
+    }
+
+    fn written_since_sr(&self, state: &GhostState, t: usize, array: ArrayId) -> bool {
+        let a = array.index();
+        state.pending[t * self.row + a / 64] >> (a % 64) & 1 == 1
+    }
 }
 
 impl Analysis for GhostAnalysis<'_> {
@@ -47,61 +72,62 @@ impl Analysis for GhostAnalysis<'_> {
     }
 
     fn boundary(&self) -> GhostState {
-        GhostState::default()
+        let (refs, transfers) = (self.cfg.refs.len(), self.program.transfers.len());
+        GhostState {
+            avail: BitSet::new(refs),
+            fresh: BitSet::new(refs),
+            from: vec![NO_TRANSFER; refs],
+            scope: BitSet::new(transfers),
+            pending: vec![0; transfers * self.row],
+        }
     }
 
-    fn join(&self, a: &GhostState, b: &GhostState) -> GhostState {
-        // Must join on ghosts: key intersection, freshness AND.
-        let mut ghosts = BTreeMap::new();
-        for (r, ga) in &a.ghosts {
-            if let Some(gb) = b.ghosts.get(r) {
-                ghosts.insert(
-                    *r,
-                    Ghost {
-                        fresh: ga.fresh && gb.fresh,
-                        from: if ga.from == gb.from { ga.from } else { None },
-                    },
-                );
+    fn join(&self, acc: &mut GhostState, other: &GhostState) {
+        // Must join on ghosts: intersection, freshness AND, provenance kept
+        // only where both sides agree (outside `avail` both are
+        // NO_TRANSFER, so a ghost missing on either side loses it too).
+        acc.avail.intersect_with(&other.avail);
+        acc.fresh.intersect_with(&other.fresh);
+        for (a, b) in acc.from.iter_mut().zip(&other.from) {
+            if a != b {
+                *a = NO_TRANSFER;
             }
         }
-        // May join on pending write sets: key and element union.
-        let mut pending = a.pending.clone();
-        for (t, writes) in &b.pending {
-            pending
-                .entry(*t)
-                .or_default()
-                .extend(writes.iter().copied());
+        // May join on pending write sets: union.
+        acc.scope.union_with(&other.scope);
+        for (a, b) in acc.pending.iter_mut().zip(&other.pending) {
+            *a |= b;
         }
-        GhostState { ghosts, pending }
     }
 
-    fn edge(&self, kill: &BTreeSet<ArrayId>, mut state: GhostState) -> GhostState {
-        state.ghosts.retain(|r, _| !kill.contains(&r.array));
-        state
+    fn edge(&self, kill: &BitSet, state: &mut GhostState) {
+        state.avail.subtract(kill);
+        state.fresh.subtract(kill);
+        for r in kill.iter() {
+            state.from[r] = NO_TRANSFER;
+        }
     }
 
-    fn transfer(&self, node: &Node, mut state: GhostState) -> GhostState {
+    fn transfer(&self, ix: usize, node: &Node, state: &mut GhostState) {
         match &node.op {
             NodeOp::Source {
                 writes: Some(w), ..
             } => {
-                for (r, g) in state.ghosts.iter_mut() {
-                    if r.array == *w {
-                        g.fresh = false;
-                    }
-                }
-                for written in state.pending.values_mut() {
-                    written.insert(*w);
+                state.fresh.subtract(&self.cfg.array_refs[w.index()]);
+                let (word, bit) = (w.index() / 64, 1 << (w.index() % 64));
+                for t in state.scope.iter() {
+                    state.pending[t * self.row + word] |= bit;
                 }
             }
             NodeOp::Comm {
                 kind,
                 transfer,
-                written_before,
                 sr_before_in_list,
             } => match kind {
                 CallKind::SR => {
-                    state.pending.insert(*transfer, BTreeSet::new());
+                    let t = transfer.index();
+                    state.scope.insert(t);
+                    state.pending[t * self.row..(t + 1) * self.row].fill(0);
                 }
                 CallKind::DN => {
                     // The SR snapshot is scoped to the DN's own statement
@@ -113,104 +139,102 @@ impl Analysis for GhostAnalysis<'_> {
                     // position (not just reachability) keeps a pending set
                     // carried around a loop back edge from outliving the
                     // scope verify_plan gives it.
-                    let since_sr = if *sr_before_in_list {
-                        state.pending.get(transfer)
-                    } else {
-                        None
-                    };
-                    for item in &self.program.transfer(*transfer).items {
-                        let fresh = match since_sr {
-                            Some(written) => !written.contains(&item.array),
-                            None => !written_before.contains(&item.array),
+                    let t = transfer.index();
+                    let since_sr = *sr_before_in_list && state.scope.contains(t);
+                    for &r in &self.cfg.transfer_refs[t] {
+                        let array = self.cfg.refs[r].array;
+                        let written = if since_sr {
+                            self.written_since_sr(state, t, array)
+                        } else {
+                            self.cfg.written_before(array, ix)
                         };
-                        state.ghosts.insert(
-                            CommRef {
-                                array: item.array,
-                                offset: item.offset,
-                            },
-                            Ghost {
-                                fresh,
-                                from: Some(*transfer),
-                            },
-                        );
+                        state.avail.insert(r);
+                        if written {
+                            state.fresh.remove(r);
+                        } else {
+                            state.fresh.insert(r);
+                        }
+                        state.from[r] = transfer.0;
                     }
                 }
                 CallKind::DR | CallKind::SV => {}
             },
             _ => {}
         }
-        state
     }
 }
 
 /// Runs the availability analysis and reports every C001 finding: a
 /// non-local read whose ghost data is missing or stale at the read.
 pub fn check(program: &Program, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    let analysis = GhostAnalysis { program };
-    let states = crate::cfg::solve(cfg, &analysis);
+    let states = crate::cfg::solve(cfg, &GhostAnalysis::new(program, cfg));
 
-    // DN sites per ref, for the non-dominating hint on missing data.
-    let mut dn_sites: BTreeMap<CommRef, Vec<(TransferId, commopt_ir::Span)>> = BTreeMap::new();
-    for node in &cfg.nodes {
+    // DN sites per ref id, for the non-dominating hint on missing data;
+    // built on the first missing ghost, which clean programs never have.
+    let mut dn_sites: Option<Vec<Vec<(TransferId, usize)>>> = None;
+
+    for (ix, node) in cfg.nodes.iter().enumerate() {
+        let NodeOp::Source { reads, .. } = &node.op else {
+            continue;
+        };
+        let Some(state) = &states[ix] else { continue };
+        for read in reads {
+            let r = read.r;
+            let name = || crate::ref_name(program, cfg.refs[r]);
+            if !state.avail.contains(r) {
+                let sites = dn_sites.get_or_insert_with(|| dn_sites_by_ref(cfg));
+                let hint = match sites[r]
+                    .iter()
+                    .find(|&&(_, dn)| !cfg.nodes[dn].span.dominates(&node.span))
+                {
+                    Some((t, dn)) => format!(
+                        " (t{} delivers it at {}, which does not dominate this read)",
+                        t.0, cfg.nodes[*dn].span
+                    ),
+                    None => String::new(),
+                };
+                out.push(Diagnostic {
+                    code: Code::C001,
+                    span: node.span.clone(),
+                    message: format!(
+                        "non-local read of {} has no covering transfer{hint}",
+                        name()
+                    ),
+                    transfer: None,
+                    r: Some(cfg.refs[r]),
+                });
+            } else if !state.fresh.contains(r) {
+                let from = (state.from[r] != NO_TRANSFER).then_some(TransferId(state.from[r]));
+                let by = match from {
+                    Some(t) => format!("t{}", t.0),
+                    None => "its transfer".to_string(),
+                };
+                out.push(Diagnostic {
+                    code: Code::C001,
+                    span: node.span.clone(),
+                    message: format!("stale ghost data: {} was written after {by}'s SR", name()),
+                    transfer: from,
+                    r: Some(cfg.refs[r]),
+                });
+            }
+        }
+    }
+}
+
+/// Per ref id, every `(transfer, DN node)` delivering it, in node order.
+fn dn_sites_by_ref(cfg: &Cfg) -> Vec<Vec<(TransferId, usize)>> {
+    let mut sites = vec![Vec::new(); cfg.refs.len()];
+    for (ix, node) in cfg.nodes.iter().enumerate() {
         if let NodeOp::Comm {
             kind: CallKind::DN,
             transfer,
             ..
         } = &node.op
         {
-            for item in &program.transfer(*transfer).items {
-                dn_sites
-                    .entry(CommRef {
-                        array: item.array,
-                        offset: item.offset,
-                    })
-                    .or_default()
-                    .push((*transfer, node.span.clone()));
+            for &r in &cfg.transfer_refs[transfer.index()] {
+                sites[r].push((*transfer, ix));
             }
         }
     }
-
-    for (ix, node) in cfg.nodes.iter().enumerate() {
-        let NodeOp::Source { refs, .. } = &node.op else {
-            continue;
-        };
-        let Some(state) = &states[ix] else { continue };
-        for r in refs {
-            let name = crate::ref_name(program, *r);
-            match state.ghosts.get(r) {
-                None => {
-                    let hint = match dn_sites.get(r).and_then(|sites| {
-                        sites.iter().find(|(_, span)| !span.dominates(&node.span))
-                    }) {
-                        Some((t, span)) => format!(
-                            " (t{} delivers it at {span}, which does not dominate this read)",
-                            t.0
-                        ),
-                        None => String::new(),
-                    };
-                    out.push(Diagnostic {
-                        code: Code::C001,
-                        span: node.span.clone(),
-                        message: format!("non-local read of {name} has no covering transfer{hint}"),
-                        transfer: None,
-                        r: Some(*r),
-                    });
-                }
-                Some(g) if !g.fresh => {
-                    let from = match g.from {
-                        Some(t) => format!("t{}", t.0),
-                        None => "its transfer".to_string(),
-                    };
-                    out.push(Diagnostic {
-                        code: Code::C001,
-                        span: node.span.clone(),
-                        message: format!("stale ghost data: {name} was written after {from}'s SR"),
-                        transfer: g.from,
-                        r: Some(*r),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-    }
+    sites
 }

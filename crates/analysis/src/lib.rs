@@ -23,13 +23,14 @@
 //! (reaching-definitions style) and backward may-liveness of delivered
 //! regions, both loop-aware via back-edge iteration to a fixpoint.
 
+pub mod bits;
 pub mod cfg;
 mod ghost;
 mod live;
 mod local;
 
-pub use ghost::{Ghost, GhostAnalysis, GhostState};
-pub use live::{LiveAnalysis, LiveRegions, LiveState};
+pub use ghost::{GhostAnalysis, GhostState};
+pub use live::{LiveAnalysis, LiveState};
 
 use commopt_ir::analysis::{CommRef, Span};
 use commopt_ir::{Program, TransferId};
@@ -427,6 +428,141 @@ mod tests {
         assert_eq!(report.count(Code::C001), 1, "{}", report.render());
         let d = report.with_code(Code::C001).next().unwrap();
         assert_eq!(d.span.to_string(), "s4.0");
+    }
+
+    fn call(kind: CallKind, transfer: commopt_ir::TransferId) -> Stmt {
+        Stmt::Comm { kind, transfer }
+    }
+
+    #[test]
+    fn missing_ghost_names_the_non_dominating_delivery() {
+        // X := 1; A := X@east; [quad t0 for X@east]: the delivery comes
+        // after the read, so the read is uncovered and the hint points at
+        // the DN that fails to dominate it.
+        let mut p = Program::new("late");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        let a = p.add_array("A", Rect::d2((1, 8), (1, 8)));
+        let t = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region())]);
+        p.body = Block::new(vec![
+            Stmt::assign(region(), x, Expr::Const(1.0)),
+            Stmt::assign(region(), a, Expr::at(x, compass::EAST)),
+            call(CallKind::DR, t),
+            call(CallKind::SR, t),
+            call(CallKind::DN, t),
+            call(CallKind::SV, t),
+        ]);
+        let report = lint(&p);
+        let c001: Vec<&Diagnostic> = report.with_code(Code::C001).collect();
+        assert_eq!(c001.len(), 1, "{}", report.render());
+        assert_eq!(c001[0].span.to_string(), "s1");
+        assert_eq!(
+            c001[0].message,
+            "non-local read of X@east has no covering transfer \
+             (t0 delivers it at s4, which does not dominate this read)"
+        );
+    }
+
+    #[test]
+    fn stale_ghost_delivered_by_two_transfers_names_neither() {
+        // Entering the loop, X@east comes from t0, whose source was
+        // rewritten after its SR (stale); around the back edge it comes
+        // from t1 (fresh). The must-join keeps the ghost, ANDs freshness
+        // to stale, and drops the disagreeing provenance.
+        let mut p = Program::new("two-paths");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        let a = p.add_array("A", Rect::d2((1, 8), (1, 8)));
+        let t0 = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region())]);
+        let t1 = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region())]);
+        p.body = Block::new(vec![
+            Stmt::assign(region(), x, Expr::Const(1.0)),
+            call(CallKind::DR, t0),
+            call(CallKind::SR, t0),
+            Stmt::assign(region(), x, Expr::Const(2.0)),
+            call(CallKind::DN, t0),
+            Stmt::Repeat {
+                count: 2,
+                body: Block::new(vec![
+                    Stmt::assign(region(), a, Expr::at(x, compass::EAST)),
+                    call(CallKind::DR, t1),
+                    call(CallKind::SR, t1),
+                    call(CallKind::DN, t1),
+                    call(CallKind::SV, t1),
+                ]),
+            },
+            call(CallKind::SV, t0),
+        ]);
+        let report = lint(&p);
+        let c001: Vec<&Diagnostic> = report.with_code(Code::C001).collect();
+        assert_eq!(c001.len(), 1, "{}", report.render());
+        assert_eq!(c001[0].span.to_string(), "s5.0");
+        assert_eq!(
+            c001[0].message,
+            "stale ghost data: X@east was written after its transfer's SR"
+        );
+        assert_eq!(c001[0].transfer, None);
+    }
+
+    /// X := 1; [quad t0 delivering X@east over `delivered`]; a read of
+    /// X@east by `read` (a statement or a loop around one).
+    fn delivery_then(delivered: Region, read: impl FnOnce(&mut Program) -> Stmt) -> Program {
+        let mut p = Program::new("regions");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        p.add_array("A", Rect::d2((1, 8), (1, 8)));
+        let t = p.add_transfer(vec![TransferItem::new(x, compass::EAST, delivered)]);
+        let read = read(&mut p);
+        p.body = Block::new(vec![
+            Stmt::assign(region(), x, Expr::Const(1.0)),
+            call(CallKind::DR, t),
+            call(CallKind::SR, t),
+            call(CallKind::DN, t),
+            read,
+            call(CallKind::SV, t),
+        ]);
+        p
+    }
+
+    fn read_x_east(r: Region) -> Stmt {
+        Stmt::assign(
+            r,
+            commopt_ir::ArrayId(1),
+            Expr::at(commopt_ir::ArrayId(0), compass::EAST),
+        )
+    }
+
+    #[test]
+    fn c002_compares_constant_read_rects() {
+        let delivered = Region::d2((5, 7), (5, 7));
+        let disjoint = delivery_then(delivered, |_| read_x_east(Region::d2((2, 3), (2, 3))));
+        let report = lint(&disjoint);
+        assert_eq!(report.count(Code::C002), 1, "{}", report.render());
+        assert_eq!(
+            report.with_code(Code::C002).next().unwrap().message,
+            "dead transfer: t0 delivers X@east never read before redefinition"
+        );
+        let overlapping = delivery_then(delivered, |_| read_x_east(Region::d2((3, 5), (3, 5))));
+        let report = lint(&overlapping);
+        assert_eq!(report.count(Code::C002), 0, "{}", report.render());
+    }
+
+    #[test]
+    fn loop_relative_read_keeps_a_transfer_live() {
+        // for i := 2..7 { [i..i, 2..3] A := X@east }: the row region never
+        // meets the delivered corner, but a loop-relative region is assumed
+        // to overlap anything, so the transfer stays live.
+        let delivered = Region::d2((6, 7), (6, 7));
+        let program = delivery_then(delivered, |p| {
+            let i = p.add_loop_var("i");
+            Stmt::For {
+                var: i,
+                lo: 2.into(),
+                hi: 7.into(),
+                step: 1,
+                body: Block::new(vec![read_x_east(Region::row2(i, (2, 3)))]),
+            }
+        });
+        let report = lint(&program);
+        assert_eq!(report.count(Code::C002), 0, "{}", report.render());
+        assert!(report.error_free(), "{}", report.render());
     }
 
     #[test]

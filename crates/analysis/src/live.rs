@@ -12,64 +12,49 @@
 //! reach, so a transfer is flagged dead only when no read can possibly
 //! observe it.
 
-use crate::cfg::{Analysis, Cfg, Direction, Node, NodeOp};
+use crate::bits::BitSet;
+use crate::cfg::{constant_rect, Analysis, Cfg, Direction, Node, NodeOp};
 use crate::{Code, Diagnostic};
-use commopt_ir::analysis::CommRef;
-use commopt_ir::{ArrayId, CallKind, Program, Rect, Region};
-use std::collections::{BTreeMap, BTreeSet};
+use commopt_ir::{CallKind, Program, Region};
 
-/// The regions at which a reference is live.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct LiveRegions {
-    /// A read with a non-constant (loop-relative) region: overlaps any.
-    pub any: bool,
-    /// Constant read regions.
-    pub rects: Vec<Rect>,
+/// Backward state: which later reads can still see a delivered ghost.
+#[derive(Clone, PartialEq, Debug)]
+pub struct LiveState {
+    /// Ref ids read under a loop-relative region: live over any region.
+    pub any: BitSet,
+    /// Site ids — (ref, constant read rectangle) pairs — still to be read.
+    pub sites: BitSet,
 }
 
-impl LiveRegions {
-    fn add(&mut self, region: Option<Region>) {
-        match region.and_then(constant_rect) {
-            Some(rect) => {
-                if !self.rects.contains(&rect) {
-                    self.rects.push(rect);
-                }
-            }
-            None => self.any = true,
-        }
-    }
-
-    fn overlaps(&self, regions: &[Region]) -> bool {
-        if self.any {
+impl LiveState {
+    /// Whether a delivery of ref `r` over `regions` reaches a live read.
+    fn overlaps(&self, cfg: &Cfg, r: usize, regions: &[Region]) -> bool {
+        if self.any.contains(r) {
             return true;
         }
+        let live = || {
+            cfg.ref_sites[r]
+                .iter()
+                .filter(|&&s| self.sites.contains(s))
+                .map(|&s| &cfg.site_rects[s])
+        };
         // A transfer with no recorded use regions moves a whole ghost rim:
         // treat it as overlapping any live read.
         if regions.is_empty() {
-            return !self.rects.is_empty();
+            return live().next().is_some();
         }
-        regions.iter().any(|&r| match constant_rect(r) {
-            None => !self.rects.is_empty(),
-            Some(rect) => self
-                .rects
-                .iter()
-                .any(|live| live.rank != rect.rank || !rect.intersect(live).is_empty()),
+        regions.iter().any(|&region| match constant_rect(region) {
+            None => live().next().is_some(),
+            Some(rect) => live().any(|l| l.rank != rect.rank || !rect.intersect(l).is_empty()),
         })
     }
 }
 
-fn constant_rect(region: Region) -> Option<Rect> {
-    region
-        .is_constant()
-        .then(|| region.eval(&commopt_ir::LoopEnv::default()))
+pub struct LiveAnalysis<'a> {
+    pub cfg: &'a Cfg,
 }
 
-/// Backward state: live references with the regions still to be read.
-pub type LiveState = BTreeMap<CommRef, LiveRegions>;
-
-pub struct LiveAnalysis;
-
-impl Analysis for LiveAnalysis {
+impl Analysis for LiveAnalysis<'_> {
     type State = LiveState;
 
     fn direction(&self) -> Direction {
@@ -77,52 +62,43 @@ impl Analysis for LiveAnalysis {
     }
 
     fn boundary(&self) -> LiveState {
-        LiveState::new()
-    }
-
-    fn join(&self, a: &LiveState, b: &LiveState) -> LiveState {
-        let mut out = a.clone();
-        for (r, regions) in b {
-            let entry = out.entry(*r).or_default();
-            entry.any |= regions.any;
-            for rect in &regions.rects {
-                if !entry.rects.contains(rect) {
-                    entry.rects.push(*rect);
-                }
-            }
+        LiveState {
+            any: BitSet::new(self.cfg.refs.len()),
+            sites: BitSet::new(self.cfg.site_rects.len()),
         }
-        out
     }
 
-    fn edge(&self, _kill: &BTreeSet<ArrayId>, state: LiveState) -> LiveState {
+    fn join(&self, acc: &mut LiveState, other: &LiveState) {
+        acc.any.union_with(&other.any);
+        acc.sites.union_with(&other.sites);
+    }
+
+    fn edge(&self, _kill: &BitSet, _state: &mut LiveState) {
         // Liveness needs no loop-edge kills: writes kill at their node.
-        state
     }
 
-    fn transfer(&self, node: &Node, mut state: LiveState) -> LiveState {
-        if let NodeOp::Source {
-            refs,
-            region,
-            writes,
-        } = &node.op
-        {
+    fn transfer(&self, _ix: usize, node: &Node, state: &mut LiveState) {
+        if let NodeOp::Source { reads, writes } = &node.op {
             // Backward through a statement: the write redefines the array
             // (killing liveness of its ghosts), then the reads generate.
             if let Some(w) = writes {
-                state.retain(|r, _| r.array != *w);
+                state.any.subtract(&self.cfg.array_refs[w.index()]);
+                state.sites.subtract(&self.cfg.array_sites[w.index()]);
             }
-            for r in refs {
-                state.entry(*r).or_default().add(*region);
+            for read in reads {
+                match read.site {
+                    Some(s) => state.sites.insert(s),
+                    None => state.any.insert(read.r),
+                }
             }
         }
-        state
     }
 }
 
 /// Runs the liveness analysis and reports every C002 finding: a DN none of
 /// whose delivered items is read before redefinition.
 pub fn check(program: &Program, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    let states = crate::cfg::solve(cfg, &LiveAnalysis);
+    let states = crate::cfg::solve(cfg, &LiveAnalysis { cfg });
     for (ix, node) in cfg.nodes.iter().enumerate() {
         let NodeOp::Comm {
             kind: CallKind::DN,
@@ -136,29 +112,15 @@ pub fn check(program: &Program, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
         // *after* it — exactly the liveness of what this DN delivered.
         let Some(after) = &states[ix] else { continue };
         let t = program.transfer(*transfer);
-        let dead = t.items.iter().all(|item| {
-            let r = CommRef {
-                array: item.array,
-                offset: item.offset,
-            };
-            !after
-                .get(&r)
-                .map(|live| live.overlaps(&item.regions))
-                .unwrap_or(false)
-        });
+        let dead = t
+            .items
+            .iter()
+            .zip(&cfg.transfer_refs[transfer.index()])
+            .all(|(item, &r)| !after.overlaps(cfg, r, &item.regions));
         if dead {
-            let names: Vec<String> = t
-                .items
+            let names: Vec<String> = cfg.transfer_refs[transfer.index()]
                 .iter()
-                .map(|item| {
-                    crate::ref_name(
-                        program,
-                        CommRef {
-                            array: item.array,
-                            offset: item.offset,
-                        },
-                    )
-                })
+                .map(|&r| crate::ref_name(program, cfg.refs[r]))
                 .collect();
             out.push(Diagnostic {
                 code: Code::C002,

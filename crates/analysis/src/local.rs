@@ -119,7 +119,7 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
                         }
                     }
                 }
-                flush_segment(program, &mut seg, out);
+                flush_segment(&mut seg, out);
                 scan_list(program, &body.0, &span, out);
             }
             source => {
@@ -162,7 +162,7 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
             }
         }
     }
-    flush_segment(program, &mut seg, out);
+    flush_segment(&mut seg, out);
 
     // C006 multiplicity, mirroring verify_plan's per-block flush: each of
     // a transfer's four calls must appear exactly once in its block.
@@ -282,7 +282,7 @@ fn scan_dn(
 /// End of a straight segment: resolve first-use/ready constraints and
 /// replay the combination pass (max-combining, uncapped) over the
 /// surviving transfers — every merge it finds is cc headroom (C004).
-fn flush_segment(program: &Program, seg: &mut SegmentState, out: &mut Vec<Diagnostic>) {
+fn flush_segment(seg: &mut SegmentState, out: &mut Vec<Diagnostic>) {
     let state = std::mem::take(seg);
     let sources = &state.sources;
     let mut survivors: Vec<SimComm> = Vec::new();
@@ -331,5 +331,4 @@ fn flush_segment(program: &Program, seg: &mut SegmentState, out: &mut Vec<Diagno
             None => merged.push(comm),
         }
     }
-    let _ = program;
 }

@@ -113,12 +113,21 @@ fn main() {
         ]);
     }
 
+    // commlint at the cheapest level (`pl`, few transfers in scope) and at
+    // the costliest (`vect`, where every naive transfer is still live).
     for b in suite() {
-        let opt = optimize(&b.program(), &OptConfig::pl());
-        let (med, min) = time_us(runs, || {
-            black_box(commopt_analysis::lint(black_box(&opt.program)));
-        });
-        t.row(&["commlint".into(), b.name.into(), fmt_us(med), fmt_us(min)]);
+        for (level, cfg) in [("pl", OptConfig::pl()), ("vect", OptConfig::baseline())] {
+            let opt = optimize(&b.program(), &cfg);
+            let (med, min) = time_us(runs, || {
+                black_box(commopt_analysis::lint(black_box(&opt.program)));
+            });
+            t.row(&[
+                "commlint".into(),
+                format!("{}/{level}", b.name),
+                fmt_us(med),
+                fmt_us(min),
+            ]);
+        }
     }
 
     for b in suite() {
