@@ -148,6 +148,26 @@ fn main() {
         ]);
     }
 
+    // The simulator at the paper's sizes and partition, where transfer
+    // geometry and the per-processor loops carry the cost.
+    for b in suite() {
+        let opt = optimize(&b.program(), &OptConfig::pl());
+        let (med, min) = time_us(runs, || {
+            let r = Simulator::new(
+                &opt.program,
+                SimConfig::timing(MachineSpec::t3d(), Library::Pvm, 64),
+            )
+            .run();
+            black_box(r);
+        });
+        t.row(&[
+            "simulate(paper,64p)".into(),
+            format!("{}/pl", b.name),
+            fmt_us(med),
+            fmt_us(min),
+        ]);
+    }
+
     // Transfer-state storage: the engine's old BTreeMap-of-rows layout
     // (entry-or-insert on post, clone-read on put, whole-row insert on
     // sync) against the dense slab it was replaced with (direct indexing,

@@ -7,6 +7,8 @@
 //! were rewritten from `BTreeMap`s to dense slabs, so this test is the
 //! proof that the slab rewrite (and any later hot-path work) is observably
 //! invariant: same `SimResult`, bit for bit, on every cell of the matrix.
+//! The 64-processor paper-sizing cells were added before transfer geometry
+//! was cached per loop instance, and pin that change the same way.
 //!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //!
@@ -18,6 +20,7 @@ use commopt_bench::fuzz::{library_tag, machine_for, EXPERIMENTS};
 use commopt_benchmarks::suite;
 use commopt_core::optimize;
 use commopt_ironman::Library;
+use commopt_lang::Frontend;
 use commopt_sim::{SimConfig, SimResult, Simulator};
 
 const FULL_N: i64 = 12;
@@ -26,6 +29,12 @@ const FULL_PROCS: usize = 4;
 const TIMING_N: i64 = 16;
 const TIMING_ITERS: i64 = 2;
 const TIMING_PROCS: usize = 16;
+/// The perfbench `paper` sizing: each program's own grid, this fraction of
+/// its iterations, on the paper's 64-processor partition — large enough
+/// that row-sweep transfers change shape from one loop instance to the
+/// next.
+const PAPER_ITERS_DIVISOR: i64 = 16;
+const PAPER_PROCS: usize = 64;
 
 /// FNV-1a over a canonical byte stream of every `SimResult` field.
 struct Digest(u64);
@@ -108,9 +117,27 @@ fn digest(r: &SimResult) -> String {
     format!("{:016x}", d.0)
 }
 
+/// The `config iters` value a benchmark's source declares.
+fn paper_iters(source: &str) -> i64 {
+    source
+        .lines()
+        .find_map(|l| {
+            let rest = l.trim().strip_prefix("config iters")?;
+            rest.trim()
+                .strip_prefix('=')?
+                .trim()
+                .trim_end_matches(';')
+                .trim()
+                .parse()
+                .ok()
+        })
+        .expect("a paper program declares `config iters`")
+}
+
 /// Every golden cell as `(key, digest)`, in a fixed order: full (numeric)
 /// mode over all five bindings at 4 procs, then timing mode on the two
-/// snapshot machines at 16 procs.
+/// snapshot machines at 16 procs, then timing mode at paper sizing on 64
+/// procs.
 fn collect() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for bench in suite() {
@@ -146,6 +173,31 @@ fn collect() -> Vec<(String, String)> {
                     exp.name(),
                     library_tag(lib),
                     TIMING_PROCS
+                );
+                out.push((key, digest(&r)));
+            }
+        }
+    }
+    for bench in suite() {
+        let iters = (paper_iters(bench.source) / PAPER_ITERS_DIVISOR).max(1);
+        let program = Frontend::new(bench.source)
+            .with_config("iters", iters)
+            .compile()
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        for exp in EXPERIMENTS {
+            let opt = optimize(&program, &exp.config());
+            for lib in [Library::Pvm, Library::NxSync] {
+                let r = Simulator::new(
+                    &opt.program,
+                    SimConfig::timing(machine_for(lib), lib, PAPER_PROCS),
+                )
+                .run();
+                let key = format!(
+                    "paper/{}/{}/{}/{}p",
+                    bench.name,
+                    exp.name(),
+                    library_tag(lib),
+                    PAPER_PROCS
                 );
                 out.push((key, digest(&r)));
             }

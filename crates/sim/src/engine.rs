@@ -36,7 +36,8 @@ use crate::safety::SafetyViolation;
 use crate::trace::{SpanKind, TraceEvent, TraceHandle, TraceSink};
 use commopt_ir::analysis::expr_flops;
 use commopt_ir::{
-    CallKind, Expr, LoopEnv, Program, Rect, Region, ScalarRhs, Stmt, TransferId, MAX_RANK,
+    CallKind, Expr, LoopEnv, LoopVarId, Program, Rect, Region, ScalarRhs, Stmt, Transfer,
+    TransferId, MAX_RANK,
 };
 use commopt_ironman::{Action, Binding, Library};
 use commopt_machine::{BlockDist, CommCosts, MachineSpec, ProcGrid, ProcId};
@@ -168,25 +169,232 @@ impl InFlight {
     }
 }
 
-/// Geometry of one transfer instance under the current loop environment.
+/// Geometry of one transfer instance under the current loop environment,
+/// stored flat: each per-processor list is a CSR table (an `n + 1` offset
+/// array into one entry array), and a rebuild refills the same buffers.
+#[derive(Debug, Default, PartialEq)]
 struct Geom {
-    /// Per proc: ghost slabs it receives, as (array index, rect).
-    slabs: Vec<Vec<(usize, Rect)>>,
     /// Per proc: total bytes received.
     bytes: Vec<u64>,
-    /// Per proc: readers it sends to, with message size.
-    outgoing: Vec<Vec<(ProcId, u64)>>,
+    /// CSR offsets into `outgoing`, by sending proc.
+    out_start: Vec<usize>,
+    /// Every message as (reader, size): grouped by sender in proc order,
+    /// readers ascending within a sender.
+    outgoing: Vec<(ProcId, u64)>,
+    /// CSR offsets into `slabs`, by receiving proc.
+    slab_start: Vec<usize>,
+    /// Every ghost slab as (array index, rect), grouped by receiver. Only
+    /// the full-mode snapshot reads it.
+    slabs: Vec<(usize, Rect)>,
+    /// `true` when the instance moves data between some processor pair.
+    active: bool,
 }
 
 impl Geom {
-    /// `true` when the instance moves data between some processor pair.
-    fn active(&self) -> bool {
-        self.bytes.iter().any(|&b| b > 0)
+    /// The messages processor `p` sends, as (reader, size).
+    fn sends(&self, p: ProcId) -> &[(ProcId, u64)] {
+        &self.outgoing[self.out_start[p]..self.out_start[p + 1]]
+    }
+
+    /// The ghost slabs processor `p` receives, as (array index, rect).
+    fn receives(&self, p: ProcId) -> &[(usize, Rect)] {
+        &self.slabs[self.slab_start[p]..self.slab_start[p + 1]]
     }
 
     /// `true` when processor `p` sends or receives data this instance.
     fn exchanges(&self, p: ProcId) -> bool {
-        self.bytes[p] > 0 || !self.outgoing[p].is_empty()
+        self.bytes[p] > 0 || self.out_start[p] < self.out_start[p + 1]
+    }
+}
+
+/// Every array's block distribution with each processor's owned block
+/// precomputed, plus the scratch buffers of a geometry build.
+struct Layout {
+    grid: ProcGrid,
+    dists: Vec<BlockDist>,
+    /// Per array × proc (row-major, `arrays × n`): the owned block.
+    owned: Vec<Rect>,
+    /// Build scratch: every ghost part as (receiver, sequence number,
+    /// array index, rect), in item, region, part order.
+    parts: Vec<(ProcId, usize, usize, Rect)>,
+    /// Build scratch: per receiving proc, the proc its message comes from.
+    provider: Vec<Option<ProcId>>,
+}
+
+impl Layout {
+    fn new(grid: ProcGrid, program: &Program) -> Layout {
+        let dists: Vec<BlockDist> = program
+            .arrays
+            .iter()
+            .map(|a| BlockDist::new(grid, a.rect))
+            .collect();
+        // Arrays declared over the same bounds share one partition.
+        let n = grid.len();
+        let mut owned = Vec::with_capacity(dists.len() * n);
+        for (i, d) in dists.iter().enumerate() {
+            match dists[..i].iter().position(|e| e.bounds == d.bounds) {
+                Some(j) => owned.extend_from_within(j * n..(j + 1) * n),
+                None => owned.extend((0..n).map(|p| d.owned(p))),
+            }
+        }
+        Layout {
+            grid,
+            dists,
+            owned,
+            parts: Vec::with_capacity(n),
+            provider: Vec::with_capacity(n),
+        }
+    }
+
+    /// The block of array `a` that processor `p` owns.
+    fn owned(&self, a: usize, p: ProcId) -> Rect {
+        self.owned[a * self.grid.len() + p]
+    }
+
+    /// Refills `geom` for transfer `t` under `env`, reusing its buffers.
+    fn build(&mut self, geom: &mut Geom, t: &Transfer, env: &LoopEnv) {
+        let n = self.grid.len();
+        let cols = self.grid.dims[1];
+        self.parts.clear();
+        for item in &t.items {
+            let a = item.array.index();
+            let bounds = self.dists[a].bounds;
+            let mut delta = [0i64; MAX_RANK];
+            for d in 0..MAX_RANK {
+                delta[d] = i64::from(item.offset.get(d));
+            }
+            for region in &item.regions {
+                let r = region.eval(env);
+                for row in 0..self.grid.dims[0] {
+                    // A processor row's blocks share one extent along
+                    // dimension 0: skip rows that miss the region there.
+                    let lead = self.owned(a, row * cols);
+                    if lead.hi[0] < r.lo[0] || r.hi[0] < lead.lo[0] {
+                        continue;
+                    }
+                    for p in row * cols..(row + 1) * cols {
+                        let own = self.owned(a, p);
+                        let local = r.intersect(&own);
+                        if local.is_empty() {
+                            continue;
+                        }
+                        let needed = local.shifted(delta).intersect(&bounds);
+                        rect_subtract(needed, own, |part| {
+                            let seq = self.parts.len();
+                            self.parts.push((p, seq, a, part));
+                        });
+                    }
+                }
+            }
+        }
+        // Group the parts by receiver, keeping each receiver's parts in
+        // item, region, part order.
+        self.parts.sort_unstable_by_key(|&(p, seq, ..)| (p, seq));
+        geom.bytes.clear();
+        geom.bytes.resize(n, 0);
+        self.provider.clear();
+        self.provider.resize(n, None);
+        geom.slab_start.clear();
+        geom.slabs.clear();
+        let mut parts = self.parts.iter().peekable();
+        for p in 0..n {
+            let first = geom.slabs.len();
+            geom.slab_start.push(first);
+            while let Some(&(_, _, a, part)) = parts.next_if(|e| e.0 == p) {
+                // Avoid double-charging identical slabs from overlapping
+                // use regions.
+                if geom.slabs[first..]
+                    .iter()
+                    .any(|&(ai, r2)| ai == a && r2 == part)
+                {
+                    continue;
+                }
+                geom.bytes[p] += part.count() * 8;
+                if self.provider[p].is_none() {
+                    self.provider[p] = Some(self.dists[a].owner_of(part.lo));
+                }
+                geom.slabs.push((a, part));
+            }
+        }
+        geom.slab_start.push(geom.slabs.len());
+        // Group readers by provider with a counting sort: count each
+        // sender's messages, turn the counts into end offsets, then place
+        // readers from the back so each sender's readers come out
+        // ascending and its offset lands on its first entry.
+        geom.out_start.clear();
+        geom.out_start.resize(n + 1, 0);
+        for &q in self.provider.iter().flatten() {
+            geom.out_start[q] += 1;
+        }
+        let mut end = 0;
+        for s in &mut geom.out_start {
+            end += *s;
+            *s = end;
+        }
+        geom.outgoing.clear();
+        geom.outgoing.resize(end, (0, 0));
+        for p in (0..n).rev() {
+            if let Some(q) = self.provider[p] {
+                geom.out_start[q] -= 1;
+                geom.outgoing[geom.out_start[q]] = (p, geom.bytes[p]);
+            }
+        }
+        geom.active = geom.bytes.iter().any(|&b| b > 0);
+    }
+}
+
+/// One transfer's geometry cache: a single slot keyed on the values of
+/// the loop variables its item regions read. A loop-invariant transfer
+/// (no such variables) is built once per run; a loop-variant one is
+/// rebuilt in place when one of its variables changes, so the DR, SR and
+/// DN of one instance share a build.
+struct GeomSlot {
+    /// The loop variables the transfer's item regions mention.
+    vars: Vec<LoopVarId>,
+    /// Their values when `geom` was last built.
+    key: Vec<i64>,
+    /// `false` until the first build.
+    built: bool,
+    /// The geometry; `None` while a caller holds it.
+    geom: Option<Geom>,
+    /// Builds and calls so far, for the tests that pin the cache.
+    #[cfg(test)]
+    builds: u64,
+    #[cfg(test)]
+    takes: u64,
+}
+
+impl GeomSlot {
+    /// An unbuilt slot for `t` on `n` processors. Its buffers are sized
+    /// here, at construction, so that builds during the run refill them
+    /// rather than placing long-lived allocations among the run's
+    /// short-lived ones on the heap.
+    fn new(t: &Transfer, n: usize) -> GeomSlot {
+        let mut vars = Vec::new();
+        for region in t.items.iter().flat_map(|it| &it.regions) {
+            for v in region.loop_vars() {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        }
+        GeomSlot {
+            key: Vec::with_capacity(vars.len()),
+            vars,
+            built: false,
+            geom: Some(Geom {
+                bytes: Vec::with_capacity(n),
+                out_start: Vec::with_capacity(n + 1),
+                outgoing: Vec::with_capacity(n),
+                slab_start: Vec::with_capacity(n + 1),
+                slabs: Vec::with_capacity(n),
+                active: false,
+            }),
+            #[cfg(test)]
+            builds: 0,
+            #[cfg(test)]
+            takes: 0,
+        }
     }
 }
 
@@ -213,7 +421,10 @@ pub struct Simulator<'p> {
     clocks: Vec<f64>,
     scalars: Vec<f64>,
     env: LoopEnv,
-    dists: Vec<BlockDist>,
+    layout: Layout,
+    /// Per transfer (indexed by `TransferId::index()`): its cached
+    /// geometry (see [`GeomSlot`]).
+    geoms: Vec<GeomSlot>,
     arrays: Vec<DistArray>,
     /// Per transfer (indexed by `TransferId::index()` — the id space is
     /// exactly `program.transfers.len()`): the live in-flight instance,
@@ -266,11 +477,6 @@ impl<'p> Simulator<'p> {
         let binding = cfg.binding.unwrap_or_else(|| cfg.library.binding());
         let costs = *cfg.machine.costs(cfg.library);
         let ghosts = program.ghost_widths();
-        let dists: Vec<BlockDist> = program
-            .arrays
-            .iter()
-            .map(|a| BlockDist::new(grid, a.rect))
-            .collect();
         let arrays = if cfg.compute_data {
             program
                 .arrays
@@ -287,7 +493,7 @@ impl<'p> Simulator<'p> {
             .faults
             .is_active()
             .then(|| FaultState::new(cfg.faults, n));
-        Simulator {
+        let mut sim = Simulator {
             program,
             grid,
             binding,
@@ -295,7 +501,12 @@ impl<'p> Simulator<'p> {
             clocks: vec![0.0; n],
             scalars,
             env: LoopEnv::new(),
-            dists,
+            layout: Layout::new(grid, program),
+            geoms: program
+                .transfers
+                .iter()
+                .map(|t| GeomSlot::new(t, n))
+                .collect(),
             arrays,
             inflight: std::iter::repeat_with(|| None)
                 .take(program.transfers.len())
@@ -318,7 +529,16 @@ impl<'p> Simulator<'p> {
             ready: vec![false; program.transfers.len()],
             violations: Vec::new(),
             cfg,
+        };
+        // Loop-invariant geometry is built here, once.
+        for i in 0..program.transfers.len() {
+            if sim.geoms[i].vars.is_empty() {
+                let tid = TransferId(i as u32);
+                let geom = sim.take_geometry(tid);
+                sim.put_geometry(tid, geom);
+            }
         }
+        sim
     }
 
     /// Runs the program to completion and reports the results.
@@ -467,7 +687,7 @@ impl<'p> Simulator<'p> {
         let flop_us = self.cfg.machine.flop_us;
         let cp = self.count_proc;
         for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.dists[lhs].owned(p));
+            let local = rect.intersect(&self.layout.owned(lhs, p));
             let dt = if local.is_empty() {
                 self.cfg.machine.guard_overhead_us
             } else {
@@ -517,7 +737,7 @@ impl<'p> Simulator<'p> {
         let rank = self.program.arrays[lhs].rect.rank;
         let d_last = rank - 1;
         for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.arrays[lhs].dist.owned(p));
+            let local = rect.intersect(&self.layout.owned(lhs, p));
             if local.is_empty() {
                 continue;
             }
@@ -557,7 +777,7 @@ impl<'p> Simulator<'p> {
         offset: &commopt_ir::Offset,
     ) {
         for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.arrays[lhs].dist.owned(p));
+            let local = rect.intersect(&self.layout.owned(lhs, p));
             if local.is_empty() {
                 continue;
             }
@@ -614,12 +834,15 @@ impl<'p> Simulator<'p> {
                 // Any array's distribution gives the owned partition; use
                 // the first referenced array, falling back to a uniform
                 // split of the region itself.
-                let dist = first_array(expr)
-                    .map(|a| self.dists[a])
-                    .unwrap_or(BlockDist::new(self.grid, rect));
+                let first = first_array(expr);
+                let split = BlockDist::new(self.grid, rect);
                 let rank = rect.rank;
                 for p in 0..self.grid.len() {
-                    let local = rect.intersect(&dist.owned(p));
+                    let owned = match first {
+                        Some(a) => self.layout.owned(a, p),
+                        None => split.owned(p),
+                    };
+                    let local = rect.intersect(&owned);
                     let dt = if local.is_empty() {
                         self.cfg.machine.guard_overhead_us
                     } else {
@@ -699,8 +922,7 @@ impl<'p> Simulator<'p> {
         }
         match action {
             Action::Noop => {}
-            Action::BlockingSend => self.do_send(tid, false),
-            Action::AsyncSend => self.do_send(tid, true),
+            Action::BlockingSend | Action::AsyncSend => self.do_send(tid),
             Action::Put => self.do_put(tid),
             Action::PostRecv | Action::Probe => self.do_post(tid),
             Action::Sync => {
@@ -744,61 +966,51 @@ impl<'p> Simulator<'p> {
         Ok(())
     }
 
-    /// Computes the transfer's slab geometry under the current environment.
-    fn geometry(&self, tid: TransferId) -> Geom {
+    /// Takes transfer `tid`'s geometry under the current environment out
+    /// of its slot, rebuilding it in place only when a loop variable its
+    /// regions read has changed since the last build. Hand it back with
+    /// [`put_geometry`](Simulator::put_geometry); a slot left empty is
+    /// simply rebuilt on its next use.
+    fn take_geometry(&mut self, tid: TransferId) -> Geom {
+        let env = &self.env;
         let t = self.program.transfer(tid);
-        let n = self.grid.len();
-        let mut slabs: Vec<Vec<(usize, Rect)>> = vec![Vec::new(); n];
-        let mut bytes = vec![0u64; n];
-        let mut provider: Vec<Option<ProcId>> = vec![None; n];
-        for item in &t.items {
-            let a = item.array.index();
-            let dist = &self.dists[a];
-            let mut delta = [0i64; MAX_RANK];
-            for d in 0..MAX_RANK {
-                delta[d] = i64::from(item.offset.get(d));
-            }
-            for p in 0..n {
-                let owned = dist.owned(p);
-                if owned.is_empty() {
-                    continue;
+        let slot = &mut self.geoms[tid.index()];
+        let fresh = slot.built
+            && slot
+                .vars
+                .iter()
+                .zip(&slot.key)
+                .all(|(&v, &k)| env.get(v) == k);
+        let geom = match slot.geom.take() {
+            Some(geom) if fresh => geom,
+            stale => {
+                let mut geom = stale.unwrap_or_default();
+                slot.key.clear();
+                slot.key.extend(slot.vars.iter().map(|&v| env.get(v)));
+                slot.built = true;
+                self.layout.build(&mut geom, t, env);
+                #[cfg(test)]
+                {
+                    slot.builds += 1;
                 }
-                for region in &item.regions {
-                    let r = region.eval(&self.env);
-                    let local = r.intersect(&owned);
-                    if local.is_empty() {
-                        continue;
-                    }
-                    let needed = local.shifted(delta).intersect(&dist.bounds);
-                    for part in rect_subtract(needed, owned) {
-                        if part.is_empty() {
-                            continue;
-                        }
-                        // Avoid double-charging identical slabs from
-                        // overlapping use regions.
-                        if slabs[p].iter().any(|(ai, r2)| *ai == a && *r2 == part) {
-                            continue;
-                        }
-                        bytes[p] += part.count() * 8;
-                        if provider[p].is_none() {
-                            provider[p] = Some(dist.owner_of(part.lo));
-                        }
-                        slabs[p].push((a, part));
-                    }
-                }
+                geom
             }
+        };
+        // Unit tests hold every call's geometry to a fresh build.
+        #[cfg(test)]
+        {
+            slot.takes += 1;
+            let mut rebuilt = Geom::default();
+            self.layout.build(&mut rebuilt, t, env);
+            assert_eq!(rebuilt, geom, "t{}: cached geometry is stale", tid.0);
         }
-        let mut outgoing: Vec<Vec<(ProcId, u64)>> = vec![Vec::new(); n];
-        for p in 0..n {
-            if let Some(q) = provider[p] {
-                outgoing[q].push((p, bytes[p]));
-            }
-        }
-        Geom {
-            slabs,
-            bytes,
-            outgoing,
-        }
+        geom
+    }
+
+    /// Returns a geometry taken by [`take_geometry`](Simulator::take_geometry)
+    /// to its slot.
+    fn put_geometry(&mut self, tid: TransferId, geom: Geom) {
+        self.geoms[tid.index()].geom = Some(geom);
     }
 
     /// Metrics hook: one point-to-point message injected. Link busy time
@@ -817,16 +1029,16 @@ impl<'p> Simulator<'p> {
 
     /// SR under `csend`/`pvm_send` (blocking, buffered) or `isend`/`hsend`
     /// (asynchronous: initiation only, injection by the co-processor).
-    fn do_send(&mut self, tid: TransferId, is_async: bool) {
-        let geom = self.geometry(tid);
+    fn do_send(&mut self, tid: TransferId) {
+        let geom = self.take_geometry(tid);
         self.check_overwrite(tid);
         let n = self.grid.len();
         // Reuse the previous instance's buffers; the steady-state loop
         // allocates nothing per SR.
         let mut fl = self.inflight[tid.index()].take().unwrap_or_default();
-        fl.reset(n, &geom.bytes, geom.active(), self.cfg.compute_data);
+        fl.reset(n, &geom.bytes, geom.active, self.cfg.compute_data);
         for p in 0..n {
-            for &(reader, b) in &geom.outgoing[p] {
+            for &(reader, b) in geom.sends(p) {
                 // Asynchronous or not, injection consumes CPU — the
                 // Paragon's co-processor did not relieve the host (paper
                 // §3.2: async primitives do not reduce exposed overhead).
@@ -836,7 +1048,6 @@ impl<'p> Simulator<'p> {
                 self.account_message(p, reader, b);
                 fl.arrival[reader] = self.clocks[p] + self.wire_time(b);
                 fl.buf_free[p] = self.clocks[p];
-                let _ = is_async;
                 fl.sent[p] = true;
             }
         }
@@ -845,27 +1056,28 @@ impl<'p> Simulator<'p> {
             self.snapshot(&geom, &mut fl);
         }
         self.inflight[tid.index()] = Some(fl);
+        self.put_geometry(tid, geom);
     }
 
     /// SR under `shmem_put`: one-way remote store, gated on the reader
     /// having announced readiness at its DR-side `synch`.
     fn do_put(&mut self, tid: TransferId) {
-        let geom = self.geometry(tid);
+        let geom = self.take_geometry(tid);
         self.check_overwrite(tid);
         let n = self.grid.len();
         // One-way safety: a put is only legal once the receiver announced
         // readiness for *this* instance. Readiness is consumed here, so a
         // stale `synch` from a previous iteration does not excuse a later
         // put (see `crate::safety`).
-        let was_ready = if geom.active() {
+        let was_ready = if geom.active {
             std::mem::replace(&mut self.ready[tid.index()], false)
         } else {
             true
         };
         let mut fl = self.inflight[tid.index()].take().unwrap_or_default();
-        fl.reset(n, &geom.bytes, geom.active(), self.cfg.compute_data);
+        fl.reset(n, &geom.bytes, geom.active, self.cfg.compute_data);
         for p in 0..n {
-            for &(reader, b) in &geom.outgoing[p] {
+            for &(reader, b) in geom.sends(p) {
                 if !was_ready {
                     self.violations.push(SafetyViolation::PutBeforeReady {
                         transfer: tid,
@@ -892,13 +1104,14 @@ impl<'p> Simulator<'p> {
             self.snapshot(&geom, &mut fl);
         }
         self.inflight[tid.index()] = Some(fl);
+        self.put_geometry(tid, geom);
     }
 
     /// Full mode: capture, per reader, the slab values as of SR time —
     /// gathered exactly from their owning blocks.
     fn snapshot(&mut self, geom: &Geom, fl: &mut InFlight) {
         for p in 0..self.grid.len() {
-            for (a, rect) in &geom.slabs[p] {
+            for (a, rect) in geom.receives(p) {
                 let mut vals = Vec::with_capacity(rect.count() as usize);
                 rect.for_each(|idx| vals.push(self.arrays[*a].global_get(idx)));
                 fl.data[p].push((*a, *rect, vals));
@@ -908,7 +1121,7 @@ impl<'p> Simulator<'p> {
 
     /// DR under `irecv`/`hprobe`: post the buffer, remember nothing else.
     fn do_post(&mut self, tid: TransferId) {
-        let geom = self.geometry(tid);
+        let geom = self.take_geometry(tid);
         let n = self.grid.len();
         for p in 0..n {
             if geom.bytes[p] > 0 {
@@ -919,6 +1132,7 @@ impl<'p> Simulator<'p> {
             self.dr_time[tid.index() * n + p] = self.clocks[p];
         }
         self.ready[tid.index()] = true;
+        self.put_geometry(tid, geom);
     }
 
     /// DR under SHMEM `synch`: the heavyweight rendezvous of the prototype
@@ -929,14 +1143,15 @@ impl<'p> Simulator<'p> {
     /// the instance is globally empty, the runtime guard short-circuits
     /// the call (guard cost only).
     fn do_sync_dr(&mut self, tid: TransferId) {
-        let geom = self.geometry(tid);
+        let geom = self.take_geometry(tid);
         let n = self.grid.len();
         let row = tid.index() * n;
         self.ready[tid.index()] = true;
-        if !geom.active() {
+        if !geom.active {
             // Record the per-proc DR clocks in place — no clock-vector
             // clone, the slab row is preallocated.
             self.dr_time[row..row + n].copy_from_slice(&self.clocks);
+            self.put_geometry(tid, geom);
             return;
         }
         // The prototype's `synch` behaves like a barrier among all
@@ -955,6 +1170,7 @@ impl<'p> Simulator<'p> {
             }
             self.dr_time[row + p] = self.clocks[p];
         }
+        self.put_geometry(tid, geom);
     }
 
     fn do_recv(&mut self, tid: TransferId, kind: RecvKind, call: CallKind) -> Result<(), SimError> {
@@ -1007,8 +1223,9 @@ impl<'p> Simulator<'p> {
     /// synchronization call whenever the instance is active and the
     /// processor has a structural partner.
     fn do_sync_dn(&mut self, tid: TransferId, call: CallKind) -> Result<(), SimError> {
-        let geom = self.geometry(tid);
-        if !geom.active() {
+        let geom = self.take_geometry(tid);
+        if !geom.active {
+            self.put_geometry(tid, geom);
             self.retire(tid);
             return self.deliver(tid);
         }
@@ -1018,6 +1235,7 @@ impl<'p> Simulator<'p> {
         {
             // An active instance with no live put in flight: the DN-side
             // `synch` would rendezvous with a partner that never arrives.
+            self.put_geometry(tid, geom);
             return self.require_no_pending(tid, call);
         }
         let n = self.grid.len();
@@ -1049,6 +1267,7 @@ impl<'p> Simulator<'p> {
             }
             self.clocks[p] = t;
         }
+        self.put_geometry(tid, geom);
         self.retire(tid);
         self.deliver(tid)
     }
@@ -1166,8 +1385,8 @@ impl<'p> Simulator<'p> {
     /// transfer instance is structurally empty under the current
     /// environment. Otherwise the processors expecting data are stuck
     /// forever — reported as a typed deadlock naming each of them.
-    fn require_no_pending(&self, tid: TransferId, call: CallKind) -> Result<(), SimError> {
-        let geom = self.geometry(tid);
+    fn require_no_pending(&mut self, tid: TransferId, call: CallKind) -> Result<(), SimError> {
+        let geom = self.take_geometry(tid);
         let stuck: Vec<StuckCall> = (0..self.grid.len())
             .filter(|&p| geom.bytes[p] > 0)
             .map(|p| StuckCall {
@@ -1177,6 +1396,7 @@ impl<'p> Simulator<'p> {
                 at_us: self.clocks[p],
             })
             .collect();
+        self.put_geometry(tid, geom);
         if stuck.is_empty() {
             Ok(())
         } else {
@@ -1267,20 +1487,20 @@ fn eval_scalar(e: &Expr, scalars: &[f64], env: &LoopEnv) -> Result<f64, SimError
     })
 }
 
-/// `a \ b` as disjoint rectangles (local copy of the distribution helper;
-/// kept private to each crate to avoid a public geometry API).
-fn rect_subtract(a: Rect, b: Rect) -> Vec<Rect> {
-    let mut out = Vec::new();
+/// Visits `a \ b` as disjoint non-empty rectangles (local copy of the
+/// distribution helper; kept private to each crate to avoid a public
+/// geometry API).
+fn rect_subtract(a: Rect, b: Rect, mut f: impl FnMut(Rect)) {
     let mut rest = a;
     if rest.is_empty() {
-        return out;
+        return;
     }
     for d in 0..a.rank {
         if rest.lo[d] < b.lo[d] {
             let mut r = rest;
             r.hi[d] = (b.lo[d] - 1).min(rest.hi[d]);
             if !r.is_empty() {
-                out.push(r);
+                f(r);
             }
             rest.lo[d] = b.lo[d];
         }
@@ -1288,15 +1508,14 @@ fn rect_subtract(a: Rect, b: Rect) -> Vec<Rect> {
             let mut r = rest;
             r.lo[d] = (b.hi[d] + 1).max(rest.lo[d]);
             if !r.is_empty() {
-                out.push(r);
+                f(r);
             }
             rest.hi[d] = b.hi[d];
         }
         if rest.is_empty() {
-            return out;
+            return;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1464,6 +1683,97 @@ mod tests {
         assert_eq!(r.data_transfers, 1);
         // dynamic count = executed quads = 15 iterations.
         assert_eq!(r.dynamic_comm, 15);
+    }
+
+    /// A row sweep whose inner loop rewrites row `i` from `X@north` three
+    /// times: the transfer runs once per `(i, k)` but reads only `i`.
+    fn sweep(n: i64) -> Program {
+        let mut b = ProgramBuilder::new("sweep");
+        let bounds = Rect::d2((1, n), (1, n));
+        let x = b.array("X", bounds);
+        b.assign(Region::from_rect(bounds), x, Expr::Index(0));
+        b.for_up("i", 2, n, |b, i| {
+            b.for_up("k", 1, 3, |b, _| {
+                b.assign(
+                    Region::row2(i, (1, n)),
+                    x,
+                    Expr::at(x, compass::NORTH) + Expr::Const(1.0),
+                );
+            });
+        });
+        b.finish()
+    }
+
+    /// The machine whose cost tables cover `lib`.
+    fn machine(lib: Library) -> MachineSpec {
+        match lib {
+            Library::Pvm | Library::Shmem => t3d(),
+            _ => MachineSpec::paragon(),
+        }
+    }
+
+    /// Executes `program` and hands back the simulator for inspection.
+    fn executed(program: &Program, cfg: SimConfig) -> Simulator<'_> {
+        let mut sim = Simulator::new(program, cfg);
+        sim.exec_block(&program.body).unwrap();
+        sim
+    }
+
+    #[test]
+    fn loop_invariant_geometry_is_built_once_per_run() {
+        let src = jacobi(16, 4);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for lib in Library::ALL {
+                let sim = executed(&opt.program, SimConfig::timing(machine(lib), lib, 4));
+                for (i, slot) in sim.geoms.iter().enumerate() {
+                    assert!(slot.vars.is_empty(), "{name}: t{i} reads a loop variable");
+                    assert!(slot.takes >= 4, "{name}/{lib:?}: t{i} ran {}", slot.takes);
+                    assert_eq!(slot.builds, 1, "{name}/{lib:?}: t{i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sweep_geometry_is_built_once_per_row() {
+        let n = 16;
+        let src = sweep(n);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for lib in Library::ALL {
+                let sim = executed(&opt.program, SimConfig::timing(machine(lib), lib, 16));
+                assert_eq!(sim.dynamic_comm, 3 * (n as u64 - 1), "{name}");
+                let [slot] = &sim.geoms[..] else {
+                    panic!("{name}: expected one transfer")
+                };
+                assert_eq!(slot.vars.len(), 1, "{name}: keyed on `i` alone");
+                assert_eq!(slot.builds, n as u64 - 1, "{name}/{lib:?}");
+                assert!(slot.takes >= 3 * slot.builds, "{name}/{lib:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cached_geometry_matches_a_fresh_build_on_every_call() {
+        // `take_geometry` compares every call's geometry with a fresh
+        // build under `cfg(test)`; drive it through the sweep under every
+        // binding, in both modes, and check the cache was actually hit.
+        let src = sweep(16);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for lib in Library::ALL {
+                for cfg in [
+                    SimConfig::timing(machine(lib), lib, 16),
+                    SimConfig::full(machine(lib), lib, 16),
+                ] {
+                    let sim = executed(&opt.program, cfg);
+                    let takes: u64 = sim.geoms.iter().map(|s| s.takes).sum();
+                    let builds: u64 = sim.geoms.iter().map(|s| s.builds).sum();
+                    assert!(takes > builds, "{name}/{lib:?}: no call hit the cache");
+                }
+            }
+        }
     }
 
     #[test]

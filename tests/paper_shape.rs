@@ -8,16 +8,61 @@ use commopt::ironman::Library;
 use commopt::machine::MachineSpec;
 use commopt::opt::optimize;
 use commopt::sim::{SimConfig, Simulator};
+use commopt_testkit::pool::Pool;
+use std::sync::OnceLock;
+
+/// One paper-size run: the optimized program's static count and
+/// structural dynamic count, and the simulated dynamic count and time.
+struct Cell {
+    static_count: u64,
+    structural: u64,
+    dynamic_comm: u64,
+    time_s: f64,
+}
+
+/// Every benchmark × experiment at the paper's sizes, in `suite()` ×
+/// `Experiment::ALL` order — simulated once per test binary and read by
+/// every test below.
+fn cells() -> &'static [Cell] {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let cases: Vec<_> = suite()
+            .into_iter()
+            .flat_map(|b| Experiment::ALL.map(|e| (b, e)))
+            .collect();
+        Pool::from_env(None).map(cases, |_, (b, e)| {
+            let p = b.program();
+            let opt = optimize(&p, &e.config());
+            let r = Simulator::new(
+                &opt.program,
+                SimConfig::timing(MachineSpec::t3d(), e.library(), b.paper_procs),
+            )
+            .run();
+            Cell {
+                static_count: opt.static_count(),
+                structural: commopt::opt::dynamic_count(&opt.program),
+                dynamic_comm: r.dynamic_comm,
+                time_s: r.time_s,
+            }
+        })
+    })
+}
+
+fn cell(b: &commopt::benchmarks::Benchmark, e: Experiment) -> &'static Cell {
+    let bi = suite()
+        .iter()
+        .position(|s| s.name == b.name)
+        .expect("a suite benchmark");
+    let ei = Experiment::ALL
+        .iter()
+        .position(|&x| x == e)
+        .expect("an experiment");
+    &cells()[bi * Experiment::ALL.len() + ei]
+}
 
 fn run(b: &commopt::benchmarks::Benchmark, e: Experiment) -> (u64, u64, f64) {
-    let p = b.program();
-    let opt = optimize(&p, &e.config());
-    let r = Simulator::new(
-        &opt.program,
-        SimConfig::timing(MachineSpec::t3d(), e.library(), b.paper_procs),
-    )
-    .run();
-    (opt.static_count(), r.dynamic_comm, r.time_s)
+    let c = cell(b, e);
+    (c.static_count, c.dynamic_comm, c.time_s)
 }
 
 #[test]
@@ -110,14 +155,8 @@ fn tomcatv_maxlat_counts_equal_rr() {
 fn dynamic_counts_match_structural_computation_at_paper_sizes() {
     for b in suite() {
         for e in Experiment::ALL {
-            let p = b.program();
-            let opt = optimize(&p, &e.config());
-            let structural = commopt::opt::dynamic_count(&opt.program);
-            let r = Simulator::new(
-                &opt.program,
-                SimConfig::timing(MachineSpec::t3d(), e.library(), b.paper_procs),
-            )
-            .run();
+            let r = cell(&b, e);
+            let structural = r.structural;
             assert_eq!(structural, r.dynamic_comm, "{} {}", b.name, e.name());
         }
     }
