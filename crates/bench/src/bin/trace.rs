@@ -14,12 +14,11 @@
 //! --iters 5 --procs 16`) — a paper-size run emits tens of millions of
 //! events. Override the flags to go bigger.
 
-use commopt_bench::parse_exp;
 use commopt_bench::report::profile_report;
+use commopt_bench::{machine_for, parse_exp};
 use commopt_benchmarks::suite;
 use commopt_core::optimize;
 use commopt_ironman::Library;
-use commopt_machine::MachineSpec;
 use commopt_sim::{chrome_trace, Recorder, SimConfig, Simulator};
 use std::process::ExitCode;
 
@@ -95,10 +94,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
         .ok_or_else(|| format!("unknown benchmark '{bench_name}'"))?;
     let experiment = parse_exp(&exp)?;
     let library = lib_override.unwrap_or_else(|| experiment.library());
-    let machine = match library {
-        Library::Pvm | Library::Shmem => MachineSpec::t3d(),
-        _ => MachineSpec::paragon(),
-    };
     let out_path = out_path.unwrap_or_else(|| format!("results/{}.{}.trace.json", bench.name, exp));
 
     let program = bench.program_with(size, iters);
@@ -106,7 +101,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let recorder = Recorder::new();
     let result = Simulator::new(
         &opt.program,
-        SimConfig::timing(machine, library, procs).with_trace(recorder.clone()),
+        SimConfig::timing(machine_for(library), library, procs).with_trace(recorder.clone()),
     )
     .run();
 

@@ -17,6 +17,7 @@
 //! of broken benchmark × binding × seed combinations, each a deterministic
 //! reproduction recipe.
 
+use crate::{library_tag, machine_for};
 use commopt_benchmarks::{suite, Benchmark, Experiment};
 use commopt_core::optimize;
 use commopt_ir::CallKind;
@@ -40,25 +41,6 @@ pub const EXPERIMENTS: [Experiment; 4] = [
     Experiment::Cc,
     Experiment::Pl,
 ];
-
-/// A short, slash-free tag for a library (its display name contains `/`).
-pub fn library_tag(lib: Library) -> &'static str {
-    match lib {
-        Library::NxSync => "nx-sync",
-        Library::NxAsync => "nx-async",
-        Library::NxCallback => "nx-callback",
-        Library::Pvm => "pvm",
-        Library::Shmem => "shmem",
-    }
-}
-
-/// The machine a library's binding is calibrated for.
-pub fn machine_for(lib: Library) -> MachineSpec {
-    match lib {
-        Library::Pvm | Library::Shmem => MachineSpec::t3d(),
-        Library::NxSync | Library::NxAsync | Library::NxCallback => MachineSpec::paragon(),
-    }
-}
 
 /// Every case of the fuzz matrix, as `(name, benchmark, experiment,
 /// library)` with names like `tomcatv/pl/shmem`.

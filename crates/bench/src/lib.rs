@@ -1,39 +1,45 @@
 //! # commopt-bench — the reproduction harness
 //!
-//! One binary per figure/table of Choi & Snyder (ICPP 1997):
+//! The `repro` binary renders every figure and table of Choi & Snyder
+//! (ICPP 1997) into `results/<name>.txt`; `repro <name>...` prints only the
+//! named ones:
 //!
-//! | binary            | reproduces |
-//! |-------------------|------------|
-//! | `fig3_machines`   | Figure 3 — machine parameters |
-//! | `fig5_bindings`   | Figure 5 — IRONMAN bindings |
-//! | `fig6_overhead`   | Figure 6 — exposed communication costs |
-//! | `fig7_suite`      | Figure 7 — benchmark programs |
-//! | `fig8_counts`     | Figure 8 — communication count reductions |
-//! | `fig10_times`     | Figure 10 — benchmark performance (PVM and SHMEM) |
-//! | `fig11_heuristics`| Figure 11 — combining heuristic counts |
-//! | `fig12_heuristics`| Figure 12 — combining heuristic times |
-//! | `tables`          | Appendix A, Tables 1–4 |
-//! | `repro_all`       | everything above, teed into `results/` |
+//! | name               | reproduces |
+//! |--------------------|------------|
+//! | `fig3_machines`    | Figure 3 — machine parameters |
+//! | `fig5_bindings`    | Figure 5 — IRONMAN bindings |
+//! | `fig6_overhead`    | Figure 6 — exposed communication costs |
+//! | `fig7_suite`       | Figure 7 — benchmark programs |
+//! | `fig8_counts`      | Figure 8 — communication count reductions |
+//! | `fig10_times`      | Figure 10 — benchmark performance (PVM and SHMEM) |
+//! | `fig11_heuristics` | Figure 11 — combining heuristic counts |
+//! | `fig12_heuristics` | Figure 12 — combining heuristic times |
+//! | `tables`           | Appendix A, Tables 1–4 |
+//! | `ablation`         | every rr/cc/pl toggle combination |
+//! | `paragon_note`     | the Paragon runs the paper did not print |
+//! | `extension_global` | the cross-block dataflow pass on top of pl |
 //!
-//! This library holds the shared runner and formatting helpers, plus the
-//! schedule-fuzz harness ([`fuzz`], driven by the `fuzz` binary) that
-//! re-checks every benchmark × binding under seeded fault plans, and the
-//! [`perf`] snapshot machinery (driven by the `perf` and `perfdiff`
-//! binaries): versioned `BENCH_<rev>.json` documents capturing every
-//! benchmark × experiment × machine with deep metrics, diffed against a
-//! committed baseline as CI's performance regression gate.
+//! Every paper-size run those figures read is one cell of the [`matrix`],
+//! optimized and simulated once; [`figures`] holds one render function
+//! per figure. This library also holds the schedule-fuzz harness
+//! ([`fuzz`], driven by the `fuzz` binary) that re-checks every benchmark
+//! × binding under seeded fault plans, and the [`perf`] snapshot machinery
+//! (driven by the `perf` and `perfdiff` binaries): versioned
+//! `BENCH_<rev>.json` documents capturing every benchmark × experiment ×
+//! machine with deep metrics, diffed against a committed baseline as CI's
+//! performance regression gate.
 
+pub mod figures;
 pub mod fuzz;
 pub mod json;
 pub mod lint;
+pub mod matrix;
 pub mod perf;
 pub mod report;
 
-use commopt_benchmarks::{Benchmark, Experiment};
-use commopt_core::optimize;
+use commopt_benchmarks::Experiment;
 use commopt_ironman::Library;
 use commopt_machine::MachineSpec;
-use commopt_sim::{SimConfig, SimResult, Simulator};
 
 /// Parses an experiment name as accepted by the CLI binaries: the paper's
 /// names plus the cumulative `rr+cc`/`rr+cc+pl` spellings.
@@ -51,71 +57,24 @@ pub fn parse_exp(s: &str) -> Result<Experiment, String> {
     }
 }
 
-/// One measured experiment row.
-#[derive(Clone, Copy, Debug)]
-pub struct Measured {
-    pub static_count: u64,
-    pub dynamic_count: u64,
-    pub time_s: f64,
-}
-
-/// Compiles, optimizes, and simulates one benchmark under one experiment,
-/// on the T3D with the paper's 64-processor partition.
-pub fn run_experiment(bench: &Benchmark, exp: Experiment) -> Measured {
-    run_experiment_on(bench, exp, &MachineSpec::t3d(), bench.paper_procs)
-}
-
-/// As [`run_experiment`], with an explicit machine and partition size.
-pub fn run_experiment_on(
-    bench: &Benchmark,
-    exp: Experiment,
-    machine: &MachineSpec,
-    procs: usize,
-) -> Measured {
-    let program = bench.program();
-    let opt = optimize(&program, &exp.config());
-    let r = Simulator::new(
-        &opt.program,
-        SimConfig::timing(machine.clone(), exp.library(), procs),
-    )
-    .run();
-    Measured {
-        static_count: opt.static_count(),
-        dynamic_count: r.dynamic_comm,
-        time_s: r.time_s,
+/// A short, slash-free tag for a library (its display name contains `/`).
+pub fn library_tag(lib: Library) -> &'static str {
+    match lib {
+        Library::NxSync => "nx-sync",
+        Library::NxAsync => "nx-async",
+        Library::NxCallback => "nx-callback",
+        Library::Pvm => "pvm",
+        Library::Shmem => "shmem",
     }
 }
 
-/// Simulates an arbitrary optimized program (timing only).
-pub fn simulate_program(
-    program: &commopt_ir::Program,
-    machine: &MachineSpec,
-    library: Library,
-    procs: usize,
-) -> SimResult {
-    Simulator::new(program, SimConfig::timing(machine.clone(), library, procs)).run()
-}
-
-/// The exposed per-transfer software overhead of one library at one
-/// message size — the paper's Figure 6 measurement: the ping program's
-/// time minus its communication-free twin's, per transfer.
-pub fn exposed_overhead_us(
-    machine: &MachineSpec,
-    library: Library,
-    msg_doubles: i64,
-    iterations: u64,
-) -> f64 {
-    let (with_comm, without) =
-        commopt_benchmarks::synthetic::overhead_pair(msg_doubles, iterations);
-    let pl = commopt_core::OptConfig::pl();
-    let a = optimize(&with_comm, &pl);
-    let b = optimize(&without, &pl);
-    let ta = Simulator::new(&a.program, SimConfig::timing(machine.clone(), library, 2)).run();
-    let tb = Simulator::new(&b.program, SimConfig::timing(machine.clone(), library, 2)).run();
-    // Two transfers per iteration (one in each direction), but each
-    // processor handles exactly one send and one receive per iteration —
-    // one full transfer's worth of software overhead.
-    (ta.time_s - tb.time_s) * 1e6 / iterations as f64
+/// The machine a library's binding is calibrated for: the T3D for PVM
+/// and SHMEM, the Paragon for the NX libraries.
+pub fn machine_for(lib: Library) -> MachineSpec {
+    match lib {
+        Library::Pvm | Library::Shmem => MachineSpec::t3d(),
+        Library::NxSync | Library::NxAsync | Library::NxCallback => MachineSpec::paragon(),
+    }
 }
 
 /// A fixed-width text table writer.
@@ -174,30 +133,11 @@ impl Table {
     }
 }
 
-/// Renders a horizontal bar for a scaled value (1.0 == full width), the
-/// text analogue of the paper's bar charts.
-pub fn bar(scaled: f64, width: usize) -> String {
-    let clamped = scaled.clamp(0.0, 1.6);
-    let n = (clamped / 1.6 * width as f64).round() as usize;
-    let mut s = "#".repeat(n.min(width));
-    if scaled > 1.6 {
-        s.push('>');
-    }
-    s
-}
-
-/// Formats a measured/paper pair as `x.xx (paper y.yy)`.
-pub fn vs_paper(measured: f64, paper: Option<f64>) -> String {
-    match paper {
-        Some(p) => format!("{measured:.3} (paper {p:.3})"),
-        None => format!("{measured:.3} (paper   -  )"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commopt_benchmarks::tomcatv;
+    use crate::matrix::{Key, Matrix};
+    use commopt_benchmarks::{tomcatv, Experiment};
 
     #[test]
     fn table_renders_aligned() {
@@ -212,27 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn bar_scales() {
-        assert_eq!(bar(0.0, 10), "");
-        assert_eq!(bar(1.6, 10).len(), 10);
-        assert!(bar(2.0, 10).ends_with('>'));
-    }
-
-    #[test]
-    fn exposed_overhead_is_positive_and_grows() {
-        let t3d = MachineSpec::t3d();
-        let small = exposed_overhead_us(&t3d, Library::Pvm, 8, 50);
-        let large = exposed_overhead_us(&t3d, Library::Pvm, 4096, 50);
-        assert!(small > 0.0, "{small}");
-        assert!(large > small, "{large} vs {small}");
-    }
-
-    #[test]
-    fn run_experiment_produces_consistent_counts() {
+    fn matrix_cell_produces_consistent_counts() {
         let b = tomcatv();
-        let m = run_experiment(&b, Experiment::Baseline);
-        assert_eq!(m.static_count, 46);
-        assert!(m.time_s > 0.0);
-        assert!(m.dynamic_count > 30_000);
+        let key = Key::experiment(&b, Experiment::Baseline);
+        let m = Matrix::compute([key], 1);
+        let c = m.get(key);
+        assert_eq!(c.static_count, 46);
+        assert!(c.time_s > 0.0);
+        assert!(c.dynamic_comm > 30_000);
     }
 }

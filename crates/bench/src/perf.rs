@@ -249,7 +249,7 @@ fn collect_row(
         bench: bench.name.to_string(),
         exp: exp_name.to_string(),
         machine: machine_name.to_string(),
-        library: library_name(library).to_string(),
+        library: crate::library_tag(library).to_string(),
         procs: procs as u64,
         static_count: opt.static_count(),
         dynamic_count: r.dynamic_comm,
@@ -272,16 +272,6 @@ fn collect_row(
                 hist: h.clone(),
             })
             .collect(),
-    }
-}
-
-fn library_name(lib: Library) -> &'static str {
-    match lib {
-        Library::Pvm => "pvm",
-        Library::Shmem => "shmem",
-        Library::NxSync => "nx-sync",
-        Library::NxAsync => "nx-async",
-        Library::NxCallback => "nx-callback",
     }
 }
 

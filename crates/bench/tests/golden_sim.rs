@@ -16,7 +16,8 @@
 //! COMMOPT_UPDATE_GOLDEN=1 cargo test -p commopt-bench --test golden_sim
 //! ```
 
-use commopt_bench::fuzz::{library_tag, machine_for, EXPERIMENTS};
+use commopt_bench::fuzz::EXPERIMENTS;
+use commopt_bench::{library_tag, machine_for};
 use commopt_benchmarks::suite;
 use commopt_core::optimize;
 use commopt_ironman::Library;

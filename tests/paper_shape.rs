@@ -8,56 +8,24 @@ use commopt::ironman::Library;
 use commopt::machine::MachineSpec;
 use commopt::opt::optimize;
 use commopt::sim::{SimConfig, Simulator};
-use commopt_testkit::pool::Pool;
+use commopt_bench::matrix::{Cell, Key, Matrix};
+use commopt_testkit::pool::resolve_jobs;
 use std::sync::OnceLock;
 
-/// One paper-size run: the optimized program's static count and
-/// structural dynamic count, and the simulated dynamic count and time.
-struct Cell {
-    static_count: u64,
-    structural: u64,
-    dynamic_comm: u64,
-    time_s: f64,
-}
-
-/// Every benchmark × experiment at the paper's sizes, in `suite()` ×
-/// `Experiment::ALL` order — simulated once per test binary and read by
-/// every test below.
-fn cells() -> &'static [Cell] {
-    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
-    CELLS.get_or_init(|| {
-        let cases: Vec<_> = suite()
+/// Every benchmark × experiment at the paper's sizes — simulated once per
+/// test binary and read by every test below.
+fn matrix() -> &'static Matrix {
+    static MATRIX: OnceLock<Matrix> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        let keys = suite()
             .into_iter()
-            .flat_map(|b| Experiment::ALL.map(|e| (b, e)))
-            .collect();
-        Pool::from_env(None).map(cases, |_, (b, e)| {
-            let p = b.program();
-            let opt = optimize(&p, &e.config());
-            let r = Simulator::new(
-                &opt.program,
-                SimConfig::timing(MachineSpec::t3d(), e.library(), b.paper_procs),
-            )
-            .run();
-            Cell {
-                static_count: opt.static_count(),
-                structural: commopt::opt::dynamic_count(&opt.program),
-                dynamic_comm: r.dynamic_comm,
-                time_s: r.time_s,
-            }
-        })
+            .flat_map(|b| Experiment::ALL.map(|e| Key::experiment(&b, e)));
+        Matrix::compute(keys, resolve_jobs(None))
     })
 }
 
 fn cell(b: &commopt::benchmarks::Benchmark, e: Experiment) -> &'static Cell {
-    let bi = suite()
-        .iter()
-        .position(|s| s.name == b.name)
-        .expect("a suite benchmark");
-    let ei = Experiment::ALL
-        .iter()
-        .position(|&x| x == e)
-        .expect("an experiment");
-    &cells()[bi * Experiment::ALL.len() + ei]
+    matrix().experiment(b, e)
 }
 
 fn run(b: &commopt::benchmarks::Benchmark, e: Experiment) -> (u64, u64, f64) {
@@ -156,7 +124,7 @@ fn dynamic_counts_match_structural_computation_at_paper_sizes() {
     for b in suite() {
         for e in Experiment::ALL {
             let r = cell(&b, e);
-            let structural = r.structural;
+            let structural = r.dynamic_count;
             assert_eq!(structural, r.dynamic_comm, "{} {}", b.name, e.name());
         }
     }
