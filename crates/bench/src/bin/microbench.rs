@@ -14,7 +14,7 @@ use commopt_core::{optimize, OptConfig};
 use commopt_ironman::Library;
 use commopt_lang::Frontend;
 use commopt_machine::MachineSpec;
-use commopt_sim::{SimConfig, Simulator};
+use commopt_sim::{Recorder, SimConfig, Simulator};
 use commopt_testkit::pool::{self, Pool};
 use std::hint::black_box;
 use std::time::Instant;
@@ -149,23 +149,29 @@ fn main() {
     }
 
     // The simulator at the paper's sizes and partition, where transfer
-    // geometry and the per-processor loops carry the cost.
+    // geometry and the per-processor loops carry the cost — plain, with
+    // the metrics registry on, and with every event recorded (the
+    // recorder is drained after each run, as a trace consumer would).
     for b in suite() {
         let opt = optimize(&b.program(), &OptConfig::pl());
-        let (med, min) = time_us(runs, || {
-            let r = Simulator::new(
-                &opt.program,
-                SimConfig::timing(MachineSpec::t3d(), Library::Pvm, 64),
-            )
-            .run();
-            black_box(r);
-        });
-        t.row(&[
-            "simulate(paper,64p)".into(),
-            format!("{}/pl", b.name),
-            fmt_us(med),
-            fmt_us(min),
-        ]);
+        let plain = SimConfig::timing(MachineSpec::t3d(), Library::Pvm, 64);
+        let rec = Recorder::new();
+        for (observer, cfg) in [
+            ("", plain.clone()),
+            ("+metrics", plain.clone().with_metrics()),
+            ("+trace", plain.with_trace(rec.clone())),
+        ] {
+            let (med, min) = time_us(runs, || {
+                black_box(Simulator::new(&opt.program, cfg.clone()).run());
+                black_box(rec.take());
+            });
+            t.row(&[
+                "simulate(paper,64p)".into(),
+                format!("{}/pl{observer}", b.name),
+                fmt_us(med),
+                fmt_us(min),
+            ]);
+        }
     }
 
     // Transfer-state storage: the engine's old BTreeMap-of-rows layout

@@ -10,6 +10,13 @@
 //! The 64-processor paper-sizing cells were added before transfer geometry
 //! was cached per loop instance, and pin that change the same way.
 //!
+//! Each cell also runs a second time with the metrics registry and a
+//! trace sink installed; its `obs/<cell>` line digests the registry, the
+//! mesh link table and the full event stream. Those lines were generated
+//! before the engine's accounting moved behind one ledger, and pin the
+//! observers the way the plain lines pin the result. Every cell's
+//! per-processor breakdown must also sum to that processor's clock.
+//!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //!
 //! ```text
@@ -20,9 +27,12 @@ use commopt_bench::fuzz::EXPERIMENTS;
 use commopt_bench::{library_tag, machine_for};
 use commopt_benchmarks::suite;
 use commopt_core::optimize;
+use commopt_ir::Program;
 use commopt_ironman::Library;
 use commopt_lang::Frontend;
-use commopt_sim::{SimConfig, SimResult, Simulator};
+use commopt_sim::{SimConfig, SimResult, Simulator, SpanKind, TraceEvent, TraceSink};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const FULL_N: i64 = 12;
 const FULL_ITERS: i64 = 2;
@@ -54,6 +64,13 @@ impl Digest {
 
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
+    }
+
+    /// Folds a whole word in one FNV step: the trace digest's fast path,
+    /// for the millions of events a 64-processor run emits.
+    fn word(&mut self, v: u64) {
+        self.0 ^= v;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     fn f64(&mut self, v: f64) {
@@ -118,6 +135,87 @@ fn digest(r: &SimResult) -> String {
     format!("{:016x}", d.0)
 }
 
+/// A trace sink that folds every event into a digest and stores nothing.
+#[derive(Clone)]
+struct TraceDigest(Rc<RefCell<Digest>>);
+
+impl TraceSink for TraceDigest {
+    fn record(&mut self, e: TraceEvent) {
+        let (tag, id) = match e.kind {
+            SpanKind::Compute { array } => (0, array),
+            SpanKind::Scalar { scalar } => (1, scalar),
+            SpanKind::Reduce { scalar } => (2, scalar),
+            SpanKind::Comm { call, transfer } => (3 + call as u64, transfer),
+        };
+        let mut d = self.0.borrow_mut();
+        for w in [
+            e.proc as u64,
+            e.start_us.to_bits(),
+            e.dur_us.to_bits(),
+            tag,
+            u64::from(id),
+            e.bytes,
+        ] {
+            d.word(w);
+        }
+    }
+}
+
+/// A digest of an observed run: the metrics registry (counters, gauges,
+/// histogram buckets and exact summaries), the mesh link table, the event
+/// stream's digest, and the rest of the result.
+fn obs_digest(r: &SimResult, event_digest: u64) -> String {
+    let m = r.metrics.as_ref().expect("metrics were enabled");
+    let mut d = Digest::new();
+    for (name, v) in m.registry.counters() {
+        d.str(name);
+        d.u64(v);
+    }
+    for (name, v) in m.registry.gauges() {
+        d.str(name);
+        d.f64(v);
+    }
+    for (name, h) in m.registry.hists() {
+        d.str(name);
+        for (b, c) in h.nonzero_buckets() {
+            d.u64(b as u64);
+            d.u64(c);
+        }
+        let s = h.summary().expect("a registered histogram is non-empty");
+        for v in [s.count, s.sum, s.min, s.max] {
+            d.u64(v);
+        }
+    }
+    for (link, s) in m.mesh.links() {
+        d.u64(link.from as u64);
+        d.u64(link.to as u64);
+        d.u64(s.messages);
+        d.u64(s.bytes);
+        d.f64(s.busy_us);
+    }
+    d.u64(event_digest);
+    d.str(&digest(r));
+    format!("{:016x}", d.0)
+}
+
+/// Runs one cell plain and then observed, checks that the plain run's
+/// breakdown accounts for every processor's clock, and returns the two
+/// digests.
+fn run_cell(key: &str, program: &Program, cfg: SimConfig) -> (String, String) {
+    let r = Simulator::new(program, cfg.clone()).run();
+    for (p, (b, &t)) in r.per_proc.iter().zip(&r.per_proc_time_s).enumerate() {
+        assert!(
+            (b.total_s() - t).abs() <= 1e-10 * t,
+            "{key}: proc {p} breakdown sums to {}, clock is {t}",
+            b.total_s()
+        );
+    }
+    let events = TraceDigest(Rc::new(RefCell::new(Digest::new())));
+    let observed = Simulator::new(program, cfg.with_metrics().with_trace(events.clone())).run();
+    let event_digest = events.0.borrow().0;
+    (digest(&r), obs_digest(&observed, event_digest))
+}
+
 /// The `config iters` value a benchmark's source declares.
 fn paper_iters(source: &str) -> i64 {
     source
@@ -135,22 +233,17 @@ fn paper_iters(source: &str) -> i64 {
         .expect("a paper program declares `config iters`")
 }
 
-/// Every golden cell as `(key, digest)`, in a fixed order: full (numeric)
-/// mode over all five bindings at 4 procs, then timing mode on the two
-/// snapshot machines at 16 procs, then timing mode at paper sizing on 64
-/// procs.
-fn collect() -> Vec<(String, String)> {
+/// Every golden cell as `(key, digest, observed digest)`, in a fixed
+/// order: full (numeric) mode over all five bindings at 4 procs, then
+/// timing mode on the two snapshot machines at 16 procs, then timing mode
+/// at paper sizing on 64 procs.
+fn collect() -> Vec<(String, String, String)> {
     let mut out = Vec::new();
     for bench in suite() {
         for exp in EXPERIMENTS {
             for lib in Library::ALL {
                 let program = bench.program_with(FULL_N, FULL_ITERS);
                 let opt = optimize(&program, &exp.config());
-                let r = Simulator::new(
-                    &opt.program,
-                    SimConfig::full(machine_for(lib), lib, FULL_PROCS),
-                )
-                .run();
                 let key = format!(
                     "full/{}/{}/{}/{}p",
                     bench.name,
@@ -158,16 +251,13 @@ fn collect() -> Vec<(String, String)> {
                     library_tag(lib),
                     FULL_PROCS
                 );
-                out.push((key, digest(&r)));
+                let cfg = SimConfig::full(machine_for(lib), lib, FULL_PROCS);
+                let (plain, obs) = run_cell(&key, &opt.program, cfg);
+                out.push((key, plain, obs));
             }
             for lib in [Library::Pvm, Library::NxSync] {
                 let program = bench.program_with(TIMING_N, TIMING_ITERS);
                 let opt = optimize(&program, &exp.config());
-                let r = Simulator::new(
-                    &opt.program,
-                    SimConfig::timing(machine_for(lib), lib, TIMING_PROCS),
-                )
-                .run();
                 let key = format!(
                     "timing/{}/{}/{}/{}p",
                     bench.name,
@@ -175,7 +265,9 @@ fn collect() -> Vec<(String, String)> {
                     library_tag(lib),
                     TIMING_PROCS
                 );
-                out.push((key, digest(&r)));
+                let cfg = SimConfig::timing(machine_for(lib), lib, TIMING_PROCS);
+                let (plain, obs) = run_cell(&key, &opt.program, cfg);
+                out.push((key, plain, obs));
             }
         }
     }
@@ -188,11 +280,6 @@ fn collect() -> Vec<(String, String)> {
         for exp in EXPERIMENTS {
             let opt = optimize(&program, &exp.config());
             for lib in [Library::Pvm, Library::NxSync] {
-                let r = Simulator::new(
-                    &opt.program,
-                    SimConfig::timing(machine_for(lib), lib, PAPER_PROCS),
-                )
-                .run();
                 let key = format!(
                     "paper/{}/{}/{}/{}p",
                     bench.name,
@@ -200,7 +287,9 @@ fn collect() -> Vec<(String, String)> {
                     library_tag(lib),
                     PAPER_PROCS
                 );
-                out.push((key, digest(&r)));
+                let cfg = SimConfig::timing(machine_for(lib), lib, PAPER_PROCS);
+                let (plain, obs) = run_cell(&key, &opt.program, cfg);
+                out.push((key, plain, obs));
             }
         }
     }
@@ -213,7 +302,17 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn sim_results_match_committed_goldens() {
-    let cells = collect();
+    // Plain lines first, then the observed ones, each in cell order.
+    let collected = collect();
+    let cells: Vec<(String, &str)> = collected
+        .iter()
+        .map(|(k, plain, _)| (k.clone(), plain.as_str()))
+        .chain(
+            collected
+                .iter()
+                .map(|(k, _, obs)| (format!("obs/{k}"), obs.as_str())),
+        )
+        .collect();
     let rendered: String = cells.iter().map(|(k, d)| format!("{k} {d}\n")).collect();
     let path = golden_path();
     if std::env::var_os("COMMOPT_UPDATE_GOLDEN").is_some() {
@@ -245,7 +344,7 @@ fn sim_results_match_committed_goldens() {
     let mut bad = Vec::new();
     for (key, got) in &cells {
         match want.get(key.as_str()) {
-            Some(w) if *w == got => {}
+            Some(w) if w == got => {}
             Some(w) => bad.push(format!("{key}: golden {w}, got {got}")),
             None => bad.push(format!("{key}: missing from golden file")),
         }

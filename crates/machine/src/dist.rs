@@ -9,7 +9,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::topology::{ProcGrid, ProcId, DIST_DIMS};
-use commopt_ir::{Offset, Rect, MAX_RANK};
+use commopt_ir::{Rect, MAX_RANK};
 
 /// The block distribution of one index space over a grid.
 ///
@@ -83,86 +83,11 @@ impl BlockDist {
         }
         self.grid.at(c)
     }
-
-    /// The ghost slabs processor `p` must *receive* to read `A @ offset`
-    /// over its whole block: the parts of the shifted footprint that fall
-    /// outside `owned(p)` but inside the array bounds.
-    ///
-    /// For an axis offset this is a single strip; for a diagonal offset it
-    /// decomposes into up to two strips plus a corner (owned by up to three
-    /// neighbors, but realized as one IRONMAN transfer — one
-    /// *communication* in the paper's counting).
-    pub fn ghost_slabs(&self, p: ProcId, offset: Offset) -> Vec<Rect> {
-        let owned = self.owned(p);
-        if owned.is_empty() {
-            return Vec::new();
-        }
-        let mut delta = [0i64; MAX_RANK];
-        for d in 0..MAX_RANK {
-            delta[d] = offset.get(d) as i64;
-        }
-        let needed = owned.shifted(delta).intersect(&self.bounds);
-        subtract(needed, owned)
-    }
-
-    /// Total elements received by `p` for `A @ offset`.
-    pub fn ghost_elems(&self, p: ProcId, offset: Offset) -> u64 {
-        self.ghost_slabs(p, offset).iter().map(Rect::count).sum()
-    }
-
-    /// The grid displacement of the neighbor that dominates the exchange
-    /// for `offset` — the processor the transfer message nominally comes
-    /// from: `sign(offset)` per distributed dimension.
-    pub fn source_delta(offset: Offset) -> [i32; DIST_DIMS] {
-        [offset.get(0).signum(), offset.get(1).signum()]
-    }
-
-    /// `true` when `p` actually receives data for `A @ offset` (false on
-    /// mesh edges facing outward, or when the offset is local along the
-    /// distributed dimensions).
-    pub fn receives(&self, p: ProcId, offset: Offset) -> bool {
-        self.ghost_elems(p, offset) > 0
-    }
-}
-
-/// Decomposes `a \ b` into disjoint rectangles (at most `2*rank`).
-fn subtract(a: Rect, b: Rect) -> Vec<Rect> {
-    let mut out = Vec::new();
-    let mut rest = a;
-    if rest.is_empty() {
-        return out;
-    }
-    for d in 0..a.rank {
-        // Slice off the part of `rest` below b.lo[d].
-        if rest.lo[d] < b.lo[d] {
-            let mut r = rest;
-            r.hi[d] = (b.lo[d] - 1).min(rest.hi[d]);
-            if !r.is_empty() {
-                out.push(r);
-            }
-            rest.lo[d] = b.lo[d];
-        }
-        // Slice off the part above b.hi[d].
-        if rest.hi[d] > b.hi[d] {
-            let mut r = rest;
-            r.lo[d] = (b.hi[d] + 1).max(rest.lo[d]);
-            if !r.is_empty() {
-                out.push(r);
-            }
-            rest.hi[d] = b.hi[d];
-        }
-        if rest.is_empty() {
-            return out;
-        }
-    }
-    // What's left is a ∩ b — dropped by definition of subtraction.
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commopt_ir::offset::compass;
 
     fn dist_8x8_on_2x2() -> BlockDist {
         BlockDist::new(ProcGrid::new(2, 2), Rect::d2((1, 8), (1, 8)))
@@ -195,73 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn axis_ghost_is_one_strip() {
-        let d = dist_8x8_on_2x2();
-        // Proc 0 owns [1..4,1..4]; reading @east needs column 5 from proc 1.
-        let slabs = d.ghost_slabs(0, compass::EAST);
-        assert_eq!(slabs, vec![Rect::d2((1, 4), (5, 5))]);
-        assert_eq!(d.ghost_elems(0, compass::EAST), 4);
-        // Proc 1 owns [1..4,5..8]; @east needs column 9 — outside bounds.
-        assert_eq!(d.ghost_elems(1, compass::EAST), 0);
-        assert!(!d.receives(1, compass::EAST));
-        assert!(d.receives(0, compass::EAST));
-    }
-
-    #[test]
-    fn diagonal_ghost_decomposes() {
-        let d = dist_8x8_on_2x2();
-        // Proc 0 reading @se needs row 5 (cols 2..5) and col 5 (rows 2..5):
-        // footprint [2..5,2..5] minus owned [1..4,1..4].
-        let slabs = d.ghost_slabs(0, compass::SE);
-        let total: u64 = slabs.iter().map(Rect::count).sum();
-        assert_eq!(total, 4 + 3); // strip of 4 + strip of 3 (corner included once)
-                                  // All slabs disjoint from owned and inside bounds.
-        for s in &slabs {
-            assert!(s.intersect(&d.owned(0)).is_empty());
-        }
-    }
-
-    #[test]
     fn rank3_third_dim_is_local() {
         let d = BlockDist::new(ProcGrid::new(2, 2), Rect::d3((1, 8), (1, 8), (1, 16)));
-        let o = d.owned(0);
-        assert_eq!(o, Rect::d3((1, 4), (1, 4), (1, 16)));
-        // A shift along dim 2 never needs communication.
-        assert_eq!(d.ghost_elems(0, Offset::d3(0, 0, 1)), 0);
-        // A shift along dim 0 moves a full plane.
-        assert_eq!(d.ghost_elems(3, Offset::d3(-1, 0, 0)), 4 * 16);
+        assert_eq!(d.owned(0), Rect::d3((1, 4), (1, 4), (1, 16)));
     }
-
-    #[test]
-    fn source_delta_is_sign() {
-        assert_eq!(BlockDist::source_delta(compass::EAST), [0, 1]);
-        assert_eq!(BlockDist::source_delta(compass::NW), [-1, -1]);
-        assert_eq!(BlockDist::source_delta(Offset::d2(0, -3)), [0, -1]);
-    }
-
-    #[test]
-    fn subtract_covers_and_is_disjoint() {
-        let a = Rect::d2((1, 6), (1, 6));
-        let b = Rect::d2((3, 4), (3, 4));
-        let parts = subtract(a, b);
-        let total: u64 = parts.iter().map(Rect::count).sum();
-        assert_eq!(total, 36 - 4);
-        for (i, x) in parts.iter().enumerate() {
-            assert!(x.intersect(&b).is_empty());
-            for y in &parts[i + 1..] {
-                assert!(x.intersect(y).is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn subtract_disjoint_returns_a() {
-        let a = Rect::d2((1, 2), (1, 2));
-        let b = Rect::d2((5, 6), (5, 6));
-        let parts = subtract(a, b);
-        let total: u64 = parts.iter().map(Rect::count).sum();
-        assert_eq!(total, 4);
-    }
-
-    use commopt_ir::Offset;
 }

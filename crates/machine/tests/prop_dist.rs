@@ -2,7 +2,7 @@
 //! invariants every executor relies on, checked over seeded random grids,
 //! bounds, and offsets (commopt-testkit; no external dependencies).
 
-use commopt_ir::{Offset, Rect};
+use commopt_ir::Rect;
 use commopt_machine::{BlockDist, ProcGrid};
 use commopt_testkit::{cases, Rng};
 
@@ -20,10 +20,6 @@ fn arb_bounds(rng: &mut Rng) -> Rect {
     } else {
         Rect::d2((lo, lo + n0 - 1), (lo, lo + n1 - 1))
     }
-}
-
-fn arb_offset(rng: &mut Rng) -> Offset {
-    Offset::d2(rng.i32(-2, 2), rng.i32(-2, 2))
 }
 
 #[test]
@@ -58,46 +54,6 @@ fn block_sizes_are_balanced() {
             assert!(extents.len() <= 2, "{extents:?}");
             if extents.len() == 2 {
                 assert_eq!(extents[1] - extents[0], 1);
-            }
-        }
-    });
-}
-
-#[test]
-fn ghost_slabs_are_outside_owned_and_inside_bounds() {
-    cases(256, |rng| {
-        let grid = arb_grid(rng);
-        let bounds = arb_bounds(rng);
-        let offset = arb_offset(rng);
-        let d = BlockDist::new(grid, bounds);
-        for p in grid.procs() {
-            let owned = d.owned(p);
-            for slab in d.ghost_slabs(p, offset) {
-                assert!(slab.intersect(&owned).is_empty());
-                assert_eq!(slab.intersect(&bounds), slab);
-            }
-        }
-    });
-}
-
-#[test]
-fn ghost_volume_conservation() {
-    cases(256, |rng| {
-        // Everything received by readers is owned by someone else; zero
-        // offset receives nothing.
-        let grid = arb_grid(rng);
-        let bounds = arb_bounds(rng);
-        let offset = arb_offset(rng);
-        let d = BlockDist::new(grid, bounds);
-        if offset.is_zero() {
-            for p in grid.procs() {
-                assert_eq!(d.ghost_elems(p, offset), 0);
-            }
-        } else {
-            for p in grid.procs() {
-                for slab in d.ghost_slabs(p, offset) {
-                    slab.for_each(|idx| assert_ne!(d.owner_of(idx), p));
-                }
             }
         }
     });

@@ -58,6 +58,7 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod faults;
+mod ledger;
 pub mod metrics;
 pub mod safety;
 pub mod seq;

@@ -4,7 +4,7 @@
 //! nanoseconds); bucket `i ≥ 1` covers `[2^(i-1), 2^i)` and bucket 0 holds
 //! exact zeros. The bucket array is fixed at [`BUCKETS`] entries, so
 //! recording is allocation-free and two histograms always agree on their
-//! bucket boundaries — merging is element-wise addition.
+//! bucket boundaries.
 //!
 //! Exact `count`, `sum`, `min` and `max` are tracked alongside the
 //! buckets, so [`Histogram::summary`] reports exact extremes and mean and
@@ -107,17 +107,6 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
-    }
-
-    /// Element-wise merge of another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Rebuilds a histogram from its serialized parts: the non-zero
@@ -255,25 +244,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(15));
         assert_eq!(h.quantile(0.99), Some(15));
         assert_eq!(h.quantile(1.0), Some(1000)); // clamped to max
-    }
-
-    #[test]
-    fn merge_adds_element_wise() {
-        let mut a = Histogram::new();
-        a.record(4);
-        a.record(7);
-        let mut b = Histogram::new();
-        b.record(1_000_000);
-        a.merge(&b);
-        let s = a.summary().unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 4);
-        assert_eq!(s.max, 1_000_000);
-        assert_eq!(s.sum, 1_000_011);
-        // Merging an empty histogram changes nothing.
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   per-IRONMAN-call latency histograms and per-link traffic over the 2D
 //!   mesh ([`MeshTraffic`]), feeding the `commopt-bench` perf snapshots.
 //!
-//! Like tracing, metrics collection is purely observational: a run with
-//! metrics enabled produces a [`SimResult`] whose numeric fields are
-//! identical to a run without (asserted by the engine test suite).
+//! The engine's run ledger feeds all three, and writes the registry once
+//! per run (DESIGN.md, "Run accounting"). Like tracing, metrics are purely
+//! observational: a run with metrics enabled produces a [`SimResult`]
+//! whose other fields are identical to a run without (tested).
 
 pub mod hist;
 pub mod registry;

@@ -1,7 +1,7 @@
 //! A zero-dependency metrics registry: named counters, gauges and
 //! histograms behind `BTreeMap`s, so every enumeration is deterministic
-//! and a registry can be diffed, merged and serialized byte-identically
-//! across runs.
+//! and a registry can be diffed and serialized byte-identically across
+//! runs.
 //!
 //! Names are dotted paths by convention (`comm.bytes`,
 //! `ironman.dn.ns`); the registry itself imposes no schema.
@@ -89,21 +89,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
-
-    /// Merges another registry into this one: counters add, histograms
-    /// merge element-wise, gauges take the *other* registry's value
-    /// (last-writer-wins, like a fresh `set_gauge`).
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in other.counters() {
-            self.inc(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.set_gauge(name, v);
-        }
-        for (name, h) in other.hists() {
-            self.hist_mut(name).merge(h);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,24 +134,6 @@ mod tests {
         r.inc("m", 1);
         let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a", "m", "z"]);
-    }
-
-    #[test]
-    fn merge_combines_all_three_kinds() {
-        let mut a = Registry::new();
-        a.inc("c", 1);
-        a.set_gauge("g", 1.0);
-        a.record("h", 10);
-        let mut b = Registry::new();
-        b.inc("c", 2);
-        b.inc("only_b", 7);
-        b.set_gauge("g", 2.0);
-        b.record("h", 20);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.counter("only_b"), 7);
-        assert_eq!(a.gauge("g"), Some(2.0));
-        assert_eq!(a.hist("h").unwrap().count(), 2);
     }
 
     #[test]

@@ -6,11 +6,10 @@ use std::collections::BTreeMap;
 
 /// Where one processor's simulated time went, in seconds.
 ///
-/// The categories partition the clock approximately (they are attributed at
-/// the points the simulator advances clocks, and cross-processor joins make
-/// the attribution conservative), but they are computed identically on
-/// every run of the same program — the per-processor analogue of the
-/// paper's compute/communicate split.
+/// The categories partition the clock: every advance is booked in full
+/// where the simulator makes it (joins book their gap as `wait_s`), so
+/// `total_s` equals the final clock up to float rounding. They are the
+/// per-processor analogue of the paper's compute/communicate split.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct ProcBreakdown {
     /// Element-wise computation (array and scalar statements).
