@@ -149,12 +149,24 @@ fn main() {
     }
 
     // The simulator at the paper's sizes and partition, where transfer
-    // geometry and the per-processor loops carry the cost — plain, with
-    // the metrics registry on, and with every event recorded (the
-    // recorder is drained after each run, as a trace consumer would).
+    // geometry and the per-processor loops carry the cost: at `vect`,
+    // where every naive transfer still runs (SP's row sweeps make it the
+    // heaviest geometry case), and at `pl` plain, with the metrics
+    // registry on, and with every event recorded (the recorder is drained
+    // after each run, as a trace consumer would).
     for b in suite() {
-        let opt = optimize(&b.program(), &OptConfig::pl());
         let plain = SimConfig::timing(MachineSpec::t3d(), Library::Pvm, 64);
+        let naive = optimize(&b.program(), &OptConfig::baseline());
+        let (med, min) = time_us(runs, || {
+            black_box(Simulator::new(&naive.program, plain.clone()).run());
+        });
+        t.row(&[
+            "simulate(paper,64p)".into(),
+            format!("{}/vect", b.name),
+            fmt_us(med),
+            fmt_us(min),
+        ]);
+        let opt = optimize(&b.program(), &OptConfig::pl());
         let rec = Recorder::new();
         for (observer, cfg) in [
             ("", plain.clone()),

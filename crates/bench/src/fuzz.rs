@@ -11,7 +11,9 @@
 //! 1. reproduce the independent sequential reference numerically,
 //! 2. finish with zero communication-safety violations and no deadlock,
 //! 3. (seed 0 only) be byte-identical to an un-faulted run when the plan
-//!    is the inert [`FaultPlan::none`].
+//!    is the inert [`FaultPlan::none`], and leave every timing and count
+//!    field of the un-faulted run the same in timing mode, which keys
+//!    transfer geometry on shape classes rather than loop values.
 //!
 //! Failures are collected, not fatal: one sweep reports the complete set
 //! of broken benchmark × binding × seed combinations, each a deterministic
@@ -23,14 +25,18 @@ use commopt_core::optimize;
 use commopt_ir::CallKind;
 use commopt_ironman::{Action, Library};
 use commopt_machine::MachineSpec;
-use commopt_sim::{FaultPlan, SafetyViolation, SeqInterp, SimConfig, SimError, Simulator};
+use commopt_sim::{
+    FaultPlan, SafetyViolation, SeqInterp, SimConfig, SimError, SimResult, Simulator,
+};
 use commopt_testkit::fuzz::{sweep_jobs, Sweep};
 
-/// Small problem size: large enough that every benchmark communicates in
-/// every direction, small enough that the full matrix stays fast.
+/// Small problem size on the paper's 64 processors: large enough that
+/// every benchmark communicates in every direction, small enough that the
+/// full matrix stays fast. 12 rows over 8 make blocks of 1–2 rows,
+/// narrower than SP's radius-2 offsets.
 const FUZZ_N: i64 = 12;
 const FUZZ_ITERS: i64 = 2;
-const FUZZ_PROCS: usize = 4;
+const FUZZ_PROCS: usize = 64;
 
 /// The experiments the fuzz matrix sweeps — the paper's four optimization
 /// levels (the shmem/max-latency rows reuse these configs and are covered
@@ -106,6 +112,21 @@ pub fn fuzz_case(
         .map_err(|e| format!("inert-plan run failed: {e}"))?;
         if plain != inert {
             return Err("inert fault plan changed the result".into());
+        }
+        let timing = Simulator::new(
+            &opt.program,
+            SimConfig::timing(machine.clone(), lib, FUZZ_PROCS),
+        )
+        .try_run()
+        .map_err(|e| format!("timing run failed: {e}"))?;
+        // Timing mode computes no numerics; everything else must match.
+        let numerics_free = |r: &SimResult| SimResult {
+            scalars: Default::default(),
+            arrays: Default::default(),
+            ..r.clone()
+        };
+        if numerics_free(&plain) != numerics_free(&timing) {
+            return Err("timing mode changed a timing or count field".into());
         }
     }
 

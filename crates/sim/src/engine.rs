@@ -37,7 +37,7 @@ use crate::safety::SafetyViolation;
 use crate::trace::{SpanKind, TraceHandle, TraceSink};
 use commopt_ir::analysis::expr_flops;
 use commopt_ir::{
-    CallKind, Expr, LoopEnv, LoopVarId, Program, Rect, Region, ScalarRhs, Stmt, Transfer,
+    CallKind, Expr, LoopEnv, LoopVarId, Program, Rect, ReduceOp, Region, ScalarRhs, Stmt, Transfer,
     TransferId, MAX_RANK,
 };
 use commopt_ironman::{Action, Binding, Library};
@@ -206,6 +206,18 @@ impl Geom {
     fn exchanges(&self, p: ProcId) -> bool {
         self.bytes[p] > 0 || self.out_start[p] < self.out_start[p + 1]
     }
+
+    /// The geometry without its slabs: the fields timing runs read.
+    #[cfg(test)]
+    fn timing(&self) -> Geom {
+        Geom {
+            bytes: self.bytes.clone(),
+            out_start: self.out_start.clone(),
+            outgoing: self.outgoing.clone(),
+            active: self.active,
+            ..Geom::default()
+        }
+    }
 }
 
 /// Every array's block distribution with each processor's owned block
@@ -250,6 +262,56 @@ impl Layout {
     /// The block of array `a` that processor `p` owns.
     fn owned(&self, a: usize, p: ProcId) -> Rect {
         self.owned[a * self.grid.len() + p]
+    }
+
+    /// The first index of each of array `a`'s blocks along dimension `d`,
+    /// then one past its bounds. Dimension 0 has a block per processor
+    /// row and dimension 1 (of a rank ≥ 2 array) one per column; the rest
+    /// are one block.
+    fn block_starts(&self, a: usize, d: usize) -> Vec<i64> {
+        let [rows, cols] = self.grid.dims;
+        let bounds = self.dists[a].bounds;
+        let mut starts: Vec<i64> = match d {
+            0 => (0..rows).map(|r| self.owned(a, r * cols).lo[0]).collect(),
+            1 if bounds.rank > 1 => (0..cols).map(|c| self.owned(a, c).lo[1]).collect(),
+            _ => vec![bounds.lo[d]],
+        };
+        starts.push(bounds.hi[d] + 1);
+        starts
+    }
+
+    /// Processor `p`'s block of array `a`'s partition or, with `None`, of
+    /// `rect`'s own.
+    fn part(&self, a: Option<usize>, rect: &Rect, p: ProcId) -> Rect {
+        match a {
+            Some(a) => self.owned(a, p),
+            None => BlockDist::new(self.grid, *rect).owned(p),
+        }
+    }
+
+    /// Refills `dt` with every processor's cost for a statement over `rect`
+    /// of `flops` per element, split as [`part`](Layout::part) splits it:
+    /// the guard cost where its share is empty, else the statement
+    /// overhead plus its share's flops. One rect intersection per
+    /// processor; DESIGN.md ("Compute charges") says why not a
+    /// row × column factorization.
+    fn stmt_costs(
+        &self,
+        rect: &Rect,
+        a: Option<usize>,
+        flops: f64,
+        m: &MachineSpec,
+        dt: &mut Vec<f64>,
+    ) {
+        dt.clear();
+        dt.extend(self.grid.procs().map(|p| {
+            let local = rect.intersect(&self.part(a, rect, p));
+            if local.is_empty() {
+                m.guard_overhead_us
+            } else {
+                m.stmt_overhead_us + local.count() as f64 * flops * m.flop_us
+            }
+        }));
     }
 
     /// Refills `geom` for transfer `t` under `env`, reusing its buffers.
@@ -344,16 +406,20 @@ impl Layout {
     }
 }
 
-/// One transfer's geometry cache: a single slot keyed on the values of
-/// the loop variables its item regions read. A loop-invariant transfer
-/// (no such variables) is built once per run; a loop-variant one is
-/// rebuilt in place when one of its variables changes, so the DR, SR and
-/// DN of one instance share a build.
+/// One transfer's geometry cache: a single slot, refilled in place. A
+/// loop-invariant transfer (its item regions read no loop variable) is
+/// built once per run. A loop-variant one is checked when one of its
+/// variables changes, so the DR, SR and DN of one instance share a build,
+/// and rebuilt when its key changes: in full mode and for transfers
+/// without a [`ShapeKey`], the variables' values; in timing mode, where
+/// eligible, the shape class.
 struct GeomSlot {
     /// The loop variables the transfer's item regions mention.
     vars: Vec<LoopVarId>,
-    /// Their values when `geom` was last built.
+    /// Their values at the last check.
     key: Vec<i64>,
+    /// The shape class at the last check, in timing mode where eligible.
+    shape: Option<ShapeKey>,
     /// `false` until the first build.
     built: bool,
     /// The geometry; `None` while a caller holds it.
@@ -366,11 +432,13 @@ struct GeomSlot {
 }
 
 impl GeomSlot {
-    /// An unbuilt slot for `t` on `n` processors. Its buffers are sized
+    /// An unbuilt slot for `t` on `layout`'s processors, keyed on shape
+    /// classes when `timing` and `t` is eligible. Its buffers are sized
     /// here, at construction, so that builds during the run refill them
     /// rather than placing long-lived allocations among the run's
     /// short-lived ones on the heap.
-    fn new(t: &Transfer, n: usize) -> GeomSlot {
+    fn new(t: &Transfer, layout: &Layout, timing: bool) -> GeomSlot {
+        let n = layout.grid.len();
         let mut vars = Vec::new();
         for region in t.items.iter().flat_map(|it| &it.regions) {
             for v in region.loop_vars() {
@@ -379,9 +447,13 @@ impl GeomSlot {
                 }
             }
         }
+        let shape = (timing && !vars.is_empty())
+            .then(|| ShapeKey::new(t, layout))
+            .flatten();
         GeomSlot {
-            key: Vec::with_capacity(vars.len()),
+            key: vec![0; vars.len()],
             vars,
+            shape,
             built: false,
             geom: Some(Geom {
                 bytes: Vec::with_capacity(n),
@@ -396,6 +468,138 @@ impl GeomSlot {
             #[cfg(test)]
             takes: 0,
         }
+    }
+
+    /// Brings the keys up to `env` and reports whether the geometry must
+    /// be rebuilt: it never was, or a variable moved and, where the slot
+    /// has a shape key, the shape class moved with it.
+    fn stale(&mut self, env: &LoopEnv) -> bool {
+        let mut moved = !self.built;
+        for (&v, k) in self.vars.iter().zip(&mut self.key) {
+            let x = env.get(v);
+            moved |= *k != x;
+            *k = x;
+        }
+        match &mut self.shape {
+            Some(shape) if moved => shape.reclassify(env) || !self.built,
+            _ => moved,
+        }
+    }
+}
+
+/// A loop-variant transfer's timing-mode key (DESIGN.md, "Transfer
+/// geometry"). Timing runs read only a geometry's `bytes`, messages and
+/// `active` flag. Those stay the same while every moving region bound
+/// stays deep inside one block of its array's partition, far enough from
+/// the block's ends that no region, shifted by the offset, reaches past
+/// them. Only the slabs move, and only the full-mode snapshot reads them.
+///
+/// A transfer is eligible when, in each dimension, either every item
+/// region's bounds there are constant, or every one's `lo` and `hi` are
+/// both `v + c` for one shared loop variable `v`. Each distinct moving
+/// bound `x` is keyed on the block holding it (or the space below or
+/// above the bounds) and its distances to that block's ends, each capped
+/// at its dimension's `cap`. Two values of `v` with equal keys are equal,
+/// because some distance is below its cap and pins its `x`, or they put
+/// every moving bound at least `cap` inside its block. Then:
+///
+/// - with `cap ≥ |offset|`, each shifted region stays in its block;
+/// - with `cap ≥ width / 2` (rounded down), at most `width − 2 · cap ≤ 1`
+///   values put a region's two ends that deep in two different blocks,
+///   so at both values every region lies in one block.
+///
+/// Every ghost part then has the same extents and owner at both values,
+/// and the two geometries differ only by a translation of their slabs.
+struct ShapeKey {
+    bounds: Vec<MovingBound>,
+    /// Per bound, at the last check: its class (see [`MovingBound::class`]).
+    key: Vec<[i64; 3]>,
+}
+
+/// One moving region bound `var + c` of a transfer, classified against
+/// one dimension of its array's partition.
+#[derive(PartialEq)]
+struct MovingBound {
+    var: LoopVarId,
+    c: i64,
+    /// The cap on the class's distances, shared by the dimension.
+    cap: i64,
+    /// The first index of each block, then one past the bounds.
+    starts: Vec<i64>,
+}
+
+impl MovingBound {
+    /// The bound's class under `env`: the number of block starts at or
+    /// below it (0 below the bounds, `starts.len()` above them), then its
+    /// distances to the low and high end of that block, capped at `cap`.
+    /// The space outside the bounds is a block with one end at infinity.
+    fn class(&self, env: &LoopEnv) -> [i64; 3] {
+        let x = env.get(self.var) + self.c;
+        let s = &self.starts;
+        let i = s.partition_point(|&e| e <= x);
+        let from_lo = i
+            .checked_sub(1)
+            .map_or(self.cap, |j| (x - s[j]).min(self.cap));
+        let to_hi = s.get(i).map_or(self.cap, |&e| (e - 1 - x).min(self.cap));
+        [i as i64, from_lo, to_hi]
+    }
+}
+
+impl ShapeKey {
+    /// `t`'s shape key on `layout`, or `None` when `t` is not eligible.
+    fn new(t: &Transfer, layout: &Layout) -> Option<ShapeKey> {
+        let mut bounds: Vec<MovingBound> = Vec::new();
+        for d in 0..MAX_RANK {
+            let ranges = || {
+                t.items.iter().flat_map(move |it| {
+                    let a = it.array.index();
+                    it.regions
+                        .iter()
+                        .filter(move |r| r.rank > d)
+                        .map(move |r| (a, r.dims[d]))
+                })
+            };
+            // `None` until a region is seen, then that region's variable.
+            let mut dim_var = None;
+            for (_, r) in ranges() {
+                if r.lo.var != r.hi.var || dim_var.is_some_and(|v| v != r.lo.var) {
+                    return None;
+                }
+                dim_var = Some(r.lo.var);
+            }
+            let Some(Some(var)) = dim_var else { continue };
+            let width = ranges().map(|(_, r)| r.hi.c - r.lo.c).max().unwrap_or(0);
+            let shift = t.items.iter().map(|it| it.offset.get(d).unsigned_abs());
+            let cap = i64::from(shift.max().unwrap_or(0)).max(width.max(0) / 2);
+            for (a, r) in ranges() {
+                for c in [r.lo.c, r.hi.c] {
+                    let bound = MovingBound {
+                        var,
+                        c,
+                        cap,
+                        starts: layout.block_starts(a, d),
+                    };
+                    if !bounds.contains(&bound) {
+                        bounds.push(bound);
+                    }
+                }
+            }
+        }
+        Some(ShapeKey {
+            key: vec![[0; 3]; bounds.len()],
+            bounds,
+        })
+    }
+
+    /// Moves the key to `env`'s classes; `true` when any changed.
+    fn reclassify(&mut self, env: &LoopEnv) -> bool {
+        let mut changed = false;
+        for (b, k) in self.bounds.iter().zip(&mut self.key) {
+            let class = b.class(env);
+            changed |= *k != class;
+            *k = class;
+        }
+        changed
     }
 }
 
@@ -427,6 +631,8 @@ pub struct Simulator<'p> {
     /// Per transfer (indexed by `TransferId::index()`): its cached
     /// geometry (see [`GeomSlot`]).
     geoms: Vec<GeomSlot>,
+    /// Per proc: the compute cost of the statement being charged.
+    stmt_dt: Vec<f64>,
     arrays: Vec<DistArray>,
     /// Per transfer (indexed by `TransferId::index()` — the id space is
     /// exactly `program.transfers.len()`): the live in-flight instance,
@@ -475,6 +681,12 @@ impl<'p> Simulator<'p> {
             .faults
             .is_active()
             .then(|| FaultState::new(cfg.faults, n));
+        let layout = Layout::new(grid, program);
+        let geoms = program
+            .transfers
+            .iter()
+            .map(|t| GeomSlot::new(t, &layout, !cfg.compute_data))
+            .collect();
         let mut sim = Simulator {
             program,
             grid,
@@ -483,12 +695,9 @@ impl<'p> Simulator<'p> {
             ledger: Ledger::new(grid, program.transfers.len(), &cfg),
             scalars,
             env: LoopEnv::new(),
-            layout: Layout::new(grid, program),
-            geoms: program
-                .transfers
-                .iter()
-                .map(|t| GeomSlot::new(t, n))
-                .collect(),
+            layout,
+            geoms,
+            stmt_dt: Vec::with_capacity(n),
             arrays,
             inflight: std::iter::repeat_with(|| None)
                 .take(program.transfers.len())
@@ -604,22 +813,36 @@ impl<'p> Simulator<'p> {
 
     fn exec_assign(&mut self, region: Region, lhs: usize, rhs: &Expr) {
         let rect = region.eval(&self.env);
-        let flops = f64::from(expr_flops(rhs));
-        let flop_us = self.cfg.machine.flop_us;
-        for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.layout.owned(lhs, p));
-            let dt = if local.is_empty() {
-                self.cfg.machine.guard_overhead_us
-            } else {
-                self.cfg.machine.stmt_overhead_us + local.count() as f64 * flops * flop_us
-            };
-            let dt = self.fault_compute(p, dt);
-            self.ledger
-                .compute(p, dt, SpanKind::Compute { array: lhs as u32 });
-        }
+        let span = SpanKind::Compute { array: lhs as u32 };
+        self.charge_stmt(&rect, Some(lhs), expr_flops(rhs), Some(span));
         if self.cfg.compute_data {
             self.compute_assign_data(rect, lhs, rhs);
         }
+    }
+
+    /// Charges every processor its share of a statement over `rect` split
+    /// as array `a` is (see [`Layout::stmt_costs`]).
+    fn charge_stmt(&mut self, rect: &Rect, a: Option<usize>, flops: u32, span: Option<SpanKind>) {
+        self.layout.stmt_costs(
+            rect,
+            a,
+            f64::from(flops),
+            &self.cfg.machine,
+            &mut self.stmt_dt,
+        );
+        self.charge_compute(span);
+    }
+
+    /// Charges every processor `p` its computation `stmt_dt[p]`, scaled by
+    /// the fault plan in processor order when one is active (no draws, no
+    /// float ops otherwise).
+    fn charge_compute(&mut self, span: Option<SpanKind>) {
+        if let Some(f) = &mut self.faults {
+            for (p, dt) in self.stmt_dt.iter_mut().enumerate() {
+                *dt *= f.compute_scale(p);
+            }
+        }
+        self.ledger.compute_all(&self.stmt_dt, span);
     }
 
     /// Evaluates and commits an array assignment's numerics for every
@@ -712,58 +935,25 @@ impl<'p> Simulator<'p> {
             ScalarRhs::Expr(e) => {
                 let dt = f64::from(expr_flops(e)) * self.cfg.machine.flop_us
                     + self.cfg.machine.guard_overhead_us;
-                for p in 0..self.grid.len() {
-                    let dt_p = self.fault_compute(p, dt);
-                    self.ledger
-                        .compute(p, dt_p, SpanKind::Scalar { scalar: lhs as u32 });
-                }
+                self.stmt_dt.clear();
+                self.stmt_dt.resize(self.grid.len(), dt);
+                self.charge_compute(Some(SpanKind::Scalar { scalar: lhs as u32 }));
                 self.scalars[lhs] = eval_scalar(e, &self.scalars, &self.env)?;
             }
             ScalarRhs::Reduce { op, region, expr } => {
                 let rect = region.eval(&self.env);
-                let flops = f64::from(expr_flops(expr));
-                let flop_us = self.cfg.machine.flop_us;
-                // Local fold cost (and value, in full mode).
-                let mut acc = op.identity();
                 // Any array's distribution gives the owned partition; use
                 // the first referenced array, falling back to a uniform
                 // split of the region itself.
                 let first = first_array(expr);
-                let split = BlockDist::new(self.grid, rect);
-                let rank = rect.rank;
-                for p in 0..self.grid.len() {
-                    let owned = match first {
-                        Some(a) => self.layout.owned(a, p),
-                        None => split.owned(p),
-                    };
-                    let local = rect.intersect(&owned);
-                    let dt = if local.is_empty() {
-                        self.cfg.machine.guard_overhead_us
-                    } else {
-                        self.cfg.machine.stmt_overhead_us + local.count() as f64 * flops * flop_us
-                    };
-                    let dt = self.fault_compute(p, dt);
-                    self.ledger.charge(p, Cat::Compute, dt);
-                    if self.cfg.compute_data && !local.is_empty() {
-                        let view = ProcView {
-                            arrays: &self.arrays,
-                            p,
-                        };
-                        let ctx = EvalCtx {
-                            src: &view,
-                            scalars: &self.scalars,
-                            env: &self.env,
-                        };
-                        for_each_run(&local, |base, len| {
-                            let mut buf = self.pool.get(len);
-                            eval_run(&ctx, expr, base, rank - 1, &mut buf, &mut self.pool);
-                            for v in &buf {
-                                acc = op.fold(acc, *v);
-                            }
-                            self.pool.put(buf);
-                        });
-                    }
-                }
+                // The local fold's cost (untraced), then, in full mode,
+                // its value.
+                self.charge_stmt(&rect, first, expr_flops(expr), None);
+                let acc = if self.cfg.compute_data {
+                    self.reduce_data(rect, first, *op, expr)
+                } else {
+                    op.identity()
+                };
                 // The combine tree is a barrier: all clocks join.
                 let combine = self.cfg.machine.reduce_us(self.grid.len());
                 self.ledger.reduce(combine, lhs as u32);
@@ -771,6 +961,36 @@ impl<'p> Simulator<'p> {
             }
         }
         Ok(())
+    }
+
+    /// Full mode: folds every processor's share of `rect` (split as array
+    /// `a` is) of `expr` with `op`, in processor order.
+    fn reduce_data(&mut self, rect: Rect, a: Option<usize>, op: ReduceOp, expr: &Expr) -> f64 {
+        let mut acc = op.identity();
+        for p in 0..self.grid.len() {
+            let local = rect.intersect(&self.layout.part(a, &rect, p));
+            if local.is_empty() {
+                continue;
+            }
+            let view = ProcView {
+                arrays: &self.arrays,
+                p,
+            };
+            let ctx = EvalCtx {
+                src: &view,
+                scalars: &self.scalars,
+                env: &self.env,
+            };
+            for_each_run(&local, |base, len| {
+                let mut buf = self.pool.get(len);
+                eval_run(&ctx, expr, base, rect.rank - 1, &mut buf, &mut self.pool);
+                for v in &buf {
+                    acc = op.fold(acc, *v);
+                }
+                self.pool.put(buf);
+            });
+        }
+        acc
     }
 
     // ------------------------------------------------------------------
@@ -817,18 +1037,11 @@ impl<'p> Simulator<'p> {
         let env = &self.env;
         let t = self.program.transfer(tid);
         let slot = &mut self.geoms[tid.index()];
-        let fresh = slot.built
-            && slot
-                .vars
-                .iter()
-                .zip(&slot.key)
-                .all(|(&v, &k)| env.get(v) == k);
+        let stale = slot.stale(env);
         let geom = match slot.geom.take() {
-            Some(geom) if fresh => geom,
-            stale => {
-                let mut geom = stale.unwrap_or_default();
-                slot.key.clear();
-                slot.key.extend(slot.vars.iter().map(|&v| env.get(v)));
+            Some(geom) if !stale => geom,
+            old => {
+                let mut geom = old.unwrap_or_default();
                 slot.built = true;
                 self.layout.build(&mut geom, t, env);
                 #[cfg(test)]
@@ -838,13 +1051,18 @@ impl<'p> Simulator<'p> {
                 geom
             }
         };
-        // Unit tests hold every call's geometry to a fresh build.
+        // Unit tests hold every call's geometry to a fresh build: all of
+        // it in full mode, the fields timing runs read in timing mode.
         #[cfg(test)]
         {
             slot.takes += 1;
             let mut rebuilt = Geom::default();
             self.layout.build(&mut rebuilt, t, env);
-            assert_eq!(rebuilt, geom, "t{}: cached geometry is stale", tid.0);
+            if self.cfg.compute_data {
+                assert_eq!(rebuilt, geom, "t{}: cached geometry is stale", tid.0);
+            } else {
+                assert_eq!(rebuilt.timing(), geom.timing(), "t{}: stale timing", tid.0);
+            }
         }
         geom
     }
@@ -1076,15 +1294,6 @@ impl<'p> Simulator<'p> {
     // ------------------------------------------------------------------
     // Fault hooks & safety checks
     // ------------------------------------------------------------------
-
-    /// A compute duration for processor `p`, scaled by the fault plan
-    /// (identity — no draws, no float ops — when no plan is active).
-    fn fault_compute(&mut self, p: ProcId, dt: f64) -> f64 {
-        match &mut self.faults {
-            Some(f) => dt * f.compute_scale(p),
-            None => dt,
-        }
-    }
 
     /// Wire time of one `bytes`-byte message: the calibrated Figure 3
     /// cost, jittered and possibly dropped-and-retried under the fault
@@ -1497,22 +1706,210 @@ mod tests {
     }
 
     #[test]
-    fn row_sweep_geometry_is_built_once_per_row() {
+    fn row_sweep_geometry_is_built_once_per_row_in_full_mode() {
         let n = 16;
         let src = sweep(n);
         for (name, cfg) in OptConfig::presets() {
             let opt = optimize(&src, &cfg);
             for lib in Library::ALL {
-                let sim = executed(&opt.program, SimConfig::timing(machine(lib), lib, 16));
+                let sim = executed(&opt.program, SimConfig::full(machine(lib), lib, 16));
                 assert_eq!(sim.ledger.dynamic_comm(), 3 * (n as u64 - 1), "{name}");
                 let [slot] = &sim.geoms[..] else {
                     panic!("{name}: expected one transfer")
                 };
                 assert_eq!(slot.vars.len(), 1, "{name}: keyed on `i` alone");
+                assert!(slot.shape.is_none(), "{name}: full mode keys on values");
                 assert_eq!(slot.builds, n as u64 - 1, "{name}/{lib:?}");
                 assert!(slot.takes >= 3 * slot.builds, "{name}/{lib:?}");
             }
         }
+    }
+
+    #[test]
+    fn row_sweep_geometry_is_built_once_per_shape_class_in_timing_mode() {
+        // Rows 2..=16 over 4-row blocks, reading `@north` (cap 1): each
+        // block's first and last rows are classes of their own and its
+        // middle rows one more, so rows {2, 3}, 4, 5, {6, 7}, 8, …, 16
+        // make 11 classes.
+        let src = sweep(16);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for lib in Library::ALL {
+                let sim = executed(&opt.program, SimConfig::timing(machine(lib), lib, 16));
+                let [slot] = &sim.geoms[..] else {
+                    panic!("{name}: expected one transfer")
+                };
+                assert!(slot.shape.is_some(), "{name}: eligible for shape keys");
+                assert_eq!(slot.builds, 11, "{name}/{lib:?}");
+            }
+        }
+    }
+
+    /// A sweep over the processor-local third dimension of a rank-3 array:
+    /// plane `k` of `A` reads `X@east` and `X@zm`.
+    fn z_sweep(nz: i64) -> Program {
+        let mut b = ProgramBuilder::new("zsweep");
+        let bounds = Rect::d3((1, 8), (1, 8), (1, nz));
+        let x = b.array("X", bounds);
+        let a = b.array("A", bounds);
+        b.assign(Region::from_rect(bounds), x, Expr::Index(2));
+        b.for_up("k", 2, nz, |b, k| {
+            let plane = commopt_ir::DimRange::new(
+                commopt_ir::AffineBound::var_plus(k, 0),
+                commopt_ir::AffineBound::var_plus(k, 0),
+            );
+            let mut region = Region::d3((1, 8), (1, 8), (1, 1));
+            region.dims[2] = plane;
+            let east = commopt_ir::Offset::d3(0, 1, 0);
+            let zm = commopt_ir::Offset::d3(0, 0, -1);
+            b.assign(region, a, Expr::at(x, east) + Expr::at(x, zm));
+        });
+        b.finish()
+    }
+
+    #[test]
+    fn processor_local_sweep_builds_a_constant_number_of_times() {
+        // One block spans the whole third dimension. `@east` (cap 0) is one
+        // class for every plane; `@zm` (cap 1) is one for planes
+        // `2..nz - 1` and one for the last plane.
+        for (name, cfg) in OptConfig::presets() {
+            for nz in [4, 8, 32] {
+                let opt = optimize(&z_sweep(nz), &cfg);
+                let sim = executed(&opt.program, SimConfig::timing(t3d(), Library::Pvm, 16));
+                let mut builds: Vec<u64> = sim.geoms.iter().map(|s| s.builds).collect();
+                builds.sort_unstable();
+                assert_eq!(builds, [1, 2], "{name}/nz={nz}");
+            }
+        }
+    }
+
+    /// The grids the property tests run on, square and not.
+    const GRIDS: [(usize, usize); 4] = [(2, 2), (4, 4), (4, 8), (8, 8)];
+
+    /// A program declaring `count` random rank-`rank` arrays: 3–20 indices
+    /// along each distributed dimension, so most splits are uneven and some
+    /// blocks empty, and 1–6 along the third.
+    fn random_arrays(rng: &mut commopt_testkit::Rng, rank: usize, count: usize) -> Program {
+        let mut program = Program::new("prop");
+        for i in 0..count {
+            let (mut lo, mut hi) = ([0; MAX_RANK], [0; MAX_RANK]);
+            for d in 0..rank {
+                lo[d] = rng.i64(-1, 3);
+                hi[d] = lo[d] + if d < 2 { rng.i64(2, 19) } else { rng.i64(0, 5) };
+            }
+            program.arrays.push(commopt_ir::ArrayDecl {
+                name: format!("A{i}"),
+                rect: Rect::new(rank, lo, hi),
+            });
+        }
+        program
+    }
+
+    #[test]
+    fn shape_keyed_geometry_matches_a_fresh_build_at_every_step() {
+        use commopt_ir::{AffineBound, ArrayId, DimRange, Offset, TransferItem};
+        let (i, j) = (LoopVarId(0), LoopVarId(1));
+        commopt_testkit::cases(400, |rng| {
+            let &(rows, cols) = rng.pick(&GRIDS);
+            let rank = rng.usize(1, 3);
+            let count = rng.usize(1, 3);
+            let program = random_arrays(rng, rank, count);
+            let mut layout = Layout::new(ProcGrid::new(rows, cols), &program);
+            let mut offset = [0; MAX_RANK];
+            for o in &mut offset[..rank] {
+                *o = rng.i32(-2, 2);
+            }
+            // Each dimension's bounds are constant or move with `i` or
+            // `j`. A quarter of the transfers break eligibility in one
+            // dimension: every `lo` constant under a moving `hi`, the first
+            // region constant and the rest moving, or the first region
+            // moving with `i` and the rest with `j`.
+            let modes: Vec<Option<LoopVarId>> = (0..rank)
+                .map(|_| *rng.pick(&[None, Some(i), Some(j), Some(i)]))
+                .collect();
+            let broken = (rng.usize(0, 3) == 0).then(|| (rng.usize(0, rank - 1), rng.usize(0, 2)));
+            let mut seen = 0;
+            let mut items = Vec::new();
+            for item in 0..rng.usize(1, 3) {
+                let least = if item == 0 && broken.is_some() { 2 } else { 1 };
+                let mut regions = Vec::new();
+                for _ in 0..rng.usize(least, 3) {
+                    let mut region = Region::from_rect(Rect::new(rank, [0; 3], [0; 3]));
+                    for d in 0..rank {
+                        let w = rng.i64(0, 3);
+                        let var = match broken {
+                            Some((bd, 1)) if bd == d => (seen > 0).then_some(i),
+                            Some((bd, 2)) if bd == d => Some(if seen == 0 { i } else { j }),
+                            _ => modes[d],
+                        };
+                        let (lo, hi) = match var {
+                            None => {
+                                let lo = rng.i64(-2, 14);
+                                (AffineBound::constant(lo), AffineBound::constant(lo + w))
+                            }
+                            Some(v) => {
+                                let c = rng.i64(-3, 3);
+                                (AffineBound::var_plus(v, c), AffineBound::var_plus(v, c + w))
+                            }
+                        };
+                        region.dims[d] = match broken {
+                            Some((bd, 0)) if bd == d => DimRange::new(
+                                AffineBound::constant(rng.i64(-2, 22)),
+                                AffineBound::var_plus(i, rng.i64(-3, 3)),
+                            ),
+                            _ => DimRange { lo, hi },
+                        };
+                    }
+                    regions.push(region);
+                    seen += 1;
+                }
+                let array = ArrayId(rng.usize(0, program.arrays.len() - 1) as u32);
+                items.push(TransferItem {
+                    array,
+                    offset: Offset(offset),
+                    regions,
+                });
+            }
+            let t = Transfer::new(TransferId(0), items);
+            let mut slot = GeomSlot::new(&t, &layout, true);
+            let vars = slot.vars.clone();
+            if vars.is_empty() {
+                return;
+            }
+            assert_eq!(slot.shape.is_some(), broken.is_none(), "{t:?}");
+            // Sweep the first variable over every block and past both
+            // bounds, and under it the second, each forward or backward.
+            let mut sweep = |on: bool| {
+                let mut values: Vec<i64> = if on { (-4..=24).collect() } else { vec![0] };
+                if rng.bool() {
+                    values.reverse();
+                }
+                values
+            };
+            let (outer, inner) = (sweep(true), sweep(vars.len() > 1));
+            let mut env = LoopEnv::new();
+            env.push(i, 0);
+            env.push(j, 0);
+            let (mut geom, mut fresh) = (Geom::default(), Geom::default());
+            for &x in &outer {
+                env.set(vars[0], x);
+                for &y in &inner {
+                    if let Some(&v) = vars.get(1) {
+                        env.set(v, y);
+                    }
+                    if slot.stale(&env) {
+                        slot.built = true;
+                        layout.build(&mut geom, &t, &env);
+                    }
+                    layout.build(&mut fresh, &t, &env);
+                    assert_eq!(
+                        geom.timing(),
+                        fresh.timing(),
+                        "{rows}x{cols} grid, {t:?} under {env:?}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -14,10 +14,10 @@ use commopt_ir::{CallKind, TransferId};
 use commopt_machine::{ProcGrid, ProcId};
 
 /// The breakdown category a charge books to; waits book to `wait_s`
-/// through [`Ledger::wait_until`] alone.
+/// through [`Ledger::wait_until`] alone, and computation to `compute_s`
+/// through [`Ledger::compute_all`] alone.
 #[derive(Clone, Copy)]
 pub(crate) enum Cat {
-    Compute,
     Send,
     Recv,
     Sync,
@@ -140,7 +140,6 @@ impl Ledger {
     fn category(&mut self, p: ProcId, cat: Cat) -> &mut f64 {
         let b = &mut self.cats[p];
         match cat {
-            Cat::Compute => &mut b.compute_s,
             Cat::Send => &mut b.send_s,
             Cat::Recv => &mut b.recv_s,
             Cat::Sync => &mut b.sync_s,
@@ -148,13 +147,24 @@ impl Ledger {
         }
     }
 
-    /// Charges a statement's computation to `p` and traces it as `kind`.
-    #[inline]
-    pub(crate) fn compute(&mut self, p: ProcId, dt: f64, kind: SpanKind) {
-        let start_us = self.clocks[p];
-        self.charge(p, Cat::Compute, dt);
-        if let Some(t) = &self.trace {
-            t.span(p, start_us, dt, kind, 0);
+    /// Charges every processor `p` its computation `dt[p]` in one pass,
+    /// tracing each as `span` when one is given and a sink is installed.
+    pub(crate) fn compute_all(&mut self, dt: &[f64], span: Option<SpanKind>) {
+        let charges = self.clocks.iter_mut().zip(&mut self.cats).zip(dt);
+        match (&self.trace, span) {
+            (Some(t), Some(kind)) => {
+                for (p, ((clock, cats), &dt)) in charges.enumerate() {
+                    t.span(p, *clock, dt, kind, 0);
+                    *clock += dt;
+                    cats.compute_s += dt;
+                }
+            }
+            _ => {
+                for ((clock, cats), &dt) in charges {
+                    *clock += dt;
+                    cats.compute_s += dt;
+                }
+            }
         }
     }
 
