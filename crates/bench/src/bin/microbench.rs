@@ -152,8 +152,9 @@ fn main() {
     // geometry and the per-processor loops carry the cost: at `vect`,
     // where every naive transfer still runs (SP's row sweeps make it the
     // heaviest geometry case), and at `pl` plain, with the metrics
-    // registry on, and with every event recorded (the recorder is drained
-    // after each run, as a trace consumer would).
+    // registry on, with every event recorded (the recorder is drained
+    // after each run, as a trace consumer would), and with both observers,
+    // which is what perfbench's `observed` workload runs.
     for b in suite() {
         let plain = SimConfig::timing(MachineSpec::t3d(), Library::Pvm, 64);
         let naive = optimize(&b.program(), &OptConfig::baseline());
@@ -171,7 +172,11 @@ fn main() {
         for (observer, cfg) in [
             ("", plain.clone()),
             ("+metrics", plain.clone().with_metrics()),
-            ("+trace", plain.with_trace(rec.clone())),
+            ("+trace", plain.clone().with_trace(rec.clone())),
+            (
+                "+metrics+trace",
+                plain.with_metrics().with_trace(rec.clone()),
+            ),
         ] {
             let (med, min) = time_us(runs, || {
                 black_box(Simulator::new(&opt.program, cfg.clone()).run());

@@ -36,6 +36,15 @@ fn main() -> ExitCode {
     }
 }
 
+/// Parses a flag's value as a count of at least 1.
+fn positive(flag: &str, value: &str) -> Result<i64, String> {
+    match value.parse::<i64>() {
+        Ok(n) if n >= 1 => Ok(n),
+        Ok(n) => Err(format!("{flag} must be at least 1, got {n}")),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 fn run(args: Vec<String>) -> Result<(), String> {
     let mut bench_name: Option<String> = None;
     let mut exp = "pl".to_string();
@@ -50,21 +59,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--exp" => exp = value("--exp")?,
-            "--procs" => {
-                procs = value("--procs")?
-                    .parse()
-                    .map_err(|e| format!("--procs: {e}"))?
-            }
-            "--size" => {
-                size = value("--size")?
-                    .parse()
-                    .map_err(|e| format!("--size: {e}"))?
-            }
-            "--iters" => {
-                iters = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("--iters: {e}"))?
-            }
+            "--procs" => procs = positive("--procs", &value("--procs")?)? as usize,
+            "--size" => size = positive("--size", &value("--size")?)?,
+            "--iters" => iters = positive("--iters", &value("--iters")?)?,
             "--lib" => {
                 lib_override = Some(match value("--lib")?.as_str() {
                     "pvm" => Library::Pvm,
@@ -105,8 +102,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
     )
     .run();
 
-    let events = recorder.take();
-    let json = chrome_trace(&events, &opt.program);
+    let trace = recorder.take();
+    let json = chrome_trace(&trace, &opt.program);
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -120,7 +117,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         experiment.name(),
         procs
     );
-    println!("{} events -> {out_path}\n", events.len());
+    println!("{} events -> {out_path}\n", trace.len());
     print!("{}", profile_report(&opt.program, &result, Some(&opt.log)));
     Ok(())
 }

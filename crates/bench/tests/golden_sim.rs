@@ -17,6 +17,11 @@
 //! observers the way the plain lines pin the result. Every cell's
 //! per-processor breakdown must also sum to that processor's clock.
 //!
+//! The last line digests the Chrome trace JSON the `trace` binary writes
+//! for CI's export smoke cell (SWM at rr+cc+pl, the binary's defaults). It
+//! was generated before traces were stored by sweep, and pins the export
+//! byte for byte.
+//!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //!
 //! ```text
@@ -30,7 +35,7 @@ use commopt_core::optimize;
 use commopt_ir::Program;
 use commopt_ironman::Library;
 use commopt_lang::Frontend;
-use commopt_sim::{SimConfig, SimResult, Simulator, SpanKind, TraceEvent, TraceSink};
+use commopt_sim::{SimConfig, SimResult, Simulator, SpanKind, TraceSink};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -135,28 +140,23 @@ fn digest(r: &SimResult) -> String {
     format!("{:016x}", d.0)
 }
 
-/// A trace sink that folds every event into a digest and stores nothing.
+/// A trace sink that folds every span into a digest and stores nothing.
 #[derive(Clone)]
 struct TraceDigest(Rc<RefCell<Digest>>);
 
 impl TraceSink for TraceDigest {
-    fn record(&mut self, e: TraceEvent) {
-        let (tag, id) = match e.kind {
+    fn record_sweep(&mut self, kind: SpanKind, start_us: &[f64], dur_us: &[f64], bytes: &[u64]) {
+        let (tag, id) = match kind {
             SpanKind::Compute { array } => (0, array),
             SpanKind::Scalar { scalar } => (1, scalar),
             SpanKind::Reduce { scalar } => (2, scalar),
             SpanKind::Comm { call, transfer } => (3 + call as u64, transfer),
         };
         let mut d = self.0.borrow_mut();
-        for w in [
-            e.proc as u64,
-            e.start_us.to_bits(),
-            e.dur_us.to_bits(),
-            tag,
-            u64::from(id),
-            e.bytes,
-        ] {
-            d.word(w);
+        for (proc, ((s, t), &b)) in start_us.iter().zip(dur_us).zip(bytes).enumerate() {
+            for w in [proc as u64, s.to_bits(), t.to_bits(), tag, u64::from(id), b] {
+                d.word(w);
+            }
         }
     }
 }
@@ -296,14 +296,34 @@ fn collect() -> Vec<(String, String, String)> {
     out
 }
 
+/// The CI trace-export smoke cell: runs the `trace` binary with its
+/// defaults on SWM at rr+cc+pl and digests the JSON it writes.
+fn chrome_cell() -> (String, String) {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_swm.trace.json");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["swm", "--exp", "rr+cc+pl", "--out"])
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("run the trace binary");
+    assert!(status.success(), "trace exited with {status}");
+    let json = std::fs::read(&out).expect("read the exported trace");
+    let mut d = Digest::new();
+    d.u64(json.len() as u64);
+    d.bytes(&json);
+    ("chrome/swm/pl/pvm/16p".into(), format!("{:016x}", d.0))
+}
+
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_sim.txt")
 }
 
 #[test]
 fn sim_results_match_committed_goldens() {
-    // Plain lines first, then the observed ones, each in cell order.
+    // Plain lines first, then the observed ones, each in cell order, then
+    // the Chrome export.
     let collected = collect();
+    let chrome = chrome_cell();
     let cells: Vec<(String, &str)> = collected
         .iter()
         .map(|(k, plain, _)| (k.clone(), plain.as_str()))
@@ -312,6 +332,7 @@ fn sim_results_match_committed_goldens() {
                 .iter()
                 .map(|(k, _, obs)| (format!("obs/{k}"), obs.as_str())),
         )
+        .chain([(chrome.0.clone(), chrome.1.as_str())])
         .collect();
     let rendered: String = cells.iter().map(|(k, d)| format!("{k} {d}\n")).collect();
     let path = golden_path();

@@ -4,16 +4,21 @@
 //! produced.
 
 use commopt_bench::json::{parse, Json};
-use commopt_bench::parse_exp;
 use commopt_bench::report::profile_report;
+use commopt_bench::{library_tag, machine_for, parse_exp};
 use commopt_benchmarks::{suite, swm, Experiment};
 use commopt_core::optimize;
+use commopt_ironman::Library;
 use commopt_machine::MachineSpec;
-use commopt_sim::{chrome_trace, Recorder, SimConfig, SimResult, Simulator, TraceEvent};
+use commopt_sim::{
+    chrome_trace, Recorder, SimConfig, SimResult, Simulator, SpanKind, Trace, TraceEvent, TraceSink,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const PROCS: usize = 4;
 
-fn traced_run(exp: Experiment) -> (commopt_ir::Program, SimResult, Vec<TraceEvent>) {
+fn traced_run(exp: Experiment) -> (commopt_ir::Program, SimResult, Trace) {
     let b = swm();
     let opt = optimize(&b.program_with(16, 2), &exp.config());
     let rec = Recorder::new();
@@ -27,11 +32,11 @@ fn traced_run(exp: Experiment) -> (commopt_ir::Program, SimResult, Vec<TraceEven
 
 #[test]
 fn exported_json_is_valid_chrome_trace() {
-    let (program, result, events) = traced_run(Experiment::Pl);
-    let json = chrome_trace(&events, &program);
+    let (program, result, trace) = traced_run(Experiment::Pl);
+    let json = chrome_trace(&trace, &program);
     let doc = parse(&json).expect("exporter emits valid JSON");
     let arr = doc.as_arr().expect("top level is an event array");
-    assert_eq!(arr.len(), events.len());
+    assert_eq!(arr.len(), trace.len());
     for e in arr {
         assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
         assert!(e.get("name").and_then(Json::as_str).is_some());
@@ -63,6 +68,59 @@ fn exported_json_is_valid_chrome_trace() {
             assert!(id < program.transfers.len());
             let name = e.get("name").and_then(Json::as_str).unwrap();
             assert!(name.contains(&format!("t{id}")), "{name}");
+        }
+    }
+}
+
+/// Forwards every sweep to a [`Recorder`] and also keeps it span by span,
+/// one [`TraceEvent`] each: the per-event stream the sweep storage must
+/// reproduce.
+struct Tee {
+    recorder: Recorder,
+    spans: Rc<RefCell<Vec<TraceEvent>>>,
+}
+
+impl TraceSink for Tee {
+    fn record_sweep(&mut self, kind: SpanKind, start_us: &[f64], dur_us: &[f64], bytes: &[u64]) {
+        self.recorder.record_sweep(kind, start_us, dur_us, bytes);
+        let mut spans = self.spans.borrow_mut();
+        for (proc, ((&start_us, &dur_us), &bytes)) in
+            start_us.iter().zip(dur_us).zip(bytes).enumerate()
+        {
+            spans.push(TraceEvent {
+                proc,
+                start_us,
+                dur_us,
+                kind,
+                bytes,
+            });
+        }
+    }
+}
+
+#[test]
+fn sweep_storage_replays_the_per_span_stream() {
+    const PROCS: usize = 64;
+    for b in suite() {
+        let program = b.program_with(32, 2);
+        for exp in [Experiment::Baseline, Experiment::Pl] {
+            let opt = optimize(&program, &exp.config());
+            for lib in [Library::Pvm, Library::NxSync] {
+                let recorder = Recorder::new();
+                let spans = Rc::new(RefCell::new(Vec::new()));
+                let tee = Tee {
+                    recorder: recorder.clone(),
+                    spans: spans.clone(),
+                };
+                let cell = format!("{}/{}/{}", b.name, exp.name(), library_tag(lib));
+                let cfg = SimConfig::timing(machine_for(lib), lib, PROCS).with_trace(tee);
+                Simulator::new(&opt.program, cfg).run();
+                let trace = recorder.take();
+                let spans = spans.take();
+                assert_eq!(trace.len(), spans.len(), "{cell}");
+                assert!(spans.iter().any(|e| e.bytes > 0), "{cell}: no bytes moved");
+                assert!(trace.iter().eq(spans), "{cell}: the streams differ");
+            }
         }
     }
 }
@@ -125,5 +183,31 @@ fn passlog_names_a_removal_wherever_rr_reduces_the_static_count() {
             let rendered = rr.log.render(&rr.program);
             assert!(rendered.contains("rr: removed"), "{}: {rendered}", b.name);
         }
+    }
+}
+
+#[test]
+fn trace_cli_rejects_non_positive_sizes_with_usage() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("rejected.trace.json");
+    for (flag, value) in [
+        ("--procs", "0"),
+        ("--procs", "-2"),
+        ("--iters", "0"),
+        ("--iters", "-3"),
+        ("--size", "0"),
+        ("--size", "-4"),
+    ] {
+        let _ = std::fs::remove_file(&out);
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["swm", flag, value, "--out"])
+            .arg(&out)
+            .output()
+            .expect("run the trace binary");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("usage: trace"), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        assert!(!out.exists(), "{flag} {value}: wrote a trace anyway");
     }
 }

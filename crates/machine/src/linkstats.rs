@@ -14,9 +14,12 @@
 //! (routing and protocol processing) and wall-clock occupancy would
 //! double-count the waiting a blocked receiver already reports. See
 //! DESIGN.md ("Link accounting uses the wire term").
+//!
+//! The table is dense: every processor owns four slots, one per outgoing
+//! direction, so recording a hop is one index computation rather than a
+//! map lookup.
 
 use crate::topology::{Link, ProcGrid};
-use std::collections::BTreeMap;
 
 /// Accumulated traffic over one directed mesh link.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -43,21 +46,64 @@ impl LinkStats {
 
 /// Traffic over every touched link of a processor mesh.
 ///
-/// Keys are [`Link`]s, so iteration (and therefore every derived report)
-/// is deterministic: sorted by source processor, then destination.
+/// Link `from → to` lives in slot `4·from + direction`, the directions
+/// ordered by destination id: north (`from - cols`), west (`from - 1`),
+/// east (`from + 1`), south (`from + cols`). Iterating the slots therefore
+/// visits links sorted by source processor, then destination, which makes
+/// every derived report deterministic. A slot is touched once a message
+/// has crossed it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MeshTraffic {
     grid: ProcGrid,
-    links: BTreeMap<Link, LinkStats>,
+    links: Vec<LinkStats>,
 }
+
+/// Slot offsets of the four directions, in destination-id order.
+const NORTH: usize = 0;
+const WEST: usize = 1;
+const EAST: usize = 2;
+const SOUTH: usize = 3;
 
 impl MeshTraffic {
     /// An empty accounting table for `grid`.
     pub fn new(grid: ProcGrid) -> MeshTraffic {
         MeshTraffic {
             grid,
-            links: BTreeMap::new(),
+            links: vec![LinkStats::default(); 4 * grid.len()],
         }
+    }
+
+    /// The slot of a link between mesh neighbours. A step of `cols`
+    /// changes the row and any other step changes the column. On a
+    /// one-column mesh every step is a step of `cols`, which is right:
+    /// such a mesh has no column steps.
+    fn slot(&self, l: Link) -> usize {
+        let cols = self.grid.dims[1];
+        let dir = if l.to < l.from {
+            if l.from - l.to == cols {
+                NORTH
+            } else {
+                WEST
+            }
+        } else if l.to - l.from == cols {
+            SOUTH
+        } else {
+            EAST
+        };
+        4 * l.from + dir
+    }
+
+    /// The link a slot stands for.
+    fn link(&self, slot: usize) -> Link {
+        let cols = self.grid.dims[1];
+        let from = slot / 4;
+        let to = match slot % 4 {
+            NORTH => from - cols,
+            WEST => from - 1,
+            EAST => from + 1,
+            _ => from + cols,
+        };
+        Link { from, to }
     }
 
     /// The mesh this table accounts for.
@@ -72,7 +118,8 @@ impl MeshTraffic {
     /// links and records nothing.
     pub fn record_message(&mut self, from: usize, to: usize, bytes: u64, busy_us: f64) {
         for link in self.grid.route(from, to) {
-            let s = self.links.entry(link).or_default();
+            let slot = self.slot(link);
+            let s = &mut self.links[slot];
             s.messages += 1;
             s.bytes += bytes;
             s.busy_us += busy_us;
@@ -82,23 +129,26 @@ impl MeshTraffic {
     /// Iterates every touched link with its stats, in deterministic
     /// (source, destination) order.
     pub fn links(&self) -> impl Iterator<Item = (Link, &LinkStats)> {
-        self.links.iter().map(|(l, s)| (*l, s))
+        (0..)
+            .zip(&self.links)
+            .filter(|(_, s)| s.messages > 0)
+            .map(|(slot, s)| (self.link(slot), s))
     }
 
     /// Number of links that carried at least one message.
     pub fn touched_links(&self) -> usize {
-        self.links.len()
+        self.links.iter().filter(|s| s.messages > 0).count()
     }
 
     /// Total bytes × hops carried (a message crossing three links counts
     /// its bytes three times — the mesh's aggregate wire load).
     pub fn total_link_bytes(&self) -> u64 {
-        self.links.values().map(|s| s.bytes).sum()
+        self.links.iter().map(|s| s.bytes).sum()
     }
 
     /// Total message-hops (each message counted once per link crossed).
     pub fn total_hops(&self) -> u64 {
-        self.links.values().map(|s| s.messages).sum()
+        self.links.iter().map(|s| s.messages).sum()
     }
 
     /// The most-contended link — the one with the largest busy time (ties

@@ -52,10 +52,11 @@ pub struct SimConfig {
     /// `true`: compute real numerics on distributed blocks (slower);
     /// `false`: timing and counts only.
     pub compute_data: bool,
-    /// Optional event sink: when set, the simulator records one
-    /// [`TraceEvent`] per processor for every simulated span. `None` (the
-    /// default) records nothing and changes no behavior — traced and
-    /// untraced runs produce identical [`SimResult`]s.
+    /// Optional trace sink: when set, the simulator hands it one sweep
+    /// (a span on every processor) for every simulated statement, call
+    /// and reduction. `None` (the default) records nothing and changes no
+    /// behavior — traced and untraced runs produce identical
+    /// [`SimResult`]s.
     pub trace: Option<TraceHandle>,
     /// Seeded fault-injection plan (see [`crate::faults`]). The default
     /// inert plan draws no random numbers and changes no behavior — a run

@@ -8,7 +8,7 @@
 //! (DESIGN.md, "Run accounting").
 
 use crate::metrics::{Histogram, ProcBreakdown, RunMetrics, SimResult, TransferStats};
-use crate::trace::{SpanKind, TraceEvent, TraceHandle};
+use crate::trace::{SpanKind, TraceHandle};
 use crate::SimConfig;
 use commopt_ir::{CallKind, TransferId};
 use commopt_machine::{ProcGrid, ProcId};
@@ -25,23 +25,35 @@ pub(crate) enum Cat {
 }
 
 /// The trace side of the ledger, present only while a sink is installed.
+/// Each sweep's columns are filled in place and reach the sink in one
+/// call.
 struct Tracer {
     sink: TraceHandle,
-    /// Every processor's clock when the current call began.
+    /// Every processor's clock when the current sweep began.
     start: Vec<f64>,
-    /// Bytes each processor moved during the current call.
+    /// Every processor's span duration in the current sweep.
+    dur: Vec<f64>,
+    /// Bytes each processor moved during the current call; all zero
+    /// outside a call.
     bytes: Vec<u64>,
 }
 
 impl Tracer {
-    fn span(&self, proc: ProcId, start_us: f64, dur_us: f64, kind: SpanKind, bytes: u64) {
-        self.sink.record(TraceEvent {
-            proc,
-            start_us,
-            dur_us,
-            kind,
-            bytes,
-        });
+    /// Hands the sink one sweep of `kind` from `start`, lasting `dur`.
+    fn sweep(&self, kind: SpanKind, dur: &[f64]) {
+        self.sink
+            .0
+            .borrow_mut()
+            .record_sweep(kind, &self.start, dur, &self.bytes);
+    }
+
+    /// Sets each span's duration to `clocks[p] - start[p]` and hands the
+    /// sweep to the sink.
+    fn close(&mut self, kind: SpanKind, clocks: &[f64]) {
+        for ((d, &s), &c) in self.dur.iter_mut().zip(&self.start).zip(clocks) {
+            *d = c - s;
+        }
+        self.sweep(kind, &self.dur);
     }
 }
 
@@ -86,6 +98,7 @@ impl Ledger {
             trace: cfg.trace.clone().map(|sink| Tracer {
                 sink,
                 start: vec![0.0; n],
+                dur: vec![0.0; n],
                 bytes: vec![0; n],
             }),
             meter: cfg.metrics.then(|| Meter {
@@ -150,21 +163,16 @@ impl Ledger {
     /// Charges every processor `p` its computation `dt[p]` in one pass,
     /// tracing each as `span` when one is given and a sink is installed.
     pub(crate) fn compute_all(&mut self, dt: &[f64], span: Option<SpanKind>) {
-        let charges = self.clocks.iter_mut().zip(&mut self.cats).zip(dt);
-        match (&self.trace, span) {
-            (Some(t), Some(kind)) => {
-                for (p, ((clock, cats), &dt)) in charges.enumerate() {
-                    t.span(p, *clock, dt, kind, 0);
-                    *clock += dt;
-                    cats.compute_s += dt;
-                }
-            }
-            _ => {
-                for ((clock, cats), &dt) in charges {
-                    *clock += dt;
-                    cats.compute_s += dt;
-                }
-            }
+        let mut tracer = self.trace.as_mut().zip(span);
+        if let Some((t, _)) = &mut tracer {
+            t.start.copy_from_slice(&self.clocks);
+        }
+        for ((clock, cats), &dt) in self.clocks.iter_mut().zip(&mut self.cats).zip(dt) {
+            *clock += dt;
+            cats.compute_s += dt;
+        }
+        if let Some((t, kind)) = tracer {
+            t.sweep(kind, dt);
         }
     }
 
@@ -184,14 +192,15 @@ impl Ledger {
     /// latest one, then `combine` of synchronization.
     pub(crate) fn reduce(&mut self, combine: f64, scalar: u32) {
         let max = self.max_clock();
+        if let Some(t) = &mut self.trace {
+            t.start.copy_from_slice(&self.clocks);
+        }
         for p in 0..self.clocks.len() {
-            let start_us = self.clocks[p];
             self.wait_until(p, max);
             self.charge(p, Cat::Sync, combine);
-            if let Some(t) = &self.trace {
-                let dur_us = self.clocks[p] - start_us;
-                t.span(p, start_us, dur_us, SpanKind::Reduce { scalar }, 0);
-            }
+        }
+        if let Some(t) = &mut self.trace {
+            t.close(SpanKind::Reduce { scalar }, &self.clocks);
         }
         self.reductions += 1;
     }
@@ -243,12 +252,11 @@ impl Ledger {
         self.call_start = self.clocks[self.count_proc];
         if let Some(t) = &mut self.trace {
             t.start.copy_from_slice(&self.clocks);
-            t.bytes.fill(0);
         }
     }
 
     /// Closes the call: the counting processor's time in it is
-    /// communication and one latency sample; each processor gets a span.
+    /// communication and one latency sample; the call is one sweep.
     pub(crate) fn end_call(&mut self, kind: CallKind, tid: TransferId) {
         let dt = self.clocks[self.count_proc] - self.call_start;
         self.comm_us += dt;
@@ -257,14 +265,13 @@ impl Ledger {
             // snapshot serializes identically across platforms.
             m.calls[kind as usize].record((dt * 1e3).round() as u64);
         }
-        if let Some(t) = &self.trace {
+        if let Some(t) = &mut self.trace {
             let call = SpanKind::Comm {
                 call: kind,
                 transfer: tid.0,
             };
-            for (p, (&start_us, &bytes)) in t.start.iter().zip(&t.bytes).enumerate() {
-                t.span(p, start_us, self.clocks[p] - start_us, call, bytes);
-            }
+            t.close(call, &self.clocks);
+            t.bytes.fill(0);
         }
     }
 

@@ -73,7 +73,7 @@ pub use metrics::{
 };
 pub use safety::SafetyViolation;
 pub use seq::SeqInterp;
-pub use trace::{chrome_trace, Recorder, SpanKind, TraceEvent, TraceHandle, TraceSink};
+pub use trace::{chrome_trace, Recorder, SpanKind, Trace, TraceEvent, TraceHandle, TraceSink};
 
 use commopt_ir::Program;
 use commopt_ironman::Library;
