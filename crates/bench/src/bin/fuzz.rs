@@ -17,6 +17,8 @@ use commopt_bench::Table;
 use commopt_ironman::Library;
 use commopt_testkit::pool;
 
+const USAGE: &str = "usage: fuzz [--seeds N] [--jobs N]";
+
 fn main() {
     let mut seeds = 3u64;
     let mut jobs: Option<usize> = None;
@@ -24,8 +26,9 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seeds" => {
-                seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seeds expects a number");
+                let value = args.next().unwrap_or_default();
+                seeds = value.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+                    eprintln!("--seeds expects a positive integer, got '{value}' ({USAGE})");
                     std::process::exit(2);
                 });
             }
@@ -41,11 +44,11 @@ fn main() {
                 );
             }
             "--help" | "-h" => {
-                eprintln!("usage: fuzz [--seeds N] [--jobs N]");
+                eprintln!("{USAGE}");
                 return;
             }
             other => {
-                eprintln!("unknown argument '{other}' (usage: fuzz [--seeds N] [--jobs N])");
+                eprintln!("unknown argument '{other}' ({USAGE})");
                 std::process::exit(2);
             }
         }

@@ -29,3 +29,23 @@ fn deep_seed_sweep_on_one_hard_case() {
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
+
+#[test]
+fn fuzz_cli_rejects_non_positive_seeds_with_usage() {
+    for value in ["0", "-1", "x", ""] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_fuzz"))
+            .args(["--seeds", value])
+            .output()
+            .expect("run the fuzz binary");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert_eq!(run.status.code(), Some(2), "--seeds '{value}': {stderr}");
+        assert!(stderr.contains("--seeds"), "--seeds '{value}': {stderr}");
+        assert!(
+            stderr.contains("usage: fuzz"),
+            "--seeds '{value}': {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--seeds '{value}': {stderr}");
+        assert!(stdout.is_empty(), "--seeds '{value}' ran anyway: {stdout}");
+    }
+}

@@ -9,7 +9,7 @@
 //!   module computes it by walking the loop structure, which the simulator
 //!   cross-checks against its own instruction-level counter.
 
-use commopt_ir::{Block, CallKind, LoopEnv, Program, Stmt};
+use commopt_ir::{loop_values, Block, CallKind, LoopEnv, Program, Stmt};
 
 /// The static communication count: transfers in the program text.
 pub fn static_count(program: &Program) -> u64 {
@@ -17,6 +17,10 @@ pub fn static_count(program: &Program) -> u64 {
 }
 
 /// The dynamic communication count: transfer executions per processor.
+///
+/// # Panics
+/// Panics with the [`validate`](commopt_ir::validate()) message on a `for`
+/// loop whose step is not ±1.
 pub fn dynamic_count(program: &Program) -> u64 {
     let mut env = LoopEnv::new();
     count_block(&program.body, &mut env)
@@ -44,17 +48,12 @@ fn count_block(block: &Block, env: &mut LoopEnv) -> u64 {
             } => {
                 // Bounds may reference outer loop variables, so iterate
                 // explicitly rather than assuming constant trip counts.
-                let lo = lo.eval(env);
-                let hi = hi.eval(env);
-                let mut i = lo;
-                loop {
-                    if (*step > 0 && i > hi) || (*step < 0 && i < hi) {
-                        break;
-                    }
+                let values = loop_values(lo.eval(env), hi.eval(env), *step)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                for i in values {
                     env.push(*var, i);
                     n += count_block(body, env);
                     env.pop();
-                    i += step;
                 }
             }
             _ => {}
@@ -104,6 +103,21 @@ mod tests {
         let p = b.finish();
         let opt = optimize_program(&p, &OptConfig::baseline());
         assert_eq!(dynamic_count(&opt.program), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "for-loop step must be ±1, got 0")]
+    fn zero_step_loop_panics_instead_of_spinning() {
+        let mut p = commopt_ir::Program::new("t");
+        let i = p.add_loop_var("i");
+        p.body.0.push(Stmt::For {
+            var: i,
+            lo: 1.into(),
+            hi: 4.into(),
+            step: 0,
+            body: Block::default(),
+        });
+        dynamic_count(&p);
     }
 
     #[test]

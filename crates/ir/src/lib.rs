@@ -52,5 +52,5 @@ pub use ids::{ArrayId, LoopVarId, ScalarId};
 pub use offset::Offset;
 pub use program::{ArrayDecl, LoopVarDecl, Program, ScalarDecl};
 pub use region::{AffineBound, DimRange, LoopEnv, Rect, Region, MAX_RANK};
-pub use stmt::{Block, Stmt};
+pub use stmt::{loop_values, Block, Stmt};
 pub use validate::{validate, ValidateError};

@@ -10,6 +10,7 @@ use crate::comm::{CallKind, TransferId};
 use crate::expr::{Expr, ScalarRhs};
 use crate::ids::{ArrayId, LoopVarId, ScalarId};
 use crate::region::{AffineBound, Region};
+use crate::validate::ValidateError;
 
 /// A sequence of statements.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -95,6 +96,32 @@ impl Stmt {
     }
 }
 
+/// The values a `for` loop's variable takes, in order: `lo, lo + step, …`
+/// while within `lo..=hi` (`hi..=lo` for a negative step). Every executor
+/// iterates loops through this one function.
+///
+/// Fails with [`ValidateError::BadStep`] unless `step` is ±1, the rule
+/// [`validate`](crate::validate()) enforces: a step of 0 would never leave
+/// the loop.
+pub fn loop_values(
+    lo: i64,
+    hi: i64,
+    step: i64,
+) -> Result<impl Iterator<Item = i64>, ValidateError> {
+    let mut range = match step {
+        1 => lo..=hi,
+        -1 => hi..=lo,
+        _ => return Err(ValidateError::BadStep(step)),
+    };
+    Ok(std::iter::from_fn(move || {
+        if step > 0 {
+            range.next()
+        } else {
+            range.next_back()
+        }
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,5 +156,26 @@ mod tests {
         let comm = Stmt::comm(CallKind::SR, TransferId(0));
         assert!(!comm.is_source_stmt());
         assert!(!comm.is_block_boundary());
+    }
+
+    #[test]
+    fn loop_values_step_by_one_either_way() {
+        let values = |lo, hi, step| loop_values(lo, hi, step).unwrap().collect::<Vec<i64>>();
+        assert_eq!(values(2, 5, 1), [2, 3, 4, 5]);
+        assert_eq!(values(5, 2, -1), [5, 4, 3, 2]);
+        assert_eq!(values(3, 3, -1), [3]);
+        assert!(values(5, 2, 1).is_empty());
+        assert!(values(2, 5, -1).is_empty());
+        assert_eq!(values(i64::MAX - 1, i64::MAX, 1), [i64::MAX - 1, i64::MAX]);
+        for step in [0, 2, -3] {
+            let Err(err) = loop_values(1, 4, step) else {
+                panic!("step {step} accepted")
+            };
+            assert_eq!(err, ValidateError::BadStep(step));
+            assert_eq!(
+                err.to_string(),
+                format!("for-loop step must be ±1, got {step}")
+            );
+        }
     }
 }

@@ -36,9 +36,10 @@ use crate::metrics::SimResult;
 use crate::safety::SafetyViolation;
 use crate::trace::{SpanKind, TraceHandle, TraceSink};
 use commopt_ir::analysis::expr_flops;
+use commopt_ir::visit::walk_stmts;
 use commopt_ir::{
-    CallKind, Expr, LoopEnv, LoopVarId, Program, Rect, ReduceOp, Region, ScalarRhs, Stmt, Transfer,
-    TransferId, MAX_RANK,
+    loop_values, CallKind, Expr, LoopEnv, LoopVarId, Offset, Program, Rect, ReduceOp, Region,
+    ScalarRhs, Stmt, Transfer, TransferId, MAX_RANK,
 };
 use commopt_ironman::{Action, Binding, Library};
 use commopt_machine::{BlockDist, CommCosts, MachineSpec, ProcGrid, ProcId};
@@ -294,8 +295,7 @@ impl Layout {
     /// of `flops` per element, split as [`part`](Layout::part) splits it:
     /// the guard cost where its share is empty, else the statement
     /// overhead plus its share's flops. One rect intersection per
-    /// processor; DESIGN.md ("Compute charges") says why not a
-    /// row × column factorization.
+    /// processor, run only when a [`ChargeSlot`] goes stale.
     fn stmt_costs(
         &self,
         rect: &Rect,
@@ -407,22 +407,79 @@ impl Layout {
     }
 }
 
-/// One transfer's geometry cache: a single slot, refilled in place. A
-/// loop-invariant transfer (its item regions read no loop variable) is
-/// built once per run. A loop-variant one is checked when one of its
-/// variables changes, so the DR, SR and DN of one instance share a build,
-/// and rebuilt when its key changes: in full mode and for transfers
-/// without a [`ShapeKey`], the variables' values; in timing mode, where
-/// eligible, the shape class.
-struct GeomSlot {
-    /// The loop variables the transfer's item regions mention.
+/// When a cached slot must be refilled: the key half of a transfer's
+/// [`GeomSlot`] and of a statement's [`ChargeSlot`]. A slot whose regions
+/// read no loop variable is filled once per run. A loop-variant one is
+/// checked when one of its variables changes, and refilled when its key
+/// changes: the variables' values or, where the slot has a [`ShapeKey`],
+/// the shape class.
+struct SlotKey {
+    /// The loop variables the slot's regions mention.
     vars: Vec<LoopVarId>,
     /// Their values at the last check.
-    key: Vec<i64>,
-    /// The shape class at the last check, in timing mode where eligible.
+    values: Vec<i64>,
+    /// The shape class at the last check, where keyed on one.
     shape: Option<ShapeKey>,
-    /// `false` until the first build.
+    /// `false` until the first fill.
     built: bool,
+}
+
+/// One item a slot's value is computed from: an array index, the offset
+/// its regions are read at, and the regions.
+type KeyItem<'a> = (usize, Offset, &'a [Region]);
+
+impl SlotKey {
+    /// The key of a value computed from `items` on `layout`, keyed on shape
+    /// classes when `shaped` and the items are eligible.
+    fn new<'a>(
+        items: impl Iterator<Item = KeyItem<'a>> + Clone,
+        layout: &Layout,
+        shaped: bool,
+    ) -> SlotKey {
+        let mut vars = Vec::new();
+        for region in items.clone().flat_map(|(_, _, regions)| regions) {
+            for v in region.loop_vars() {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        }
+        let shape = (shaped && !vars.is_empty())
+            .then(|| ShapeKey::new(items, layout))
+            .flatten();
+        SlotKey {
+            values: vec![0; vars.len()],
+            vars,
+            shape,
+            built: false,
+        }
+    }
+
+    /// Brings the key up to `env` and reports whether the slot must be
+    /// refilled, which its owner then does: it never was, or a variable
+    /// moved and, where the key has a shape, the shape class moved with it.
+    fn stale(&mut self, env: &LoopEnv) -> bool {
+        let mut moved = !self.built;
+        for (&v, k) in self.vars.iter().zip(&mut self.values) {
+            let x = env.get(v);
+            moved |= *k != x;
+            *k = x;
+        }
+        let stale = match &mut self.shape {
+            Some(shape) if moved => shape.reclassify(env) || !self.built,
+            _ => moved,
+        };
+        self.built = true;
+        stale
+    }
+}
+
+/// One transfer's geometry cache: a single slot, refilled in place when
+/// its [`SlotKey`] goes stale, so the DR, SR and DN of one instance share
+/// a build. Full mode and transfers without a [`ShapeKey`] key on the loop
+/// variables' values; timing mode keys eligible transfers on shape class.
+struct GeomSlot {
+    key: SlotKey,
     /// The geometry; `None` while a caller holds it.
     geom: Option<Geom>,
     /// Builds and calls so far, for the tests that pin the cache.
@@ -440,22 +497,12 @@ impl GeomSlot {
     /// short-lived ones on the heap.
     fn new(t: &Transfer, layout: &Layout, timing: bool) -> GeomSlot {
         let n = layout.grid.len();
-        let mut vars = Vec::new();
-        for region in t.items.iter().flat_map(|it| &it.regions) {
-            for v in region.loop_vars() {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        let shape = (timing && !vars.is_empty())
-            .then(|| ShapeKey::new(t, layout))
-            .flatten();
+        let items = t
+            .items
+            .iter()
+            .map(|it| (it.array.index(), it.offset, it.regions.as_slice()));
         GeomSlot {
-            key: vec![0; vars.len()],
-            vars,
-            shape,
-            built: false,
+            key: SlotKey::new(items, layout, timing),
             geom: Some(Geom {
                 bytes: Vec::with_capacity(n),
                 out_start: Vec::with_capacity(n + 1),
@@ -470,32 +517,115 @@ impl GeomSlot {
             takes: 0,
         }
     }
+}
 
-    /// Brings the keys up to `env` and reports whether the geometry must
-    /// be rebuilt: it never was, or a variable moved and, where the slot
-    /// has a shape key, the shape class moved with it.
-    fn stale(&mut self, env: &LoopEnv) -> bool {
-        let mut moved = !self.built;
-        for (&v, k) in self.vars.iter().zip(&mut self.key) {
-            let x = env.get(v);
-            moved |= *k != x;
-            *k = x;
+/// One array statement's or reduction's compute charge (DESIGN.md,
+/// "Compute charges"): every processor's cost as [`Layout::stmt_costs`]
+/// fills it, refilled in place when the key goes stale. The key is the
+/// statement's region over its partition, read at no offset. Timing mode
+/// keys an eligible statement split as an array on its shape class; full
+/// mode, and a reduction split as its own region (whose partition moves
+/// with the region), key on the loop variables' values.
+struct ChargeSlot {
+    key: SlotKey,
+    /// The array whose partition splits the statement (see
+    /// [`Layout::part`]).
+    part: Option<usize>,
+    /// Flops per element.
+    flops: f64,
+    /// Per proc: the charge at the last refill.
+    dt: Vec<f64>,
+    /// Refills so far, for the tests that pin the cache.
+    #[cfg(test)]
+    builds: u64,
+}
+
+impl ChargeSlot {
+    /// The slot for a statement over `region` split as `part`, of `flops`
+    /// per element, with its `n`-entry buffer sized here (see
+    /// [`GeomSlot::new`]) and, when the region reads no loop variable, its
+    /// charge computed here too.
+    fn new(
+        region: &Region,
+        part: Option<usize>,
+        flops: f64,
+        layout: &Layout,
+        m: &MachineSpec,
+        timing: bool,
+    ) -> ChargeSlot {
+        // The array index is read only for a shape key.
+        let item = (
+            part.unwrap_or(0),
+            Offset::ZERO,
+            std::slice::from_ref(region),
+        );
+        let mut slot = ChargeSlot {
+            key: SlotKey::new(std::iter::once(item), layout, timing && part.is_some()),
+            part,
+            flops,
+            dt: Vec::with_capacity(layout.grid.len()),
+            #[cfg(test)]
+            builds: 0,
+        };
+        if slot.key.vars.is_empty() {
+            slot.update(region, &LoopEnv::new(), layout, m);
         }
-        match &mut self.shape {
-            Some(shape) if moved => shape.reclassify(env) || !self.built,
-            _ => moved,
+        slot
+    }
+
+    /// Brings the charge up to `env`, refilling it when the key is stale.
+    fn update(&mut self, region: &Region, env: &LoopEnv, layout: &Layout, m: &MachineSpec) {
+        if self.key.stale(env) {
+            let rect = region.eval(env);
+            layout.stmt_costs(&rect, self.part, self.flops, m, &mut self.dt);
+            #[cfg(test)]
+            {
+                self.builds += 1;
+            }
+        }
+        // Unit tests hold every charge to a fresh computation, bit for bit.
+        #[cfg(test)]
+        {
+            let mut fresh = Vec::new();
+            layout.stmt_costs(&region.eval(env), self.part, self.flops, m, &mut fresh);
+            assert!(
+                same_bits(&self.dt, &fresh),
+                "stale charge for {region:?} under {env:?}"
+            );
         }
     }
 }
 
-/// A loop-variant transfer's timing-mode key (DESIGN.md, "Transfer
-/// geometry"). Timing runs read only a geometry's `bytes`, messages and
-/// `active` flag. Those stay the same while every moving region bound
-/// stays deep inside one block of its array's partition, far enough from
-/// the block's ends that no region, shifted by the offset, reaches past
-/// them. Only the slabs move, and only the full-mode snapshot reads them.
+/// A statement's charge slot, if it has one, as (region, partition array,
+/// per-element expression). Array assignments and reductions have one
+/// each, numbered in pre-order.
+fn charge_of(stmt: &Stmt) -> Option<(&Region, Option<usize>, &Expr)> {
+    match stmt {
+        Stmt::Assign { region, lhs, rhs } => Some((region, Some(lhs.index()), rhs)),
+        Stmt::ScalarAssign {
+            rhs: ScalarRhs::Reduce { region, expr, .. },
+            ..
+        } => Some((region, first_array(expr), expr)),
+        _ => None,
+    }
+}
+
+/// The number of charge slots in `block`.
+fn charge_slots(block: &commopt_ir::Block) -> usize {
+    let mut k = 0;
+    walk_stmts(block, &mut |s, _| k += usize::from(charge_of(s).is_some()));
+    k
+}
+
+/// A loop-variant slot's timing-mode key (DESIGN.md, "Transfer geometry"
+/// and "Compute charges"). Timing runs read only a geometry's `bytes`,
+/// messages and `active` flag. Those stay the same while every moving
+/// region bound stays deep inside one block of its array's partition, far
+/// enough from the block's ends that no region, shifted by the offset,
+/// reaches past them. Only the slabs move, and only the full-mode snapshot
+/// reads them.
 ///
-/// A transfer is eligible when, in each dimension, either every item
+/// A slot's items are eligible when, in each dimension, either every item
 /// region's bounds there are constant, or every one's `lo` and `hi` are
 /// both `v + c` for one shared loop variable `v`. Each distinct moving
 /// bound `x` is keyed on the block holding it (or the space below or
@@ -510,7 +640,10 @@ impl GeomSlot {
 ///   so at both values every region lies in one block.
 ///
 /// Every ghost part then has the same extents and owner at both values,
-/// and the two geometries differ only by a translation of their slabs.
+/// and the two geometries differ only by a translation of their slabs. A
+/// statement's charge is one item, its region over its partition at offset
+/// zero, so `cap = ⌊width / 2⌋`. The charge depends only on each
+/// processor's `|rect ∩ owned(a, p)|`, which equal keys keep equal.
 struct ShapeKey {
     bounds: Vec<MovingBound>,
     /// Per bound, at the last check: its class (see [`MovingBound::class`]).
@@ -547,14 +680,17 @@ impl MovingBound {
 }
 
 impl ShapeKey {
-    /// `t`'s shape key on `layout`, or `None` when `t` is not eligible.
-    fn new(t: &Transfer, layout: &Layout) -> Option<ShapeKey> {
+    /// The shape key of `items` on `layout`, or `None` when they are not
+    /// eligible.
+    fn new<'a>(
+        items: impl Iterator<Item = KeyItem<'a>> + Clone,
+        layout: &Layout,
+    ) -> Option<ShapeKey> {
         let mut bounds: Vec<MovingBound> = Vec::new();
         for d in 0..MAX_RANK {
             let ranges = || {
-                t.items.iter().flat_map(move |it| {
-                    let a = it.array.index();
-                    it.regions
+                items.clone().flat_map(move |(a, _, regions)| {
+                    regions
                         .iter()
                         .filter(move |r| r.rank > d)
                         .map(move |r| (a, r.dims[d]))
@@ -570,7 +706,9 @@ impl ShapeKey {
             }
             let Some(Some(var)) = dim_var else { continue };
             let width = ranges().map(|(_, r)| r.hi.c - r.lo.c).max().unwrap_or(0);
-            let shift = t.items.iter().map(|it| it.offset.get(d).unsigned_abs());
+            let shift = items
+                .clone()
+                .map(|(_, offset, _)| offset.get(d).unsigned_abs());
             let cap = i64::from(shift.max().unwrap_or(0)).max(width.max(0) / 2);
             for (a, r) in ranges() {
                 for c in [r.lo.c, r.hi.c] {
@@ -632,7 +770,11 @@ pub struct Simulator<'p> {
     /// Per transfer (indexed by `TransferId::index()`): its cached
     /// geometry (see [`GeomSlot`]).
     geoms: Vec<GeomSlot>,
-    /// Per proc: the compute cost of the statement being charged.
+    /// Per array assignment and reduction, in pre-order: its cached compute
+    /// charge (see [`ChargeSlot`]).
+    charges: Vec<ChargeSlot>,
+    /// Per proc: the compute cost of a scalar statement, or of a cached
+    /// charge scaled by the fault plan.
     stmt_dt: Vec<f64>,
     arrays: Vec<DistArray>,
     /// Per transfer (indexed by `TransferId::index()` — the id space is
@@ -688,6 +830,21 @@ impl<'p> Simulator<'p> {
             .iter()
             .map(|t| GeomSlot::new(t, &layout, !cfg.compute_data))
             .collect();
+        let mut charges = Vec::new();
+        walk_stmts(&program.body, &mut |stmt, _| {
+            if let Some((region, part, expr)) = charge_of(stmt) {
+                let flops = f64::from(expr_flops(expr));
+                let m = &cfg.machine;
+                charges.push(ChargeSlot::new(
+                    region,
+                    part,
+                    flops,
+                    &layout,
+                    m,
+                    !cfg.compute_data,
+                ));
+            }
+        });
         let mut sim = Simulator {
             program,
             grid,
@@ -698,6 +855,7 @@ impl<'p> Simulator<'p> {
             env: LoopEnv::new(),
             layout,
             geoms,
+            charges,
             stmt_dt: Vec::with_capacity(n),
             arrays,
             inflight: std::iter::repeat_with(|| None)
@@ -710,9 +868,10 @@ impl<'p> Simulator<'p> {
             violations: Vec::new(),
             cfg,
         };
-        // Loop-invariant geometry is built here, once.
+        // Loop-invariant geometry is built here, once, as invariant
+        // charges were above.
         for i in 0..program.transfers.len() {
-            if sim.geoms[i].vars.is_empty() {
+            if sim.geoms[i].key.vars.is_empty() {
                 let tid = TransferId(i as u32);
                 let geom = sim.take_geometry(tid);
                 sim.put_geometry(tid, geom);
@@ -736,7 +895,7 @@ impl<'p> Simulator<'p> {
     /// panicking or hanging.
     pub fn try_run(mut self) -> Result<SimResult, SimError> {
         let body = &self.program.body;
-        self.exec_block(body)?;
+        self.exec_block(body, 0)?;
         // End-of-run safety scan: every message put in flight must have
         // been retired by a DN before the program ends.
         for (i, slot) in self.inflight.iter().enumerate() {
@@ -771,15 +930,36 @@ impl<'p> Simulator<'p> {
         Ok(result)
     }
 
-    fn exec_block(&mut self, block: &commopt_ir::Block) -> Result<(), SimError> {
+    /// Executes `block`, whose charge slots are numbered from `slot`, and
+    /// returns the number past its last one.
+    fn exec_block(
+        &mut self,
+        block: &commopt_ir::Block,
+        mut slot: usize,
+    ) -> Result<usize, SimError> {
         for stmt in block.iter() {
             match stmt {
-                Stmt::Assign { region, lhs, rhs } => self.exec_assign(*region, lhs.index(), rhs),
-                Stmt::ScalarAssign { lhs, rhs } => self.exec_scalar(lhs.index(), rhs)?,
+                Stmt::Assign { region, lhs, rhs } => {
+                    self.exec_assign(slot, region, lhs.index(), rhs);
+                    slot += 1;
+                }
+                Stmt::ScalarAssign {
+                    lhs,
+                    rhs: ScalarRhs::Expr(e),
+                } => self.exec_scalar(lhs.index(), e)?,
+                Stmt::ScalarAssign {
+                    lhs,
+                    rhs: ScalarRhs::Reduce { op, region, expr },
+                } => {
+                    self.exec_reduce(slot, lhs.index(), *op, region, expr);
+                    slot += 1;
+                }
                 Stmt::Repeat { count, body } => {
+                    let mut end = None;
                     for _ in 0..*count {
-                        self.exec_block(body)?;
+                        end = Some(self.exec_block(body, slot)?);
                     }
+                    slot = end.unwrap_or_else(|| slot + charge_slots(body));
                 }
                 Stmt::For {
                     var,
@@ -789,49 +969,49 @@ impl<'p> Simulator<'p> {
                     body,
                 } => {
                     let lo = lo.eval(&self.env);
-                    let hi = hi.eval(&self.env);
-                    let mut i = lo;
-                    self.env.push(*var, i);
-                    loop {
-                        if (*step > 0 && i > hi) || (*step < 0 && i < hi) {
-                            break;
-                        }
+                    let values = loop_values(lo, hi.eval(&self.env), *step)
+                        .map_err(|e| SimError::Eval(e.to_string()))?;
+                    let mut end = None;
+                    self.env.push(*var, lo);
+                    for i in values {
                         self.env.set(*var, i);
-                        self.exec_block(body)?;
-                        i += step;
+                        end = Some(self.exec_block(body, slot)?);
                     }
                     self.env.pop();
+                    slot = end.unwrap_or_else(|| slot + charge_slots(body));
                 }
                 Stmt::Comm { kind, transfer } => self.exec_comm(*kind, *transfer)?,
             }
         }
-        Ok(())
+        Ok(slot)
     }
 
     // ------------------------------------------------------------------
     // Computation
     // ------------------------------------------------------------------
 
-    fn exec_assign(&mut self, region: Region, lhs: usize, rhs: &Expr) {
-        let rect = region.eval(&self.env);
+    fn exec_assign(&mut self, slot: usize, region: &Region, lhs: usize, rhs: &Expr) {
         let span = SpanKind::Compute { array: lhs as u32 };
-        self.charge_stmt(&rect, Some(lhs), expr_flops(rhs), Some(span));
+        self.charge_stmt(slot, region, Some(span));
         if self.cfg.compute_data {
-            self.compute_assign_data(rect, lhs, rhs);
+            self.compute_assign_data(region.eval(&self.env), lhs, rhs);
         }
     }
 
-    /// Charges every processor its share of a statement over `rect` split
-    /// as array `a` is (see [`Layout::stmt_costs`]).
-    fn charge_stmt(&mut self, rect: &Rect, a: Option<usize>, flops: u32, span: Option<SpanKind>) {
-        self.layout.stmt_costs(
-            rect,
-            a,
-            f64::from(flops),
-            &self.cfg.machine,
-            &mut self.stmt_dt,
-        );
-        self.charge_compute(span);
+    /// Charges every processor its share of charge slot `slot`'s
+    /// statement, over `region`, under the current environment.
+    fn charge_stmt(&mut self, slot: usize, region: &Region, span: Option<SpanKind>) {
+        let charge = &mut self.charges[slot];
+        charge.update(region, &self.env, &self.layout, &self.cfg.machine);
+        let dt = &charge.dt;
+        if self.faults.is_none() {
+            self.ledger.compute_all(dt, span);
+        } else {
+            // Scale a copy: the cached charge stays the unscaled cost.
+            self.stmt_dt.clear();
+            self.stmt_dt.extend_from_slice(dt);
+            self.charge_compute(span);
+        }
     }
 
     /// Charges every processor `p` its computation `stmt_dt[p]`, scaled by
@@ -931,37 +1111,32 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn exec_scalar(&mut self, lhs: usize, rhs: &ScalarRhs) -> Result<(), SimError> {
-        match rhs {
-            ScalarRhs::Expr(e) => {
-                let dt = f64::from(expr_flops(e)) * self.cfg.machine.flop_us
-                    + self.cfg.machine.guard_overhead_us;
-                self.stmt_dt.clear();
-                self.stmt_dt.resize(self.grid.len(), dt);
-                self.charge_compute(Some(SpanKind::Scalar { scalar: lhs as u32 }));
-                self.scalars[lhs] = eval_scalar(e, &self.scalars, &self.env)?;
-            }
-            ScalarRhs::Reduce { op, region, expr } => {
-                let rect = region.eval(&self.env);
-                // Any array's distribution gives the owned partition; use
-                // the first referenced array, falling back to a uniform
-                // split of the region itself.
-                let first = first_array(expr);
-                // The local fold's cost (untraced), then, in full mode,
-                // its value.
-                self.charge_stmt(&rect, first, expr_flops(expr), None);
-                let acc = if self.cfg.compute_data {
-                    self.reduce_data(rect, first, *op, expr)
-                } else {
-                    op.identity()
-                };
-                // The combine tree is a barrier: all clocks join.
-                let combine = self.cfg.machine.reduce_us(self.grid.len());
-                self.ledger.reduce(combine, lhs as u32);
-                self.scalars[lhs] = acc;
-            }
-        }
+    fn exec_scalar(&mut self, lhs: usize, e: &Expr) -> Result<(), SimError> {
+        let dt = f64::from(expr_flops(e)) * self.cfg.machine.flop_us
+            + self.cfg.machine.guard_overhead_us;
+        self.stmt_dt.clear();
+        self.stmt_dt.resize(self.grid.len(), dt);
+        self.charge_compute(Some(SpanKind::Scalar { scalar: lhs as u32 }));
+        self.scalars[lhs] = eval_scalar(e, &self.scalars, &self.env)?;
         Ok(())
+    }
+
+    /// A reduction of `expr` over `region` into scalar `lhs`, with charge
+    /// slot `slot`. The local fold is split as the first referenced array
+    /// is, falling back to a uniform split of the region itself.
+    fn exec_reduce(&mut self, slot: usize, lhs: usize, op: ReduceOp, region: &Region, expr: &Expr) {
+        // The local fold's cost (untraced), then, in full mode, its value.
+        self.charge_stmt(slot, region, None);
+        let acc = if self.cfg.compute_data {
+            let part = self.charges[slot].part;
+            self.reduce_data(region.eval(&self.env), part, op, expr)
+        } else {
+            op.identity()
+        };
+        // The combine tree is a barrier: all clocks join.
+        let combine = self.cfg.machine.reduce_us(self.grid.len());
+        self.ledger.reduce(combine, lhs as u32);
+        self.scalars[lhs] = acc;
     }
 
     /// Full mode: folds every processor's share of `rect` (split as array
@@ -1038,12 +1213,11 @@ impl<'p> Simulator<'p> {
         let env = &self.env;
         let t = self.program.transfer(tid);
         let slot = &mut self.geoms[tid.index()];
-        let stale = slot.stale(env);
+        let stale = slot.key.stale(env);
         let geom = match slot.geom.take() {
             Some(geom) if !stale => geom,
             old => {
                 let mut geom = old.unwrap_or_default();
-                slot.built = true;
                 self.layout.build(&mut geom, t, env);
                 #[cfg(test)]
                 {
@@ -1459,6 +1633,14 @@ fn eval_scalar(e: &Expr, scalars: &[f64], env: &LoopEnv) -> Result<f64, SimError
     })
 }
 
+/// `true` when `a` and `b` hold the same floats, bit for bit.
+#[cfg(test)]
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .map(|x| x.to_bits())
+        .eq(b.iter().map(|x| x.to_bits()))
+}
+
 /// Visits `a \ b` as disjoint non-empty rectangles (at most `2 * rank`):
 /// the ghost parts of a footprint `a` outside an owned block `b`.
 fn rect_subtract(a: Rect, b: Rect, mut f: impl FnMut(Rect)) {
@@ -1686,7 +1868,7 @@ mod tests {
     /// Executes `program` and hands back the simulator for inspection.
     fn executed(program: &Program, cfg: SimConfig) -> Simulator<'_> {
         let mut sim = Simulator::new(program, cfg);
-        sim.exec_block(&program.body).unwrap();
+        sim.exec_block(&program.body, 0).unwrap();
         sim
     }
 
@@ -1698,7 +1880,10 @@ mod tests {
             for lib in Library::ALL {
                 let sim = executed(&opt.program, SimConfig::timing(machine(lib), lib, 4));
                 for (i, slot) in sim.geoms.iter().enumerate() {
-                    assert!(slot.vars.is_empty(), "{name}: t{i} reads a loop variable");
+                    assert!(
+                        slot.key.vars.is_empty(),
+                        "{name}: t{i} reads a loop variable"
+                    );
                     assert!(slot.takes >= 4, "{name}/{lib:?}: t{i} ran {}", slot.takes);
                     assert_eq!(slot.builds, 1, "{name}/{lib:?}: t{i}");
                 }
@@ -1718,8 +1903,8 @@ mod tests {
                 let [slot] = &sim.geoms[..] else {
                     panic!("{name}: expected one transfer")
                 };
-                assert_eq!(slot.vars.len(), 1, "{name}: keyed on `i` alone");
-                assert!(slot.shape.is_none(), "{name}: full mode keys on values");
+                assert_eq!(slot.key.vars.len(), 1, "{name}: keyed on `i` alone");
+                assert!(slot.key.shape.is_none(), "{name}: full mode keys on values");
                 assert_eq!(slot.builds, n as u64 - 1, "{name}/{lib:?}");
                 assert!(slot.takes >= 3 * slot.builds, "{name}/{lib:?}");
             }
@@ -1740,10 +1925,144 @@ mod tests {
                 let [slot] = &sim.geoms[..] else {
                     panic!("{name}: expected one transfer")
                 };
-                assert!(slot.shape.is_some(), "{name}: eligible for shape keys");
+                assert!(slot.key.shape.is_some(), "{name}: eligible for shape keys");
                 assert_eq!(slot.builds, 11, "{name}/{lib:?}");
             }
         }
+    }
+
+    #[test]
+    fn loop_invariant_charges_are_computed_once_at_construction() {
+        let src = jacobi(16, 4);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for cfg in [
+                SimConfig::timing(t3d(), Library::Pvm, 4),
+                SimConfig::full(t3d(), Library::Pvm, 4),
+            ] {
+                let built = Simulator::new(&opt.program, cfg.clone());
+                assert_eq!(
+                    built.charges.len(),
+                    6,
+                    "{name}: five assigns and a reduction"
+                );
+                assert!(built.charges.iter().all(|c| c.builds == 1), "{name}");
+                let sim = executed(&opt.program, cfg);
+                for (k, charge) in sim.charges.iter().enumerate() {
+                    assert!(
+                        charge.key.vars.is_empty(),
+                        "{name}: slot {k} reads a loop variable"
+                    );
+                    assert_eq!(
+                        charge.builds, 1,
+                        "{name}: slot {k} recomputed during the run"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sweep_charge_is_computed_once_per_class_in_timing_mode_and_per_row_in_full_mode() {
+        // Rows 2..=16 of a width-0 region (cap 0) over 4-row blocks: one
+        // class per block the row falls in, four in all, against 15 rows.
+        let n = 16;
+        let src = sweep(n);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for (cfg, builds) in [
+                (SimConfig::timing(t3d(), Library::Pvm, 16), 4),
+                (SimConfig::full(t3d(), Library::Pvm, 16), n as u64 - 1),
+            ] {
+                let timing = !cfg.compute_data;
+                let sim = executed(&opt.program, cfg);
+                let [whole, row] = &sim.charges[..] else {
+                    panic!("{name}: expected two assignments")
+                };
+                assert_eq!(whole.builds, 1, "{name}");
+                assert_eq!(row.key.shape.is_some(), timing, "{name}");
+                assert_eq!(row.builds, builds, "{name}/timing={timing}");
+            }
+        }
+    }
+
+    #[test]
+    fn statements_after_an_empty_for_read_their_own_charge_slots() {
+        // Slot 1 sits in a loop whose range is empty; the statements after
+        // it must still find slots 2 and 3, both computed at construction.
+        let n = 12;
+        let mut b = ProgramBuilder::new("empty");
+        let bounds = Rect::d2((1, n), (1, n));
+        let x = b.array("X", bounds);
+        let a = b.array("A", bounds);
+        let err = b.scalar("err", 0.0);
+        b.assign(Region::from_rect(bounds), x, Expr::Index(0));
+        b.for_up("i", 5, 4, |b, i| {
+            b.assign(Region::row2(i, (1, n)), a, Expr::at(x, compass::NORTH));
+        });
+        b.repeat(3, |b| {
+            b.assign(Region::d2((2, n), (1, n)), a, Expr::at(x, compass::NORTH));
+            b.reduce(
+                err,
+                ReduceOp::Max,
+                Region::d2((3, 7), (2, 9)),
+                Expr::Index(1),
+            );
+        });
+        let src = b.finish();
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for cfg in [
+                SimConfig::timing(t3d(), Library::Pvm, 16),
+                SimConfig::full(t3d(), Library::Pvm, 16),
+            ] {
+                let sim = executed(&opt.program, cfg);
+                let builds: Vec<u64> = sim.charges.iter().map(|c| c.builds).collect();
+                assert_eq!(builds, [1, 0, 1, 1], "{name}");
+                assert_eq!(sim.charges[3].part, None, "{name}: split as its own region");
+            }
+        }
+    }
+
+    #[test]
+    fn fault_scaling_leaves_the_cached_charges_unscaled() {
+        let src = jacobi(12, 3);
+        let opt = optimize(&src, &OptConfig::pl());
+        let cfg = SimConfig::full(t3d(), Library::Pvm, 4).with_faults(FaultPlan::seeded(1));
+        let m = cfg.machine.clone();
+        let sim = executed(&opt.program, cfg);
+        let mut regions = Vec::new();
+        walk_stmts(&opt.program.body, &mut |s, _| {
+            regions.extend(charge_of(s).map(|(region, ..)| *region));
+        });
+        assert_eq!(regions.len(), sim.charges.len());
+        let mut fresh = Vec::new();
+        for (charge, region) in sim.charges.iter().zip(&regions) {
+            let rect = region.eval(&LoopEnv::new());
+            sim.layout
+                .stmt_costs(&rect, charge.part, charge.flops, &m, &mut fresh);
+            assert!(same_bits(&charge.dt, &fresh), "{region:?}");
+        }
+    }
+
+    #[test]
+    fn zero_step_loop_is_an_error_not_a_hang() {
+        let mut program = jacobi(8, 1);
+        let i = program.add_loop_var("i");
+        program.body.0.push(Stmt::For {
+            var: i,
+            lo: 1.into(),
+            hi: 4.into(),
+            step: 0,
+            body: commopt_ir::Block::default(),
+        });
+        let err = Simulator::new(&program, SimConfig::timing(t3d(), Library::Pvm, 4))
+            .try_run()
+            .expect_err("a zero step must be rejected");
+        assert_eq!(
+            err,
+            SimError::Eval("for-loop step must be ±1, got 0".into())
+        );
     }
 
     /// A sweep over the processor-local third dimension of a rank-3 array:
@@ -1807,7 +2126,7 @@ mod tests {
     }
 
     #[test]
-    fn shape_keyed_geometry_matches_a_fresh_build_at_every_step() {
+    fn shape_keyed_geometry_and_charges_match_a_fresh_build_at_every_step() {
         use commopt_ir::{AffineBound, ArrayId, DimRange, Offset, TransferItem};
         let (i, j) = (LoopVarId(0), LoopVarId(1));
         commopt_testkit::cases(400, |rng| {
@@ -1873,11 +2192,22 @@ mod tests {
             }
             let t = Transfer::new(TransferId(0), items);
             let mut slot = GeomSlot::new(&t, &layout, true);
-            let vars = slot.vars.clone();
+            let vars = slot.key.vars.clone();
             if vars.is_empty() {
                 return;
             }
-            assert_eq!(slot.shape.is_some(), broken.is_none(), "{t:?}");
+            assert_eq!(slot.key.shape.is_some(), broken.is_none(), "{t:?}");
+            // One region is also a statement, split as its item's array or
+            // as itself. The first is shape-keyed where the region's own
+            // bounds are eligible.
+            let item = rng.pick(&t.items);
+            let region = *rng.pick(&item.regions);
+            let part = rng.bool().then_some(item.array.index());
+            let m = t3d();
+            let mut charge = ChargeSlot::new(&region, part, 3.0, &layout, &m, true);
+            let eligible = region.dims[..rank].iter().all(|r| r.lo.var == r.hi.var);
+            let shaped = part.is_some() && eligible && !charge.key.vars.is_empty();
+            assert_eq!(charge.key.shape.is_some(), shaped, "{region:?}");
             // Sweep the first variable over every block and past both
             // bounds, and under it the second, each forward or backward.
             let mut sweep = |on: bool| {
@@ -1898,8 +2228,7 @@ mod tests {
                     if let Some(&v) = vars.get(1) {
                         env.set(v, y);
                     }
-                    if slot.stale(&env) {
-                        slot.built = true;
+                    if slot.key.stale(&env) {
                         layout.build(&mut geom, &t, &env);
                     }
                     layout.build(&mut fresh, &t, &env);
@@ -1908,6 +2237,8 @@ mod tests {
                         fresh.timing(),
                         "{rows}x{cols} grid, {t:?} under {env:?}"
                     );
+                    // `update` checks the charge against a fresh one.
+                    charge.update(&region, &env, &layout, &m);
                 }
             }
         });

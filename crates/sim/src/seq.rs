@@ -11,7 +11,7 @@
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
 
-use commopt_ir::{Expr, LoopEnv, Program, Rect, ScalarRhs, Stmt, MAX_RANK};
+use commopt_ir::{loop_values, Expr, LoopEnv, Program, Rect, ScalarRhs, Stmt, MAX_RANK};
 use std::collections::BTreeMap;
 
 /// A completed sequential run: final scalars and arrays.
@@ -31,6 +31,10 @@ struct State<'p> {
 
 impl SeqInterp {
     /// Runs `program` to completion.
+    ///
+    /// # Panics
+    /// Panics with the [`validate`](commopt_ir::validate()) message on a
+    /// `for` loop whose step is not ±1.
     pub fn run(program: &Program) -> SeqInterp {
         let data = program
             .arrays
@@ -132,16 +136,12 @@ fn exec_block(st: &mut State<'_>, block: &commopt_ir::Block) {
                 body,
             } => {
                 let lo = lo.eval(&st.env);
-                let hi = hi.eval(&st.env);
-                let mut i = lo;
-                st.env.push(*var, i);
-                loop {
-                    if (*step > 0 && i > hi) || (*step < 0 && i < hi) {
-                        break;
-                    }
+                let values =
+                    loop_values(lo, hi.eval(&st.env), *step).unwrap_or_else(|e| panic!("{e}"));
+                st.env.push(*var, lo);
+                for i in values {
                     st.env.set(*var, i);
                     exec_block(st, body);
-                    i += step;
                 }
                 st.env.pop();
             }
@@ -175,6 +175,21 @@ mod tests {
     use super::*;
     use commopt_ir::offset::compass;
     use commopt_ir::{ProgramBuilder, ReduceOp, Region};
+
+    #[test]
+    #[should_panic(expected = "for-loop step must be ±1, got 0")]
+    fn zero_step_loop_panics_instead_of_spinning() {
+        let mut p = Program::new("t");
+        let i = p.add_loop_var("i");
+        p.body.0.push(Stmt::For {
+            var: i,
+            lo: 1.into(),
+            hi: 4.into(),
+            step: 0,
+            body: commopt_ir::Block::default(),
+        });
+        SeqInterp::run(&p);
+    }
 
     #[test]
     fn assign_and_shift() {
