@@ -12,8 +12,9 @@
 //! `--jobs` worker threads (default: the machine's cores, or
 //! `COMMOPT_JOBS`); the report is identical whatever the worker count.
 
-use commopt_bench::fuzz::{broken_binding_is_caught, matrix, run_fuzz, EXPERIMENTS};
-use commopt_bench::Table;
+use commopt_bench::fuzz::{broken_binding_is_caught, case_name, matrix, run_fuzz};
+use commopt_bench::{library_tag, Table};
+use commopt_benchmarks::Experiment;
 use commopt_ironman::Library;
 use commopt_testkit::pool;
 
@@ -58,7 +59,7 @@ fn main() {
     println!(
         "schedule fuzz: {} benchmarks x {} experiments x {} bindings x {} seed(s), {} job(s)\n",
         commopt_benchmarks::suite().len(),
-        EXPERIMENTS.len(),
+        Experiment::LEVELS.len(),
         Library::ALL.len(),
         seeds,
         jobs,
@@ -66,26 +67,18 @@ fn main() {
 
     let sweep = run_fuzz(seeds, jobs);
 
-    // Coverage table: one row per benchmark/experiment, one column block
-    // per binding, PASS/FAIL per cell.
-    let mut t = Table::new(&["case", "nx-sync", "nx-async", "nx-callback", "pvm", "shmem"]);
-    let cases = matrix();
-    for bench in commopt_benchmarks::suite() {
-        for exp in EXPERIMENTS {
-            let mut cells = vec![format!("{}/{}", bench.name, exp.name())];
-            for lib in Library::ALL {
-                let name = &cases
-                    .iter()
-                    .find(|(n, b, e, l)| {
-                        b.name == bench.name && *e == exp && *l == lib && !n.is_empty()
-                    })
-                    .expect("matrix covers all combinations")
-                    .0;
-                let failed = sweep.failures.iter().any(|f| &f.case == name);
-                cells.push(if failed { "FAIL" } else { "ok" }.to_string());
-            }
-            t.row(&cells);
+    // Coverage table: one row per benchmark/experiment, one column per
+    // binding (the matrix's innermost loop), ok/FAIL per cell.
+    let mut header = vec!["case"];
+    header.extend(Library::ALL.map(library_tag));
+    let mut t = Table::new(&header);
+    for row in matrix().chunks(Library::ALL.len()) {
+        let mut cells = vec![format!("{}/{}", row[0].bench, row[0].level().name())];
+        for &key in row {
+            let failed = sweep.failures.iter().any(|f| f.case == case_name(key));
+            cells.push(if failed { "FAIL" } else { "ok" }.to_string());
         }
+        t.row(&cells);
     }
     println!("{}", t.render());
     print!("{}", sweep.report());

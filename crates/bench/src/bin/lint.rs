@@ -14,7 +14,6 @@
 //! `--deny-warnings` — when any finding is reported at all.
 
 use commopt_analysis::lint;
-use commopt_bench::lint::LEVELS;
 use commopt_bench::parse_exp;
 use commopt_benchmarks::{suite, Experiment};
 use commopt_core::optimize;
@@ -93,7 +92,7 @@ fn run(args: Vec<String>) -> Result<bool, String> {
     }
 
     let levels: Vec<Experiment> = if all_levels {
-        LEVELS.to_vec()
+        Experiment::LEVELS.to_vec()
     } else {
         vec![parse_exp(&exp)?]
     };

@@ -46,7 +46,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--quick" => mode = Mode::Quick,
             "--standard" => mode = Mode::Standard,
             "--paper" => mode = Mode::Paper,
-            "--mode" => mode = Mode::parse(&value("--mode")?)?,
             "--out" => out_path = Some(value("--out")?),
             "--rev" => rev = Some(value("--rev")?),
             "--strip-wall" => strip_wall = true,
@@ -64,17 +63,17 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let jobs = pool::resolve_jobs(jobs);
 
     eprintln!(
-        "perf: collecting {} snapshot (4 benchmarks x 4 experiments x 2 machines, {jobs} job(s))...",
+        "perf: collecting {} snapshot with {jobs} job(s)...",
         mode.name()
     );
-    let snap_full = Snapshot::collect(mode, &rev, jobs);
+    let mut snap = Snapshot::collect(mode, &rev, jobs);
     eprintln!(
-        "perf: wall {:.1} ms, serial-equivalent {:.1} ms — {:.2}x speedup with {jobs} job(s)",
-        snap_full.wall_us / 1e3,
-        snap_full.cells_wall_us / 1e3,
-        snap_full.speedup()
+        "perf: {} cells, wall {:.1} ms, serial-equivalent {:.1} ms — {:.2}x speedup with {jobs} job(s)",
+        snap.rows.len(),
+        snap.wall_us / 1e3,
+        snap.cells_wall_us / 1e3,
+        snap.speedup()
     );
-    let mut snap = snap_full;
     if strip_wall {
         snap.strip_volatile();
     }

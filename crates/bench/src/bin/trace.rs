@@ -15,7 +15,7 @@
 //! events. Override the flags to go bigger.
 
 use commopt_bench::report::profile_report;
-use commopt_bench::{machine_for, parse_exp};
+use commopt_bench::{library_tag, machine_for, parse_exp};
 use commopt_benchmarks::suite;
 use commopt_core::optimize;
 use commopt_ironman::Library;
@@ -63,14 +63,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--size" => size = positive("--size", &value("--size")?)?,
             "--iters" => iters = positive("--iters", &value("--iters")?)?,
             "--lib" => {
-                lib_override = Some(match value("--lib")?.as_str() {
-                    "pvm" => Library::Pvm,
-                    "shmem" => Library::Shmem,
-                    "nx-sync" => Library::NxSync,
-                    "nx-async" => Library::NxAsync,
-                    "nx-callback" => Library::NxCallback,
-                    other => return Err(format!("unknown library '{other}'")),
-                })
+                let tag = value("--lib")?;
+                lib_override = Some(
+                    Library::ALL
+                        .into_iter()
+                        .find(|&lib| library_tag(lib) == tag)
+                        .ok_or_else(|| format!("unknown library '{tag}'"))?,
+                )
             }
             "--out" => out_path = Some(value("--out")?),
             "--help" | "-h" => {

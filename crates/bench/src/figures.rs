@@ -43,11 +43,11 @@ figures! {
     fig5_bindings: Vec::new,
     fig6_overhead: Vec::new,
     fig7_suite: Vec::new,
-    fig8_counts: || experiment_keys(&FIG8),
-    fig10_times: || [experiment_keys(&FIG10A), experiment_keys(&FIG10B)].concat(),
-    fig11_heuristics: || experiment_keys(&FIG11),
+    fig8_counts: || experiment_keys(FIG8),
+    fig10_times: || [experiment_keys(&Experiment::LEVELS), experiment_keys(&FIG10B)].concat(),
+    fig11_heuristics: || experiment_keys(&FIG11.map(|(_, e)| e)),
     fig12_heuristics: || experiment_keys(&FIG12),
-    tables: || experiment_keys(&Experiment::ALL.map(|e| (e.name(), e))),
+    tables: || experiment_keys(&Experiment::ALL),
     ablation: || per_bench(|b| (0..8).map(move |m| Key::new(&b, ablation_config(m), Library::Pvm))),
     paragon_note: || per_bench(|b| NX.map(|lib| Key::new(&b, OptConfig::pl(), lib))),
     extension_global: || per_bench(|b| [pl_key(&b), pl_key(&b).global()]),
@@ -161,10 +161,9 @@ fn fig5_bindings(_: &Matrix) -> String {
         ("destination needed", CallKind::DN),
         ("source volatile", CallKind::SV),
     ];
-    let libs = [NX[0], NX[1], NX[2], Library::Pvm, Library::Shmem];
     for (state, call) in states {
         let mut row = vec![state.to_string(), call.name().to_string()];
-        row.extend(libs.map(|lib| routine(lib.binding().action(call), lib).to_string()));
+        row.extend(Library::ALL.map(|lib| routine(lib.binding().action(call), lib).to_string()));
         t.row(&row);
     }
     format!(
@@ -273,37 +272,25 @@ fn fig7_suite(_: &Matrix) -> String {
     )
 }
 
-/// A figure's rows: the label it prints and the experiment it reads.
-type Rows<const N: usize> = [(&'static str, Experiment); N];
-
-const FIG8: Rows<3> = [
-    ("baseline", Experiment::Baseline),
-    ("rr", Experiment::Rr),
-    ("cc", Experiment::Cc),
-];
-const FIG10A: Rows<4> = [
-    ("baseline", Experiment::Baseline),
-    ("rr", Experiment::Rr),
-    ("cc", Experiment::Cc),
-    ("pl", Experiment::Pl),
-];
-const FIG10B: Rows<2> = [
-    ("pl", Experiment::Pl),
-    ("pl with shmem", Experiment::PlShmem),
-];
-const FIG11: Rows<2> = [
+/// The levels whose counts Figure 8 plots: pipelining changes no count.
+const FIG8: &[Experiment] = Experiment::LEVELS.split_at(3).0;
+const FIG10B: [Experiment; 2] = [Experiment::Pl, Experiment::PlShmem];
+/// Figure 11's rows: the label it prints and the experiment it reads.
+const FIG11: [(&str, Experiment); 2] = [
     ("max combining", Experiment::Pl),
     ("max latency hiding", Experiment::PlMaxLatency),
 ];
-const FIG12: Rows<2> = [
-    ("pl with shmem", Experiment::PlShmem),
-    ("pl with max latency", Experiment::PlMaxLatency),
-];
+const FIG12: [Experiment; 2] = [Experiment::PlShmem, Experiment::PlMaxLatency];
 
-/// The cells of `rows` on every benchmark, plus the baseline every scaled
+/// A figure's rows, each labelled with its experiment's name.
+fn named(exps: &[Experiment]) -> Vec<(&'static str, Experiment)> {
+    exps.iter().map(|&e| (e.name(), e)).collect()
+}
+
+/// The cells of `exps` on every benchmark, plus the baseline every scaled
 /// figure divides by.
-fn experiment_keys(rows: &[(&str, Experiment)]) -> Vec<Key> {
-    let exps = std::iter::once(Experiment::Baseline).chain(rows.iter().map(|r| r.1));
+fn experiment_keys(exps: &[Experiment]) -> Vec<Key> {
+    let exps = std::iter::once(Experiment::Baseline).chain(exps.iter().copied());
     per_bench(|b| exps.clone().map(move |e| Key::experiment(&b, e)))
 }
 
@@ -386,7 +373,7 @@ fn scaled_times(m: &Matrix, column: &str, rows: &[(&str, Experiment)], missing: 
 /// baseline (message vectorization only).
 fn fig8_counts(m: &Matrix) -> String {
     let title = "Figure 8: communication count reduction (scaled to baseline)";
-    scaled_counts(m, title, "experiment", &FIG8)
+    scaled_counts(m, title, "experiment", &named(FIG8))
         + "Paper's finding: statically rr removes the most (setup-code redundancy);\n\
            dynamically cc accounts for more of the reduction (main-loop combining).\n"
 }
@@ -401,8 +388,8 @@ fn fig10_times(m: &Matrix) -> String {
          Paper's finding: each optimization contributes; SHMEM improves the\n\
          balanced codes (SWM, SIMPLE) but degrades the partly sequential ones\n\
          (TOMCATV, SP) under the prototype's heavyweight synchronization.\n",
-        scaled_times(m, "experiment", &FIG10A, "-"),
-        scaled_times(m, "experiment", &FIG10B, "-"),
+        scaled_times(m, "experiment", &named(&Experiment::LEVELS), "-"),
+        scaled_times(m, "experiment", &named(&FIG10B), "-"),
     )
 }
 
@@ -425,7 +412,7 @@ fn fig12_heuristics(m: &Matrix) -> String {
         "Figure 12: combining heuristics, running time over SHMEM (scaled)\n\n{}\n\
          Paper's finding: the versions compiled for maximized combining always\n\
          performed better than those maximizing latency hiding.\n",
-        scaled_times(m, "heuristic", &FIG12, "- (lib bug)")
+        scaled_times(m, "heuristic", &named(&FIG12), "- (lib bug)")
     )
 }
 

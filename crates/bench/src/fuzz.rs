@@ -19,63 +19,46 @@
 //! of broken benchmark × binding × seed combinations, each a deterministic
 //! reproduction recipe.
 
+use crate::matrix::{levels, Key, Sizing};
 use crate::{library_tag, machine_for};
-use commopt_benchmarks::{suite, Benchmark, Experiment};
+use commopt_benchmarks::Experiment;
 use commopt_core::optimize;
 use commopt_ir::CallKind;
 use commopt_ironman::{Action, Library};
-use commopt_machine::MachineSpec;
 use commopt_sim::{
     FaultPlan, SafetyViolation, SeqInterp, SimConfig, SimError, SimResult, Simulator,
 };
 use commopt_testkit::fuzz::{sweep_jobs, Sweep};
+use std::collections::HashMap;
 
-/// Small problem size on the paper's 64 processors: large enough that
-/// every benchmark communicates in every direction, small enough that the
-/// full matrix stays fast. 12 rows over 8 make blocks of 1–2 rows,
-/// narrower than SP's radius-2 offsets.
-const FUZZ_N: i64 = 12;
-const FUZZ_ITERS: i64 = 2;
-const FUZZ_PROCS: usize = 64;
-
-/// The experiments the fuzz matrix sweeps — the paper's four optimization
-/// levels (the shmem/max-latency rows reuse these configs and are covered
-/// by sweeping every library explicitly).
-pub const EXPERIMENTS: [Experiment; 4] = [
-    Experiment::Baseline,
-    Experiment::Rr,
-    Experiment::Cc,
-    Experiment::Pl,
-];
-
-/// Every case of the fuzz matrix, as `(name, benchmark, experiment,
-/// library)` with names like `tomcatv/pl/shmem`.
-pub fn matrix() -> Vec<(String, Benchmark, Experiment, Library)> {
-    let mut out = Vec::new();
-    for bench in suite() {
-        for exp in EXPERIMENTS {
-            for lib in Library::ALL {
-                let name = format!("{}/{}/{}", bench.name, exp.name(), library_tag(lib));
-                out.push((name, bench, exp, lib));
-            }
-        }
-    }
-    out
+/// Every case of the fuzz matrix: each benchmark at each optimization
+/// level over every library (the shmem/max-latency experiments reuse these
+/// configs), at [`Sizing::FUZZ`].
+pub fn matrix() -> Vec<Key> {
+    levels(Sizing::FUZZ, &Library::ALL)
 }
 
-/// Runs one benchmark × experiment × library under one seeded fault plan
-/// in full (numeric) mode, checking the three fuzz invariants. Returns a
-/// message describing the first broken invariant.
-pub fn fuzz_case(
-    bench: &Benchmark,
-    exp: Experiment,
-    lib: Library,
-    seed: u64,
-) -> Result<(), String> {
-    let program = bench.program_with(FUZZ_N, FUZZ_ITERS);
+/// A case's name in sweep reports, like `tomcatv/pl/shmem`.
+pub fn case_name(key: Key) -> String {
+    format!(
+        "{}/{}/{}",
+        key.bench,
+        key.level().name(),
+        library_tag(key.library)
+    )
+}
+
+/// Runs one case under one seeded fault plan in full (numeric) mode,
+/// checking the three fuzz invariants. Returns a message describing the
+/// first broken invariant.
+pub fn fuzz_case(key: Key, seed: u64) -> Result<(), String> {
+    let bench = key.benchmark();
+    let program = key.sizing.program(&bench);
+    let procs = key.sizing.procs(&bench);
     let reference = SeqInterp::run(&program);
-    let opt = optimize(&program, &exp.config());
-    let machine = machine_for(lib);
+    let opt = optimize(&program, &key.config);
+    let machine = machine_for(key.library);
+    let full = SimConfig::full(machine.clone(), key.library, procs);
 
     // Invariant 0: the static analyzer and the dynamic plan checker agree.
     // commlint's C001/C006/W101 classes mirror verify_plan's error set
@@ -98,27 +81,18 @@ pub fn fuzz_case(
     // Invariant 3 (checked once per case, on the first seed): the inert
     // plan is byte-identical to no plan at all.
     if seed == 0 {
-        let plain = Simulator::new(
-            &opt.program,
-            SimConfig::full(machine.clone(), lib, FUZZ_PROCS),
-        )
-        .try_run()
-        .map_err(|e| format!("unfaulted run failed: {e}"))?;
-        let inert = Simulator::new(
-            &opt.program,
-            SimConfig::full(machine.clone(), lib, FUZZ_PROCS).with_faults(FaultPlan::none()),
-        )
-        .try_run()
-        .map_err(|e| format!("inert-plan run failed: {e}"))?;
+        let plain = Simulator::new(&opt.program, full.clone())
+            .try_run()
+            .map_err(|e| format!("unfaulted run failed: {e}"))?;
+        let inert = Simulator::new(&opt.program, full.clone().with_faults(FaultPlan::none()))
+            .try_run()
+            .map_err(|e| format!("inert-plan run failed: {e}"))?;
         if plain != inert {
             return Err("inert fault plan changed the result".into());
         }
-        let timing = Simulator::new(
-            &opt.program,
-            SimConfig::timing(machine.clone(), lib, FUZZ_PROCS),
-        )
-        .try_run()
-        .map_err(|e| format!("timing run failed: {e}"))?;
+        let timing = Simulator::new(&opt.program, SimConfig::timing(machine, key.library, procs))
+            .try_run()
+            .map_err(|e| format!("timing run failed: {e}"))?;
         // Timing mode computes no numerics; everything else must match.
         let numerics_free = |r: &SimResult| SimResult {
             scalars: Default::default(),
@@ -132,12 +106,9 @@ pub fn fuzz_case(
 
     // Invariant 2: the seeded run completes with no deadlock and no
     // safety violation.
-    let r = Simulator::new(
-        &opt.program,
-        SimConfig::full(machine, lib, FUZZ_PROCS).with_faults(FaultPlan::seeded(seed)),
-    )
-    .try_run()
-    .map_err(|e| format!("seeded run failed: {e}"))?;
+    let r = Simulator::new(&opt.program, full.with_faults(FaultPlan::seeded(seed)))
+        .try_run()
+        .map_err(|e| format!("seeded run failed: {e}"))?;
 
     // Invariant 1: numerics still match the sequential reference.
     for a in &program.arrays {
@@ -175,14 +146,12 @@ pub fn fuzz_case(
 /// fault state), and the sweep reports failures in case order whatever the
 /// worker count.
 pub fn run_fuzz(seeds: u64, jobs: usize) -> Sweep {
-    let cases = matrix();
-    let names: Vec<String> = cases.iter().map(|(n, ..)| n.clone()).collect();
+    let keys = matrix();
+    let names: Vec<String> = keys.iter().copied().map(case_name).collect();
+    // The sweep hands each run its case's name only.
+    let cases: HashMap<&str, Key> = names.iter().map(String::as_str).zip(keys).collect();
     sweep_jobs(&names, seeds, jobs, |name, seed| {
-        let (_, bench, exp, lib) = cases
-            .iter()
-            .find(|(n, ..)| n == name)
-            .expect("name comes from the matrix");
-        fuzz_case(bench, *exp, *lib, seed)
+        fuzz_case(cases[name], seed)
     })
 }
 
@@ -191,14 +160,15 @@ pub fn run_fuzz(seeds: u64, jobs: usize) -> Sweep {
 /// put-before-ready violation, not silently produce an answer.
 pub fn broken_binding_is_caught() -> Result<(), String> {
     let bench = commopt_benchmarks::tomcatv();
-    let program = bench.program_with(FUZZ_N, FUZZ_ITERS);
+    let program = Sizing::FUZZ.program(&bench);
+    let procs = Sizing::FUZZ.procs(&bench);
     let opt = optimize(&program, &Experiment::Pl.config());
     let broken = Library::Shmem
         .binding()
         .with_action(CallKind::DR, Action::Noop);
     match Simulator::new(
         &opt.program,
-        SimConfig::full(MachineSpec::t3d(), Library::Shmem, FUZZ_PROCS).with_binding(broken),
+        SimConfig::full(machine_for(Library::Shmem), Library::Shmem, procs).with_binding(broken),
     )
     .try_run()
     {
@@ -221,10 +191,10 @@ mod tests {
     #[test]
     fn matrix_covers_every_combination() {
         let m = matrix();
-        assert_eq!(m.len(), 4 * EXPERIMENTS.len() * Library::ALL.len());
-        assert!(m.iter().any(|(n, ..)| n == "tomcatv/pl/shmem"));
+        assert_eq!(m.len(), 4 * Experiment::LEVELS.len() * Library::ALL.len());
         // Names are unique (they key the sweep's failure reports).
-        let mut names: Vec<&String> = m.iter().map(|(n, ..)| n).collect();
+        let mut names: Vec<String> = m.iter().copied().map(case_name).collect();
+        assert!(names.iter().any(|n| n == "tomcatv/pl/shmem"));
         names.sort();
         names.dedup();
         assert_eq!(names.len(), m.len());
@@ -233,7 +203,8 @@ mod tests {
     #[test]
     fn one_case_passes_under_a_seeded_plan() {
         let bench = commopt_benchmarks::tomcatv();
-        fuzz_case(&bench, Experiment::Pl, Library::Shmem, 1).unwrap();
+        let key = Key::new(&bench, Experiment::Pl.config(), Library::Shmem).at(Sizing::FUZZ);
+        fuzz_case(key, 1).unwrap();
     }
 
     #[test]

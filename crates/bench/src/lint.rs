@@ -8,58 +8,35 @@
 //! reading a benchmark's row left to right shows the findings drain as the
 //! optimization levels stack — and hit zero at `pl`.
 
+use crate::matrix::{levels, Key, Sizing};
 use crate::Table;
 use commopt_analysis::{lint, Code, LintReport};
-use commopt_benchmarks::{suite, Benchmark, Experiment};
 use commopt_core::optimize;
+use commopt_ironman::Library;
 use commopt_testkit::pool::Pool;
 
-/// The optimization levels the lint table sweeps, in stacking order.
-pub const LEVELS: [Experiment; 4] = [
-    Experiment::Baseline,
-    Experiment::Rr,
-    Experiment::Cc,
-    Experiment::Pl,
-];
-
-/// Optimizes `bench` at level `exp` and lints the instrumented program.
-pub fn lint_at(bench: &Benchmark, exp: Experiment) -> LintReport {
-    let opt = optimize(&bench.program(), &exp.config());
+/// Optimizes the cell's benchmark at its sizing and config and lints the
+/// instrumented program.
+pub fn lint_at(key: Key) -> LintReport {
+    let opt = optimize(&key.sizing.program(&key.benchmark()), &key.config);
     lint(&opt.program)
 }
 
-/// The per-benchmark × per-level findings table (one row per benchmark ×
-/// level, one column per lint code, plus a total).
-pub fn findings_table() -> Table {
-    findings_table_jobs(1)
-}
-
-/// [`findings_table`] with the benchmark × level cells fanned over `jobs`
-/// worker threads. Rows land in matrix order regardless of worker count,
-/// so the rendered table is identical to the serial one.
+/// The per-benchmark × per-level findings table at the paper's sizing
+/// (one row per benchmark × level, one column per lint code, plus a
+/// total), with the cells fanned over `jobs` worker threads. Rows land in
+/// matrix order regardless of worker count, so the rendered table is
+/// identical to a serial one.
 pub fn findings_table_jobs(jobs: usize) -> Table {
-    let mut t = Table::new(&[
-        "benchmark",
-        "level",
-        "C001",
-        "C002",
-        "C003",
-        "C004",
-        "C005",
-        "C006",
-        "W101",
-        "total",
-    ]);
-    let benches = suite();
-    let mut cells: Vec<(&Benchmark, Experiment)> = Vec::new();
-    for bench in &benches {
-        for exp in LEVELS {
-            cells.push((bench, exp));
-        }
-    }
-    let rows = Pool::new(jobs).map(cells, |_, (bench, exp)| {
-        let report = lint_at(bench, exp);
-        let mut row = vec![bench.name.to_string(), exp.name().to_string()];
+    let mut header = vec!["benchmark", "level"];
+    header.extend(Code::ALL.map(Code::as_str));
+    header.push("total");
+    let mut t = Table::new(&header);
+    // commlint reads only the plan, so one library per level suffices.
+    let keys = levels(Sizing::Paper, &[Library::Pvm]);
+    let rows = Pool::new(jobs).map(keys, |_, key| {
+        let report = lint_at(key);
+        let mut row = vec![key.bench.to_string(), key.level().name().to_string()];
         for code in Code::ALL {
             row.push(report.count(code).to_string());
         }
@@ -76,10 +53,12 @@ pub fn findings_table_jobs(jobs: usize) -> Table {
 mod tests {
     use super::*;
 
+    use commopt_benchmarks::Experiment;
+
     #[test]
     fn table_has_a_row_per_benchmark_and_level() {
-        let t = findings_table();
-        assert_eq!(t.rows.len(), 4 * LEVELS.len());
+        let t = findings_table_jobs(1);
+        assert_eq!(t.rows.len(), 4 * Experiment::LEVELS.len());
         assert_eq!(t.header.len(), 2 + Code::ALL.len() + 1);
     }
 }

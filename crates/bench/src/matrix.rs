@@ -1,11 +1,16 @@
 //! The paper's experiment matrix: every benchmark × optimizer config ×
-//! library × plan cell a figure reads, optimized and simulated once.
+//! library × plan × sizing cell a figure reads, optimized and simulated
+//! once.
 //!
 //! Figures 8 and 10–12 and Tables 1–4 all read the same 64-processor T3D
 //! runs; the ablation, the Paragon note and the global-pass extension add
 //! a few more. Each figure declares the [`Key`]s it reads
 //! ([`crate::figures::Figure::keys`]); the `repro` binary computes their
 //! union in one [`Matrix::compute`] pass and every figure renders from it.
+//!
+//! [`Key`] is also how the rest of the harness names a cell: the perf
+//! snapshot, the fuzz sweep, the lint table and the simulator goldens
+//! each enumerate [`levels`] at one of the named [`Sizing`]s.
 
 use crate::machine_for;
 use commopt_benchmarks::{suite, Benchmark, Experiment};
@@ -14,9 +19,72 @@ use commopt_core::{
 };
 use commopt_ir::Program;
 use commopt_ironman::Library;
+use commopt_lang::parser::parse;
+use commopt_lang::Frontend;
 use commopt_sim::{SimConfig, Simulator};
 use commopt_testkit::pool::Pool;
 use std::collections::{HashMap, HashSet};
+
+/// How a cell's benchmark is compiled and how many processors it runs on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Sizing {
+    /// The paper's problem size ([`Benchmark::program`]) on the
+    /// benchmark's `paper_procs`.
+    Paper,
+    /// The paper's grid at `1/divisor` of the iterations its source
+    /// declares (`config iters`, at least one), on `paper_procs`.
+    PaperIters { divisor: i64 },
+    /// `Grid(n, iters, procs)`: `n` points per grid dimension and `iters`
+    /// iterations on `procs` processors.
+    Grid(i64, i64, usize),
+}
+
+impl Sizing {
+    /// `perf --quick`, the CI sizing.
+    pub const QUICK: Sizing = Sizing::Grid(16, 2, 4);
+    /// `perf --standard`, the `perf` default.
+    pub const STANDARD: Sizing = Sizing::Grid(32, 3, 16);
+    /// The fuzz sweep: large enough that every benchmark communicates in
+    /// every direction, small enough that the whole sweep stays fast. 12
+    /// rows over 8 processor rows make blocks of 1–2 rows, narrower than
+    /// SP's radius-2 offsets.
+    pub const FUZZ: Sizing = Sizing::Grid(12, 2, 64);
+    /// `golden_sim`'s full (numeric) mode cells over every binding.
+    pub const GOLDEN_FULL: Sizing = Sizing::Grid(12, 2, 4);
+    /// `golden_sim`'s timing-mode cells on the two snapshot machines.
+    pub const GOLDEN_TIMING: Sizing = Sizing::Grid(16, 2, 16);
+    /// perfbench's `paper` workload and `golden_sim`'s `paper` cells:
+    /// large enough that row-sweep transfers change shape from one loop
+    /// instance to the next.
+    pub const PAPER_SIXTEENTH: Sizing = Sizing::PaperIters { divisor: 16 };
+
+    /// Compiles `bench` at this sizing.
+    pub fn program(self, bench: &Benchmark) -> Program {
+        match self {
+            Sizing::Paper => bench.program(),
+            Sizing::PaperIters { divisor } => {
+                let source = parse(bench.source).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+                let iters = source.configs.iter().find(|c| c.name == "iters");
+                let iters = iters
+                    .expect("a paper program declares `config iters`")
+                    .value;
+                Frontend::new(bench.source)
+                    .with_config("iters", (iters / divisor).max(1))
+                    .compile()
+                    .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
+            }
+            Sizing::Grid(n, iters, _) => bench.program_with(n, iters),
+        }
+    }
+
+    /// The processors `bench` runs on at this sizing.
+    pub fn procs(self, bench: &Benchmark) -> usize {
+        match self {
+            Sizing::Paper | Sizing::PaperIters { .. } => bench.paper_procs,
+            Sizing::Grid(.., procs) => procs,
+        }
+    }
+}
 
 /// Which program a cell simulates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -27,8 +95,7 @@ pub enum Plan {
     Global,
 }
 
-/// One cell. The machine follows from the library ([`machine_for`]) and
-/// the partition is always the benchmark's `paper_procs`.
+/// One cell. The machine follows from the library ([`machine_for`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Key {
     /// The benchmark's name, as in [`suite`].
@@ -36,16 +103,19 @@ pub struct Key {
     pub config: OptConfig,
     pub library: Library,
     pub plan: Plan,
+    pub sizing: Sizing,
 }
 
 impl Key {
-    /// The optimizer's plan under `config`, run over `library`.
+    /// The optimizer's plan under `config`, run over `library` at the
+    /// paper's sizing.
     pub fn new(bench: &Benchmark, config: OptConfig, library: Library) -> Key {
         Key {
             bench: bench.name,
             config,
             library,
             plan: Plan::Optimized,
+            sizing: Sizing::Paper,
         }
     }
 
@@ -61,6 +131,42 @@ impl Key {
             ..self
         }
     }
+
+    /// The same cell at another sizing.
+    pub fn at(self, sizing: Sizing) -> Key {
+        Key { sizing, ..self }
+    }
+
+    /// The cell's benchmark.
+    pub fn benchmark(self) -> Benchmark {
+        suite()
+            .into_iter()
+            .find(|b| b.name == self.bench)
+            .unwrap_or_else(|| panic!("unknown benchmark '{}'", self.bench))
+    }
+
+    /// The optimization level the cell compiles at; panics when its config
+    /// is none of [`Experiment::LEVELS`].
+    pub fn level(self) -> Experiment {
+        Experiment::LEVELS
+            .into_iter()
+            .find(|e| e.config() == self.config)
+            .unwrap_or_else(|| panic!("{self:?} is not at an optimization level"))
+    }
+}
+
+/// Every suite benchmark × optimization level × library of `libraries`
+/// at `sizing`, in that nesting order.
+pub fn levels(sizing: Sizing, libraries: &[Library]) -> Vec<Key> {
+    let mut keys = Vec::new();
+    for bench in suite() {
+        for level in Experiment::LEVELS {
+            for &library in libraries {
+                keys.push(Key::new(&bench, level.config(), library).at(sizing));
+            }
+        }
+    }
+    keys
 }
 
 /// One simulated cell.
@@ -90,28 +196,30 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Optimizes each distinct (benchmark, config) once, applies the global
-    /// pass where a key asks for it, and simulates each distinct key once
-    /// over a [`Pool`] of `jobs` workers.
+    /// Optimizes each distinct (benchmark, config, sizing) once, applies
+    /// the global pass where a key asks for it, and simulates each distinct
+    /// key once over a [`Pool`] of `jobs` workers.
     pub fn compute(keys: impl IntoIterator<Item = Key>, jobs: usize) -> Matrix {
         let keys = distinct(keys);
-        let mut plans: HashMap<(&str, OptConfig, Plan), (Program, GlobalStats)> = HashMap::new();
+        // A plan depends on everything in the key but the library.
+        let plan_of = |k: &Key, plan| (k.bench, k.config, plan, k.sizing);
+        let mut plans: HashMap<_, (Program, GlobalStats)> = HashMap::new();
         for k in &keys {
-            let optimized = (k.bench, k.config, Plan::Optimized);
+            let optimized = plan_of(k, Plan::Optimized);
             plans.entry(optimized).or_insert_with(|| {
-                let opt = optimize(&bench(k.bench).program(), &k.config);
+                let opt = optimize(&k.sizing.program(&k.benchmark()), &k.config);
                 (opt.program, GlobalStats::default())
             });
-            if k.plan == Plan::Global && !plans.contains_key(&(k.bench, k.config, k.plan)) {
+            if k.plan == Plan::Global && !plans.contains_key(&plan_of(k, k.plan)) {
                 let mut global = plans[&optimized].0.clone();
                 let stats = global_pass(&mut global);
                 verify_plan(&global).expect("global plan must stay communication-safe");
-                plans.insert((k.bench, k.config, k.plan), (global, stats));
+                plans.insert(plan_of(k, k.plan), (global, stats));
             }
         }
         let cells = Pool::new(jobs).map(keys.clone(), |_, k| {
-            let (program, global) = &plans[&(k.bench, k.config, k.plan)];
-            let procs = bench(k.bench).paper_procs;
+            let (program, global) = &plans[&plan_of(&k, k.plan)];
+            let procs = k.sizing.procs(&k.benchmark());
             let config = SimConfig::timing(machine_for(k.library), k.library, procs);
             let r = Simulator::new(program, config).run();
             Cell {
@@ -149,9 +257,30 @@ impl Matrix {
     }
 }
 
-fn bench(name: &str) -> Benchmark {
-    suite()
-        .into_iter()
-        .find(|b| b.name == name)
-        .unwrap_or_else(|| panic!("unknown benchmark '{name}'"))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use commopt_benchmarks::tomcatv;
+
+    #[test]
+    fn sizings_of_one_config_do_not_share_a_plan() {
+        let b = tomcatv();
+        let paper = Key::experiment(&b, Experiment::Baseline);
+        let small = paper.at(Sizing::QUICK);
+        let together = Matrix::compute([paper, small], 1);
+        for key in [paper, small] {
+            let alone = Matrix::compute([key], 1);
+            let (got, want) = (together.get(key), alone.get(key));
+            assert_eq!(
+                (got.static_count, got.dynamic_count, got.dynamic_comm),
+                (want.static_count, want.dynamic_count, want.dynamic_comm),
+                "{key:?}"
+            );
+            assert_eq!(got.time_s.to_bits(), want.time_s.to_bits(), "{key:?}");
+        }
+        assert_ne!(
+            together.get(paper).dynamic_comm,
+            together.get(small).dynamic_comm
+        );
+    }
 }

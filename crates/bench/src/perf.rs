@@ -23,25 +23,17 @@
 //! the zero-dependency parser in [`crate::json`].
 
 use crate::json::{self, Json};
-use commopt_benchmarks::{suite, Benchmark, Experiment};
+use crate::matrix::{levels, Key, Sizing};
+use crate::{library_tag, machine_for};
+use commopt_benchmarks::Experiment;
 use commopt_core::optimize;
 use commopt_ironman::Library;
-use commopt_machine::MachineSpec;
 use commopt_sim::{Histogram, SimConfig, Simulator};
 use commopt_testkit::pool::Pool;
 
 /// Bumped whenever the snapshot format changes incompatibly; `perfdiff`
 /// refuses to compare documents with different schemas.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// The experiments a snapshot covers, in column order. `Baseline` is the
-/// paper's "vect" (message vectorization only) configuration.
-pub const EXPERIMENTS: [(Experiment, &str); 4] = [
-    (Experiment::Baseline, "vect"),
-    (Experiment::Rr, "rr"),
-    (Experiment::Cc, "cc"),
-    (Experiment::Pl, "pl"),
-];
 
 /// Problem sizing of a snapshot run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,22 +55,12 @@ impl Mode {
         }
     }
 
-    pub fn parse(s: &str) -> Result<Mode, String> {
-        match s {
-            "quick" => Ok(Mode::Quick),
-            "standard" => Ok(Mode::Standard),
-            "paper" => Ok(Mode::Paper),
-            other => Err(format!("unknown mode '{other}'")),
-        }
-    }
-
-    /// `(grid size, iterations, processors)`; size/iters of 0 mean "the
-    /// benchmark's paper defaults".
-    pub fn sizing(self) -> (i64, i64, usize) {
+    /// The cells' sizing.
+    pub fn sizing(self) -> Sizing {
         match self {
-            Mode::Quick => (16, 2, 4),
-            Mode::Standard => (32, 3, 16),
-            Mode::Paper => (0, 0, 64),
+            Mode::Quick => Sizing::QUICK,
+            Mode::Standard => Sizing::STANDARD,
+            Mode::Paper => Sizing::Paper,
         }
     }
 }
@@ -138,8 +120,10 @@ pub struct Snapshot {
     /// Source revision the snapshot was taken at (informational).
     pub rev: String,
     pub mode: String,
-    pub size: i64,
-    pub iters: i64,
+    /// The grid size and iteration count of the mode's sizing; both 0 at
+    /// the paper's sizing, where each benchmark uses its own.
+    pub size: u64,
+    pub iters: u64,
     /// Harness wall-clock for the whole matrix, µs. Volatile and
     /// informational — the only field that reflects the worker count.
     pub wall_us: f64,
@@ -151,29 +135,23 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Runs the whole matrix — every benchmark in Figure 7 order, every
-    /// experiment of [`EXPERIMENTS`], on the T3D (PVM) and the Paragon
-    /// (NX `csend`/`crecv`) — with metrics enabled, and collects the rows.
+    /// Runs the whole matrix — every benchmark in Figure 7 order at every
+    /// optimization level, on the T3D (PVM) and the Paragon (NX
+    /// `csend`/`crecv`) — with metrics enabled, and collects the rows.
     ///
     /// The matrix cells are independent, so they fan out over `jobs`
     /// worker threads; rows are collected by cell index, so every worker
     /// count yields the same snapshot (byte-identical after
     /// [`Snapshot::strip_volatile`]).
     pub fn collect(mode: Mode, rev: &str, jobs: usize) -> Snapshot {
-        let (size, iters, procs) = mode.sizing();
+        let sizing = mode.sizing();
+        let (size, iters) = match sizing {
+            Sizing::Grid(n, iters, _) => (n as u64, iters as u64),
+            _ => (0, 0),
+        };
         let t0 = std::time::Instant::now();
-        let benches = suite();
-        let mut cells: Vec<(&Benchmark, Experiment, &str, &str)> = Vec::new();
-        for bench in &benches {
-            for (exp, exp_name) in EXPERIMENTS {
-                for machine_name in ["t3d", "paragon"] {
-                    cells.push((bench, exp, exp_name, machine_name));
-                }
-            }
-        }
-        let rows = Pool::new(jobs).map(cells, |_, (bench, exp, exp_name, machine_name)| {
-            collect_row(bench, exp, exp_name, machine_name, size, iters, procs)
-        });
+        let keys = levels(sizing, &[Library::Pvm, Library::NxSync]);
+        let rows = Pool::new(jobs).map(keys, |_, key| collect_row(key));
         Snapshot {
             schema: SCHEMA_VERSION,
             rev: rev.to_string(),
@@ -208,48 +186,36 @@ impl Snapshot {
             0.0
         }
     }
-
-    /// The row with the given `bench/exp/machine` key.
-    pub fn row(&self, key: &str) -> Option<&PerfRow> {
-        self.rows.iter().find(|r| r.key() == key)
-    }
 }
 
-fn collect_row(
-    bench: &Benchmark,
-    exp: Experiment,
-    exp_name: &str,
-    machine_name: &str,
-    size: i64,
-    iters: i64,
-    procs: usize,
-) -> PerfRow {
-    let (machine, library) = match machine_name {
-        "t3d" => (MachineSpec::t3d(), exp.library()),
-        "paragon" => (MachineSpec::paragon(), Library::NxSync),
-        other => panic!("unknown machine '{other}'"),
-    };
+fn collect_row(key: Key) -> PerfRow {
+    let bench = key.benchmark();
+    let procs = key.sizing.procs(&bench);
+    let machine = machine_for(key.library);
+    // The machine's tag is its model: "Cray T3D" -> "t3d".
+    let model = machine.name.rsplit(' ').next().unwrap_or_default();
     let cell_t0 = std::time::Instant::now();
-    let program = if size == 0 {
-        bench.program()
-    } else {
-        bench.program_with(size, iters)
-    };
+    let program = key.sizing.program(&bench);
     let t0 = std::time::Instant::now();
-    let opt = optimize(&program, &exp.config());
+    let opt = optimize(&program, &key.config);
     let opt_wall_us = t0.elapsed().as_secs_f64() * 1e6;
     let r = Simulator::new(
         &opt.program,
-        SimConfig::timing(machine, library, procs).with_metrics(),
+        SimConfig::timing(machine, key.library, procs).with_metrics(),
     )
     .run();
     let m = r.metrics.as_ref().expect("metrics were enabled");
     let hotspot = m.mesh.hotspot();
     PerfRow {
-        bench: bench.name.to_string(),
-        exp: exp_name.to_string(),
-        machine: machine_name.to_string(),
-        library: crate::library_tag(library).to_string(),
+        bench: key.bench.to_string(),
+        // The paper calls its message-vectorization-only level "vect".
+        exp: match key.level() {
+            Experiment::Baseline => "vect",
+            level => level.name(),
+        }
+        .to_string(),
+        machine: model.to_ascii_lowercase(),
+        library: library_tag(key.library).to_string(),
         procs: procs as u64,
         static_count: opt.static_count(),
         dynamic_count: r.dynamic_comm,
@@ -425,8 +391,8 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
         schema,
         rev: get_str(&doc, "rev")?,
         mode: get_str(&doc, "mode")?,
-        size: get_f64(&doc, "size")? as i64,
-        iters: get_f64(&doc, "iters")? as i64,
+        size: get_u64(&doc, "size")?,
+        iters: get_u64(&doc, "iters")?,
         // Wall-clock fields are volatile and informational; snapshots
         // written before they existed (the committed baseline) read as 0.
         wall_us: get_f64_or(&doc, "wall_us", 0.0)?,
@@ -761,8 +727,9 @@ fn row_metrics(old: &PerfRow, new: &PerfRow) -> Vec<(String, f64, f64, Gate)> {
 }
 
 /// Compares two snapshots. Rows are matched by `bench/exp/machine` key;
-/// a row present on only one side is itself a failure. `threshold` is the
-/// relative bound for [`Gate::Relative`] metrics (e.g. `0.10` = 10%).
+/// a key that is not on each side exactly once — a missing, new or
+/// repeated row — is itself a failure. `threshold` is the relative bound
+/// for [`Gate::Relative`] metrics (e.g. `0.10` = 10%).
 pub fn diff(old: &Snapshot, new: &Snapshot, threshold: f64) -> Result<DiffReport, String> {
     if old.schema != new.schema {
         return Err(format!("schema mismatch: {} vs {}", old.schema, new.schema));
@@ -773,20 +740,38 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold: f64) -> Result<DiffReport
             old.mode, old.size, old.iters, new.mode, new.size, new.iters
         ));
     }
+    let mut keys: Vec<String> = Vec::new();
+    for r in old.rows.iter().chain(&new.rows) {
+        let key = r.key();
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
     let mut deltas = Vec::new();
     let mut compared = 0usize;
-    for o in &old.rows {
-        let key = o.key();
-        let Some(n) = new.row(&key) else {
-            deltas.push(Delta {
-                row: "<snapshot>".into(),
-                metric: format!("missing row {key}"),
-                old: 1.0,
-                new: 0.0,
-                gate: Gate::Exact,
-                fail: true,
-            });
-            continue;
+    for key in keys {
+        let [o, n] =
+            [old, new].map(|s| s.rows.iter().filter(|r| r.key() == key).collect::<Vec<_>>());
+        let (o, n) = match (o.as_slice(), n.as_slice()) {
+            (&[o], &[n]) => (o, n),
+            (o, n) => {
+                let what = if o.len() > 1 || n.len() > 1 {
+                    "repeated row"
+                } else if n.is_empty() {
+                    "missing row"
+                } else {
+                    "unexpected new row"
+                };
+                deltas.push(Delta {
+                    row: "<snapshot>".into(),
+                    metric: format!("{what} {key}"),
+                    old: o.len() as f64,
+                    new: n.len() as f64,
+                    gate: Gate::Exact,
+                    fail: true,
+                });
+                continue;
+            }
         };
         for (metric, ov, nv, gate) in row_metrics(o, n) {
             compared += 1;
@@ -813,18 +798,6 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold: f64) -> Result<DiffReport
             });
         }
     }
-    for n in &new.rows {
-        if old.row(&n.key()).is_none() {
-            deltas.push(Delta {
-                row: "<snapshot>".into(),
-                metric: format!("unexpected new row {}", n.key()),
-                old: 0.0,
-                new: 1.0,
-                gate: Gate::Exact,
-                fail: true,
-            });
-        }
-    }
     Ok(DiffReport {
         deltas,
         compared,
@@ -839,7 +812,7 @@ mod tests {
     fn tiny_snapshot() -> Snapshot {
         // One benchmark cell, quick sizing — fast enough to collect twice.
         let bench = commopt_benchmarks::tomcatv();
-        let row = collect_row(&bench, Experiment::Pl, "pl", "t3d", 16, 2, 4);
+        let row = collect_row(Key::experiment(&bench, Experiment::Pl).at(Sizing::QUICK));
         Snapshot {
             schema: SCHEMA_VERSION,
             rev: "test".into(),
@@ -934,6 +907,32 @@ mod tests {
         // The parser refuses future schemas outright.
         let text = to_json(&other);
         assert!(from_json(&text).is_err());
+    }
+
+    #[test]
+    fn repeated_rows_fail_on_either_side() {
+        let base = tiny_snapshot();
+        let mut dup = base.clone();
+        dup.rows.push(dup.rows[0].clone());
+        for (old, new) in [(&base, &dup), (&dup, &base), (&dup, &dup)] {
+            let r = diff(old, new, 0.10).unwrap();
+            assert!(r.regressed(), "{}", r.render());
+            assert!(r.render().contains("repeated row tomcatv/pl/t3d"));
+        }
+    }
+
+    #[test]
+    fn parser_rejects_fractional_and_negative_sizings() {
+        let text = to_json(&tiny_snapshot());
+        for (field, bad) in [
+            ("\"size\": 16,", "\"size\": 16.9,"),
+            ("\"iters\": 2,", "\"iters\": 2.5,"),
+            ("\"size\": 16,", "\"size\": -16,"),
+        ] {
+            let broken = text.replacen(field, bad, 1);
+            assert_ne!(broken, text);
+            assert!(from_json(&broken).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! fuzz-smoke job).
 
 use commopt_bench::fuzz::{broken_binding_is_caught, fuzz_case, run_fuzz};
+use commopt_bench::matrix::{Key, Sizing};
 use commopt_benchmarks::Experiment;
 use commopt_ironman::Library;
 
@@ -24,9 +25,9 @@ fn deep_seed_sweep_on_one_hard_case() {
     // SHMEM + pipelining on the wavefront-heavy benchmark is the most
     // schedule-sensitive cell of the matrix; give it extra seeds.
     let bench = commopt_benchmarks::sp();
+    let key = Key::new(&bench, Experiment::Pl.config(), Library::Shmem).at(Sizing::FUZZ);
     for seed in 0..8 {
-        fuzz_case(&bench, Experiment::Pl, Library::Shmem, seed)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        fuzz_case(key, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 

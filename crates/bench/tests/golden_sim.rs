@@ -28,29 +28,15 @@
 //! COMMOPT_UPDATE_GOLDEN=1 cargo test -p commopt-bench --test golden_sim
 //! ```
 
-use commopt_bench::fuzz::EXPERIMENTS;
+use commopt_bench::matrix::{levels, Sizing};
 use commopt_bench::{library_tag, machine_for};
-use commopt_benchmarks::suite;
 use commopt_core::optimize;
 use commopt_ir::Program;
 use commopt_ironman::Library;
-use commopt_lang::Frontend;
+use commopt_machine::MachineSpec;
 use commopt_sim::{SimConfig, SimResult, Simulator, SpanKind, TraceSink};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-const FULL_N: i64 = 12;
-const FULL_ITERS: i64 = 2;
-const FULL_PROCS: usize = 4;
-const TIMING_N: i64 = 16;
-const TIMING_ITERS: i64 = 2;
-const TIMING_PROCS: usize = 16;
-/// The perfbench `paper` sizing: each program's own grid, this fraction of
-/// its iterations, on the paper's 64-processor partition — large enough
-/// that row-sweep transfers change shape from one loop instance to the
-/// next.
-const PAPER_ITERS_DIVISOR: i64 = 16;
-const PAPER_PROCS: usize = 64;
 
 /// FNV-1a over a canonical byte stream of every `SimResult` field.
 struct Digest(u64);
@@ -216,81 +202,45 @@ fn run_cell(key: &str, program: &Program, cfg: SimConfig) -> (String, String) {
     (digest(&r), obs_digest(&observed, event_digest))
 }
 
-/// The `config iters` value a benchmark's source declares.
-fn paper_iters(source: &str) -> i64 {
-    source
-        .lines()
-        .find_map(|l| {
-            let rest = l.trim().strip_prefix("config iters")?;
-            rest.trim()
-                .strip_prefix('=')?
-                .trim()
-                .trim_end_matches(';')
-                .trim()
-                .parse()
-                .ok()
-        })
-        .expect("a paper program declares `config iters`")
-}
-
 /// Every golden cell as `(key, digest, observed digest)`, in a fixed
-/// order: full (numeric) mode over all five bindings at 4 procs, then
-/// timing mode on the two snapshot machines at 16 procs, then timing mode
-/// at paper sizing on 64 procs.
+/// order: full (numeric) mode over all five bindings, then timing mode on
+/// the two snapshot machines, then timing mode at perfbench's `paper`
+/// sizing on the paper's 64 processors.
 fn collect() -> Vec<(String, String, String)> {
+    type Mode = fn(MachineSpec, Library, usize) -> SimConfig;
+    let snapshot = [Library::Pvm, Library::NxSync];
+    let groups: [(&str, Mode, _); 3] = [
+        (
+            "full",
+            SimConfig::full,
+            levels(Sizing::GOLDEN_FULL, &Library::ALL),
+        ),
+        (
+            "timing",
+            SimConfig::timing,
+            levels(Sizing::GOLDEN_TIMING, &snapshot),
+        ),
+        (
+            "paper",
+            SimConfig::timing,
+            levels(Sizing::PAPER_SIXTEENTH, &snapshot),
+        ),
+    ];
     let mut out = Vec::new();
-    for bench in suite() {
-        for exp in EXPERIMENTS {
-            for lib in Library::ALL {
-                let program = bench.program_with(FULL_N, FULL_ITERS);
-                let opt = optimize(&program, &exp.config());
-                let key = format!(
-                    "full/{}/{}/{}/{}p",
-                    bench.name,
-                    exp.name(),
-                    library_tag(lib),
-                    FULL_PROCS
-                );
-                let cfg = SimConfig::full(machine_for(lib), lib, FULL_PROCS);
-                let (plain, obs) = run_cell(&key, &opt.program, cfg);
-                out.push((key, plain, obs));
-            }
-            for lib in [Library::Pvm, Library::NxSync] {
-                let program = bench.program_with(TIMING_N, TIMING_ITERS);
-                let opt = optimize(&program, &exp.config());
-                let key = format!(
-                    "timing/{}/{}/{}/{}p",
-                    bench.name,
-                    exp.name(),
-                    library_tag(lib),
-                    TIMING_PROCS
-                );
-                let cfg = SimConfig::timing(machine_for(lib), lib, TIMING_PROCS);
-                let (plain, obs) = run_cell(&key, &opt.program, cfg);
-                out.push((key, plain, obs));
-            }
-        }
-    }
-    for bench in suite() {
-        let iters = (paper_iters(bench.source) / PAPER_ITERS_DIVISOR).max(1);
-        let program = Frontend::new(bench.source)
-            .with_config("iters", iters)
-            .compile()
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        for exp in EXPERIMENTS {
-            let opt = optimize(&program, &exp.config());
-            for lib in [Library::Pvm, Library::NxSync] {
-                let key = format!(
-                    "paper/{}/{}/{}/{}p",
-                    bench.name,
-                    exp.name(),
-                    library_tag(lib),
-                    PAPER_PROCS
-                );
-                let cfg = SimConfig::timing(machine_for(lib), lib, PAPER_PROCS);
-                let (plain, obs) = run_cell(&key, &opt.program, cfg);
-                out.push((key, plain, obs));
-            }
+    for (group, mode, keys) in groups {
+        for key in keys {
+            let bench = key.benchmark();
+            let procs = key.sizing.procs(&bench);
+            let opt = optimize(&key.sizing.program(&bench), &key.config);
+            let name = format!(
+                "{group}/{}/{}/{}/{procs}p",
+                key.bench,
+                key.level().name(),
+                library_tag(key.library)
+            );
+            let cfg = mode(machine_for(key.library), key.library, procs);
+            let (plain, obs) = run_cell(&name, &opt.program, cfg);
+            out.push((name, plain, obs));
         }
     }
     out

@@ -8,14 +8,15 @@
 //! no error-severity finding anywhere along the way.
 
 use commopt_analysis::Code;
-use commopt_bench::lint::{lint_at, LEVELS};
+use commopt_bench::lint::lint_at;
+use commopt_bench::matrix::Key;
 use commopt_benchmarks::{suite, Experiment};
 use commopt_core::optimize;
 
 #[test]
 fn c003_at_vect_counts_the_rr_removals() {
     for b in suite() {
-        let report = lint_at(&b, Experiment::Baseline);
+        let report = lint_at(Key::experiment(&b, Experiment::Baseline));
         let rr = optimize(&b.program(), &Experiment::Rr.config());
         assert_eq!(
             report.count(Code::C003),
@@ -29,7 +30,7 @@ fn c003_at_vect_counts_the_rr_removals() {
 #[test]
 fn c004_at_vect_counts_the_cc_merges() {
     for b in suite() {
-        let report = lint_at(&b, Experiment::Baseline);
+        let report = lint_at(Key::experiment(&b, Experiment::Baseline));
         let cc = optimize(&b.program(), &Experiment::Cc.config());
         assert_eq!(
             report.count(Code::C004),
@@ -43,9 +44,9 @@ fn c004_at_vect_counts_the_cc_merges() {
 #[test]
 fn findings_drain_monotonically_to_zero_at_pl() {
     for b in suite() {
-        let totals: Vec<usize> = LEVELS
+        let totals: Vec<usize> = Experiment::LEVELS
             .iter()
-            .map(|e| lint_at(&b, *e).diagnostics.len())
+            .map(|&e| lint_at(Key::experiment(&b, e)).diagnostics.len())
             .collect();
         for w in totals.windows(2) {
             assert!(
@@ -66,8 +67,8 @@ fn findings_drain_monotonically_to_zero_at_pl() {
 #[test]
 fn no_error_severity_findings_at_any_level() {
     for b in suite() {
-        for exp in LEVELS {
-            let report = lint_at(&b, exp);
+        for exp in Experiment::LEVELS {
+            let report = lint_at(Key::experiment(&b, exp));
             assert!(
                 report.error_free(),
                 "{} @ {}:\n{}",

@@ -32,6 +32,16 @@ impl Experiment {
         Experiment::PlMaxLatency,
     ];
 
+    /// The four optimization levels, in stacking order: each adds one
+    /// pass to the one before. The SHMEM and max-latency experiments reuse
+    /// these configurations over another library.
+    pub const LEVELS: [Experiment; 4] = [
+        Experiment::Baseline,
+        Experiment::Rr,
+        Experiment::Cc,
+        Experiment::Pl,
+    ];
+
     /// The experiment's name as printed in the paper.
     pub fn name(self) -> &'static str {
         match self {
