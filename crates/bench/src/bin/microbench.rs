@@ -148,6 +148,27 @@ fn main() {
         ]);
     }
 
+    // Full mode at perfbench `numerics` sizing: real numerics on
+    // distributed blocks, where the tile evaluator, the ghost snapshots and
+    // the final gathers carry the cost.
+    for b in suite() {
+        let opt = optimize(&b.program_with(32, 2), &OptConfig::pl());
+        let (med, min) = time_us(runs, || {
+            let r = Simulator::new(
+                &opt.program,
+                SimConfig::full(MachineSpec::t3d(), Library::Pvm, 16),
+            )
+            .run();
+            black_box(r);
+        });
+        t.row(&[
+            "simulate(32,2,16p,full)".into(),
+            b.name.into(),
+            fmt_us(med),
+            fmt_us(min),
+        ]);
+    }
+
     // The simulator at the paper's sizes and partition, where transfer
     // geometry and the per-processor loops carry the cost: at `vect`,
     // where every naive transfer still runs (SP's row sweeps make it the

@@ -3,6 +3,7 @@
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
 
+use crate::eval::runs;
 use commopt_ir::{Rect, MAX_RANK};
 use commopt_machine::{BlockDist, ProcGrid};
 
@@ -75,6 +76,15 @@ impl Block {
         &mut self.data[start..start + len]
     }
 
+    /// Writes `vals`, row-major over `rect`, run by run.
+    pub fn write(&mut self, rect: &Rect, vals: &[f64]) {
+        debug_assert_eq!(vals.len() as u64, rect.count());
+        for (base, len, pos) in runs(rect) {
+            self.run_mut(base, len)
+                .copy_from_slice(&vals[pos..pos + len]);
+        }
+    }
+
     /// `true` when `idx` falls inside the storage rectangle.
     pub fn contains(&self, idx: [i64; MAX_RANK]) -> bool {
         self.rect.contains(idx)
@@ -102,7 +112,9 @@ impl DistArray {
             .map(|p| {
                 let owned = dist.owned(p);
                 let mut b = Block::new(owned.grown(ghost), f64::NAN);
-                owned.for_each(|idx| b.set(idx, 0.0));
+                for (base, len, _) in runs(&owned) {
+                    b.run_mut(base, len).fill(0.0);
+                }
                 b
             })
             .collect();
@@ -122,19 +134,107 @@ impl DistArray {
         &mut self.blocks[p]
     }
 
-    /// Reads the globally-correct value at `idx` (from its owner's block).
+    /// Reads the globally-correct value at `idx` (from its owner's block):
+    /// the per-element reference the row copies are tested against.
+    #[cfg(test)]
     pub fn global_get(&self, idx: [i64; MAX_RANK]) -> f64 {
         self.blocks[self.dist.owner_of(idx)].get(idx)
     }
 
+    /// Appends `rect`'s values to `out` in row-major order, each copied by
+    /// rows from its owner's block. `starts` must be this array's
+    /// [`BlockStarts`]; they name the owners without a per-element
+    /// lookup. A rank-1 array is read from processor column 0's replica,
+    /// the one [`BlockDist::owner_of`] names.
+    pub fn read_into(&self, rect: &Rect, starts: &BlockStarts, out: &mut Vec<f64>) {
+        if rect.is_empty() {
+            return;
+        }
+        let at = out.len();
+        out.resize(at + rect.count() as usize, 0.0);
+        let out = &mut out[at..];
+        let blocks = |d: usize| starts.block_of(d, rect.lo[d])..=starts.block_of(d, rect.hi[d]);
+        let cols = if rect.rank > 1 { blocks(1) } else { 0..=0 };
+        for r in blocks(0) {
+            for c in cols.clone() {
+                let part = rect.intersect(&starts.block(r, c));
+                let block = &self.blocks[r * self.dist.grid.dims[1] + c];
+                for (base, len, _) in runs(&part) {
+                    let at = offset_in(rect, base);
+                    out[at..at + len].copy_from_slice(block.run(base, len));
+                }
+            }
+        }
+    }
+
     /// Gathers the whole array into a row-major vector over its bounds —
-    /// used by tests to compare against the sequential reference.
+    /// the arrays a full-mode run reports.
     pub fn gather(&self) -> (Rect, Vec<f64>) {
         let bounds = self.dist.bounds;
         let mut out = Vec::with_capacity(bounds.count() as usize);
-        bounds.for_each(|idx| out.push(self.global_get(idx)));
+        self.read_into(&bounds, &BlockStarts::new(&self.dist), &mut out);
         (bounds, out)
     }
+}
+
+/// Where a distribution's blocks start along each dimension, then one past
+/// its bounds: a block per processor row along dimension 0, one per
+/// processor column along dimension 1 of a rank ≥ 2 array, and one block
+/// along every other dimension. Empty blocks (more processors than
+/// indices) start where the next one does.
+pub struct BlockStarts {
+    rank: usize,
+    starts: [Vec<i64>; MAX_RANK],
+}
+
+impl BlockStarts {
+    pub fn new(dist: &BlockDist) -> BlockStarts {
+        let [rows, cols] = dist.grid.dims;
+        let bounds = dist.bounds;
+        let starts = std::array::from_fn(|d| {
+            let mut starts: Vec<i64> = match d {
+                0 => (0..rows).map(|r| dist.owned(r * cols).lo[0]).collect(),
+                1 if bounds.rank > 1 => (0..cols).map(|c| dist.owned(c).lo[1]).collect(),
+                _ => vec![bounds.lo[d]],
+            };
+            starts.push(bounds.hi[d] + 1);
+            starts
+        });
+        BlockStarts {
+            rank: bounds.rank,
+            starts,
+        }
+    }
+
+    /// The block starts along dimension `d`.
+    pub fn dim(&self, d: usize) -> &[i64] {
+        &self.starts[d]
+    }
+
+    /// The (non-empty) block along dimension `d` that holds index `i`.
+    fn block_of(&self, d: usize, i: i64) -> usize {
+        self.starts[d].partition_point(|&s| s <= i) - 1
+    }
+
+    /// The block in processor row `r` and column `c`.
+    fn block(&self, r: usize, c: usize) -> Rect {
+        let k = [r, c, 0];
+        let mut lo = [0; MAX_RANK];
+        let mut hi = [0; MAX_RANK];
+        for d in 0..self.rank {
+            lo[d] = self.starts[d][k[d]];
+            hi[d] = self.starts[d][k[d] + 1] - 1;
+        }
+        Rect::new(self.rank, lo, hi)
+    }
+}
+
+/// The row-major position of `idx` within `rect`.
+fn offset_in(rect: &Rect, idx: [i64; MAX_RANK]) -> usize {
+    let o0 = (idx[0] - rect.lo[0]) as usize;
+    let o1 = (idx[1] - rect.lo[1]) as usize;
+    let o2 = (idx[2] - rect.lo[2]) as usize;
+    (o0 * rect.extent(1) as usize + o1) * rect.extent(2) as usize + o2
 }
 
 #[cfg(test)]
@@ -197,6 +297,125 @@ mod tests {
         }
         let (_, data) = d.gather();
         assert_eq!(data, vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    /// A distributed array whose every stored cell — owned or ghost — holds
+    /// a value naming its processor and index, so a read from any block
+    /// but the owner's shows.
+    fn tagged(grid: ProcGrid, bounds: Rect) -> DistArray {
+        let mut d = DistArray::new(grid, bounds, 1);
+        for (p, b) in d.blocks.iter_mut().enumerate() {
+            let storage = b.rect;
+            storage.for_each(|i| {
+                b.set(
+                    i,
+                    (p * 1_000_000) as f64 + (i[0] * 10_000 + i[1] * 100 + i[2]) as f64,
+                )
+            });
+        }
+        d
+    }
+
+    /// `rect`'s values read element by element through `owner_of`.
+    fn per_element(d: &DistArray, rect: &Rect) -> Vec<u64> {
+        let mut out = Vec::new();
+        rect.for_each(|i| out.push(d.global_get(i).to_bits()));
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gather_matches_owner_reads_on_uneven_and_empty_blocks() {
+        for (grid, bounds) in [
+            // Uneven blocks both ways: rows 5+4+4, columns 3+2+2.
+            (ProcGrid::new(3, 3), Rect::d2((1, 13), (1, 7))),
+            // A rank-3 array: the third dimension is processor-local.
+            (ProcGrid::new(2, 3), Rect::d3((1, 5), (0, 7), (1, 3))),
+            // The fuzz sweep's 12² on 64 processors: blocks 1–2 wide.
+            (ProcGrid::square(64), Rect::d2((1, 12), (1, 12))),
+            // More processors than rows and columns: empty blocks.
+            (ProcGrid::new(4, 4), Rect::d2((1, 3), (1, 2))),
+            (ProcGrid::new(4, 2), Rect::d3((1, 2), (1, 5), (1, 2))),
+        ] {
+            let d = tagged(grid, bounds);
+            let (r, data) = d.gather();
+            assert_eq!(r, bounds);
+            assert_eq!(
+                bits(&data),
+                per_element(&d, &bounds),
+                "{bounds:?} on {grid:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn slab_reads_span_one_two_and_three_owners() {
+        // 8² on 2×2: owners split at row 5 and column 5.
+        let d = tagged(ProcGrid::new(2, 2), Rect::d2((1, 8), (1, 8)));
+        let starts = BlockStarts::new(&d.dist);
+        // 12² on 8×8: columns 1–2, 3–4, 5–6, 7–8, then one wide.
+        let narrow = tagged(ProcGrid::square(64), Rect::d2((1, 12), (1, 12)));
+        let narrow_starts = BlockStarts::new(&narrow.dist);
+        for (d, starts, slab, owners) in [
+            // The east ghost column of processor 0.
+            (&d, &starts, Rect::d2((2, 4), (5, 5)), 1),
+            // The south ghost row of an SE offset: split between
+            // processors 2 and 3.
+            (&d, &starts, Rect::d2((5, 5), (2, 5)), 2),
+            // A corner block over all four owners.
+            (&d, &starts, Rect::d2((4, 5), (4, 6)), 4),
+            (&narrow, &narrow_starts, Rect::d2((3, 3), (2, 4)), 2),
+            (&narrow, &narrow_starts, Rect::d2((3, 3), (1, 5)), 3),
+            (&narrow, &narrow_starts, Rect::d2((8, 9), (6, 9)), 6),
+        ] {
+            let mut seen = Vec::new();
+            slab.for_each(|i| {
+                let p = d.dist.owner_of(i);
+                if !seen.contains(&p) {
+                    seen.push(p);
+                }
+            });
+            assert_eq!(seen.len(), owners, "{slab:?}");
+            // Reads append after what the buffer already holds.
+            let mut out = vec![-1.0];
+            d.read_into(&slab, starts, &mut out);
+            assert_eq!(out[0], -1.0);
+            assert_eq!(bits(&out[1..]), per_element(d, &slab), "{slab:?}");
+        }
+    }
+
+    #[test]
+    fn rank1_reads_the_column0_replica() {
+        // Both processors of a grid row hold a replica of its block; the
+        // tags make them differ.
+        let d = tagged(ProcGrid::new(2, 2), Rect::d1((1, 9)));
+        assert_eq!(d.dist.owner_of([7, 0, 0]), 2);
+        assert_ne!(d.block(2).get([7, 0, 0]), d.block(3).get([7, 0, 0]));
+        let (_, data) = d.gather();
+        assert_eq!(bits(&data), per_element(&d, &d.dist.bounds));
+        let mut slab = Vec::new();
+        d.read_into(&Rect::d1((4, 6)), &BlockStarts::new(&d.dist), &mut slab);
+        assert_eq!(bits(&slab), per_element(&d, &Rect::d1((4, 6))));
+    }
+
+    #[test]
+    fn block_starts_skip_empty_blocks() {
+        let d = DistArray::new(ProcGrid::new(4, 4), Rect::d2((1, 3), (1, 6)), 1);
+        let starts = BlockStarts::new(&d.dist);
+        assert_eq!(starts.dim(0), [1, 2, 3, 4, 4]);
+        assert_eq!(starts.dim(1), [1, 3, 5, 6, 7]);
+        assert_eq!(starts.dim(2), [0, 1]);
+        assert_eq!(starts.block_of(0, 3), 2);
+        assert_eq!(starts.block_of(1, 6), 3);
+        // New blocks hold zeros in every owned cell, NaN in every ghost.
+        for (p, b) in d.blocks.iter().enumerate() {
+            let owned = d.dist.owned(p);
+            b.rect
+                .for_each(|i| assert_eq!(b.get(i).is_nan(), !owned.contains(i)));
+        }
     }
 
     #[test]

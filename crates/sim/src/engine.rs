@@ -27,9 +27,9 @@
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
 
-use crate::darray::{Block, DistArray};
+use crate::darray::{Block, BlockStarts, DistArray};
 use crate::error::{SimError, StuckCall};
-use crate::eval::{eval_run, BlockSource, BufPool, EvalCtx};
+use crate::eval::{eval_tile, runs, BlockSource, BufPool, EvalCtx};
 use crate::faults::{FaultPlan, FaultState};
 use crate::ledger::{Cat, Ledger};
 use crate::metrics::SimResult;
@@ -223,12 +223,16 @@ impl Geom {
 }
 
 /// Every array's block distribution with each processor's owned block
-/// precomputed, plus the scratch buffers of a geometry build.
+/// and the block starts precomputed, plus the scratch buffers of a
+/// geometry build.
 struct Layout {
     grid: ProcGrid,
     dists: Vec<BlockDist>,
     /// Per array × proc (row-major, `arrays × n`): the owned block.
     owned: Vec<Rect>,
+    /// Per array: where its blocks start, the owner lookup of the
+    /// full-mode snapshot and the moving bounds' classes.
+    starts: Vec<BlockStarts>,
     /// Build scratch: every ghost part as (receiver, sequence number,
     /// array index, rect), in item, region, part order.
     parts: Vec<(ProcId, usize, usize, Rect)>,
@@ -252,10 +256,12 @@ impl Layout {
                 None => owned.extend((0..n).map(|p| d.owned(p))),
             }
         }
+        let starts = dists.iter().map(BlockStarts::new).collect();
         Layout {
             grid,
             dists,
             owned,
+            starts,
             parts: Vec::with_capacity(n),
             provider: Vec::with_capacity(n),
         }
@@ -264,22 +270,6 @@ impl Layout {
     /// The block of array `a` that processor `p` owns.
     fn owned(&self, a: usize, p: ProcId) -> Rect {
         self.owned[a * self.grid.len() + p]
-    }
-
-    /// The first index of each of array `a`'s blocks along dimension `d`,
-    /// then one past its bounds. Dimension 0 has a block per processor
-    /// row and dimension 1 (of a rank ≥ 2 array) one per column; the rest
-    /// are one block.
-    fn block_starts(&self, a: usize, d: usize) -> Vec<i64> {
-        let [rows, cols] = self.grid.dims;
-        let bounds = self.dists[a].bounds;
-        let mut starts: Vec<i64> = match d {
-            0 => (0..rows).map(|r| self.owned(a, r * cols).lo[0]).collect(),
-            1 if bounds.rank > 1 => (0..cols).map(|c| self.owned(a, c).lo[1]).collect(),
-            _ => vec![bounds.lo[d]],
-        };
-        starts.push(bounds.hi[d] + 1);
-        starts
     }
 
     /// Processor `p`'s block of array `a`'s partition or, with `None`, of
@@ -716,7 +706,7 @@ impl ShapeKey {
                         var,
                         c,
                         cap,
-                        starts: layout.block_starts(a, d),
+                        starts: layout.starts[a].dim(d).to_vec(),
                     };
                     if !bounds.contains(&bound) {
                         bounds.push(bound);
@@ -1045,41 +1035,30 @@ impl<'p> Simulator<'p> {
                 return;
             }
         }
-        let rank = self.program.arrays[lhs].rect.rank;
-        let d_last = rank - 1;
         for p in 0..self.grid.len() {
             let local = rect.intersect(&self.layout.owned(lhs, p));
             if local.is_empty() {
                 continue;
             }
-            let mut outs: Vec<([i64; MAX_RANK], Vec<f64>)> = Vec::new();
-            {
-                let view = ProcView {
-                    arrays: &self.arrays,
-                    p,
-                };
-                let ctx = EvalCtx {
-                    src: &view,
-                    scalars: &self.scalars,
-                    env: &self.env,
-                };
-                for_each_run(&local, |base, len| {
-                    let mut buf = self.pool.get(len);
-                    eval_run(&ctx, rhs, base, d_last, &mut buf, &mut self.pool);
-                    outs.push((base, buf));
-                });
-            }
-            let block = self.arrays[lhs].block_mut(p);
-            for (base, buf) in outs {
-                block.run_mut(base, buf.len()).copy_from_slice(&buf);
-                self.pool.put(buf);
-            }
+            let mut buf = self.pool.get(local.count() as usize);
+            let view = ProcView {
+                arrays: &self.arrays,
+                p,
+            };
+            let ctx = EvalCtx {
+                src: &view,
+                scalars: &self.scalars,
+                env: &self.env,
+            };
+            eval_tile(&ctx, rhs, &local, &mut buf, &mut self.pool);
+            self.arrays[lhs].block_mut(p).write(&local, &buf);
+            self.pool.put(buf);
         }
     }
 
-    /// `A := B@off` (distinct arrays): memcpy each contiguous run straight
-    /// from the source block — the same reads and writes as the buffered
-    /// path, minus the intermediates.
+    /// `A := B@off` (distinct arrays): memcpy each run straight from the
+    /// source block — the same reads and writes as the buffered path,
+    /// minus the intermediates.
     fn copy_assign_data(
         &mut self,
         rect: Rect,
@@ -1099,7 +1078,7 @@ impl<'p> Simulator<'p> {
                 (&mut hi[0], &lo[src])
             };
             let (dst_block, src_block) = (dst.block_mut(p), sa.block(p));
-            for_each_run(&local, |base, len| {
+            for (base, len, _) in runs(&local) {
                 let mut b = base;
                 for d in 0..MAX_RANK {
                     b[d] += offset.get(d) as i64;
@@ -1107,7 +1086,7 @@ impl<'p> Simulator<'p> {
                 dst_block
                     .run_mut(base, len)
                     .copy_from_slice(src_block.run(b, len));
-            });
+            }
         }
     }
 
@@ -1140,7 +1119,8 @@ impl<'p> Simulator<'p> {
     }
 
     /// Full mode: folds every processor's share of `rect` (split as array
-    /// `a` is) of `expr` with `op`, in processor order.
+    /// `a` is) of `expr` with `op`, in processor order and, within a
+    /// share, in row-major order.
     fn reduce_data(&mut self, rect: Rect, a: Option<usize>, op: ReduceOp, expr: &Expr) -> f64 {
         let mut acc = op.identity();
         for p in 0..self.grid.len() {
@@ -1157,14 +1137,12 @@ impl<'p> Simulator<'p> {
                 scalars: &self.scalars,
                 env: &self.env,
             };
-            for_each_run(&local, |base, len| {
-                let mut buf = self.pool.get(len);
-                eval_run(&ctx, expr, base, rect.rank - 1, &mut buf, &mut self.pool);
-                for v in &buf {
-                    acc = op.fold(acc, *v);
-                }
-                self.pool.put(buf);
-            });
+            let mut buf = self.pool.get(local.count() as usize);
+            eval_tile(&ctx, expr, &local, &mut buf, &mut self.pool);
+            for v in &buf {
+                acc = op.fold(acc, *v);
+            }
+            self.pool.put(buf);
         }
         acc
     }
@@ -1301,13 +1279,14 @@ impl<'p> Simulator<'p> {
     }
 
     /// Full mode: capture, per reader, the slab values as of SR time —
-    /// gathered exactly from their owning blocks.
+    /// copied by rows from their owning blocks, each slab into its own
+    /// buffer.
     fn snapshot(&mut self, geom: &Geom, fl: &mut InFlight) {
         for p in 0..self.grid.len() {
-            for (a, rect) in geom.receives(p) {
+            for &(a, rect) in geom.receives(p) {
                 let mut vals = Vec::with_capacity(rect.count() as usize);
-                rect.for_each(|idx| vals.push(self.arrays[*a].global_get(idx)));
-                fl.data[p].push((*a, *rect, vals));
+                self.arrays[a].read_into(&rect, &self.layout.starts[a], &mut vals);
+                fl.data[p].push((a, rect, vals));
             }
         }
     }
@@ -1393,7 +1372,7 @@ impl<'p> Simulator<'p> {
             }
         }
         self.retire(tid);
-        self.deliver(tid)
+        Ok(())
     }
 
     /// DN under SHMEM `synch`: completion of any incoming put, plus the
@@ -1404,7 +1383,7 @@ impl<'p> Simulator<'p> {
         if !geom.active {
             self.put_geometry(tid, geom);
             self.retire(tid);
-            return self.deliver(tid);
+            return Ok(());
         }
         let live = self.inflight[tid.index()].as_ref().filter(|fl| !fl.retired);
         let Some(fl) = live else {
@@ -1426,44 +1405,23 @@ impl<'p> Simulator<'p> {
         }
         self.put_geometry(tid, geom);
         self.retire(tid);
-        self.deliver(tid)
+        Ok(())
     }
 
     /// Marks the transfer's current in-flight instance retired (all of
-    /// its messages consumed by a DN).
+    /// its messages consumed by a DN) and, in full mode, writes the
+    /// snapshotted slabs into each reader's ghosts, row by row.
     fn retire(&mut self, tid: TransferId) {
-        if let Some(fl) = &mut self.inflight[tid.index()] {
-            fl.retired = true;
-        }
-    }
-
-    /// Full mode: write the snapshotted slabs into each reader's ghosts.
-    fn deliver(&mut self, tid: TransferId) -> Result<(), SimError> {
-        if !self.cfg.compute_data {
-            return Ok(());
-        }
         let Some(fl) = &mut self.inflight[tid.index()] else {
-            return Ok(());
+            return;
         };
-        let deliveries = std::mem::take(&mut fl.data);
-        let mut short = false;
-        for (p, slabs) in deliveries.into_iter().enumerate() {
+        fl.retired = true;
+        // Timing runs never fill `data`, so this moves nothing there.
+        for (p, slabs) in std::mem::take(&mut fl.data).into_iter().enumerate() {
             for (a, rect, vals) in slabs {
-                let block = self.arrays[a].block_mut(p);
-                let mut it = vals.into_iter();
-                rect.for_each(|idx| match it.next() {
-                    Some(v) => block.set(idx, v),
-                    None => short = true,
-                });
+                self.arrays[a].block_mut(p).write(&rect, &vals);
             }
         }
-        if short {
-            return Err(SimError::Eval(format!(
-                "transfer t{} snapshot shorter than its rect",
-                tid.0
-            )));
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1570,31 +1528,6 @@ impl<'p> Simulator<'p> {
 enum RecvKind {
     Blocking,
     Wait,
-}
-
-/// Visits each contiguous run (fixed leading coordinates, full extent of
-/// the last real dimension) of `rect`.
-fn for_each_run(rect: &Rect, mut f: impl FnMut([i64; MAX_RANK], usize)) {
-    if rect.is_empty() {
-        return;
-    }
-    let d_last = rect.rank - 1;
-    let len = rect.extent(d_last) as usize;
-    match rect.rank {
-        1 => f(rect.lo, len),
-        2 => {
-            for i0 in rect.lo[0]..=rect.hi[0] {
-                f([i0, rect.lo[1], rect.lo[2]], len);
-            }
-        }
-        _ => {
-            for i0 in rect.lo[0]..=rect.hi[0] {
-                for i1 in rect.lo[1]..=rect.hi[1] {
-                    f([i0, i1, rect.lo[2]], len);
-                }
-            }
-        }
-    }
 }
 
 /// The first array referenced by an expression, if any.
@@ -1743,6 +1676,82 @@ mod tests {
                 (reference.scalar("err").unwrap() - r.scalar("err").unwrap()).abs() < 1e-9,
                 "{name}: reduction mismatch"
             );
+        }
+    }
+
+    /// Every array of `src` after a full-mode run of `opt` on `nprocs`
+    /// processors equals the sequential reference, bit for bit.
+    fn assert_bit_identical(src: &Program, opt: &Program, nprocs: usize) {
+        let reference = crate::seq::SeqInterp::run(src);
+        let r = Simulator::new(opt, SimConfig::full(t3d(), Library::Pvm, nprocs)).run();
+        for a in &src.arrays {
+            let (want, got) = (reference.array(&a.name).unwrap(), r.array(&a.name).unwrap());
+            assert_eq!(want.len(), got.len());
+            let diff = want
+                .iter()
+                .zip(got)
+                .position(|(x, y)| x.to_bits() != y.to_bits());
+            assert_eq!(diff, None, "{} on {nprocs} procs: first mismatch", a.name);
+        }
+    }
+
+    #[test]
+    fn self_shifts_read_before_they_write() {
+        // Each statement reads the array it assigns: the tile is evaluated
+        // whole before any of it is committed. East/west shifts read only
+        // their own row; north/south shifts read the row a row-by-row
+        // commit would already have overwritten.
+        let n = 12;
+        let mut b = ProgramBuilder::new("self_shift");
+        let bounds = Rect::d2((1, n), (1, n));
+        let interior = Region::d2((2, n - 1), (2, n - 1));
+        let a = b.array("A", bounds);
+        b.assign(
+            Region::from_rect(bounds),
+            a,
+            Expr::Index(0) * Expr::Index(0) + Expr::Index(1),
+        );
+        b.repeat(2, |b| {
+            b.assign(
+                interior,
+                a,
+                Expr::at(a, compass::EAST) + Expr::at(a, compass::WEST),
+            );
+            b.assign(
+                interior,
+                a,
+                Expr::at(a, compass::SOUTH) - Expr::at(a, compass::NORTH),
+            );
+        });
+        let src = b.finish();
+        let opt = optimize(&src, &OptConfig::pl());
+        for nprocs in [4, 16] {
+            assert_bit_identical(&src, &opt.program, nprocs);
+        }
+    }
+
+    #[test]
+    fn rank1_program_matches_sequential_on_a_2x2_grid() {
+        // A rank-1 array is split along dimension 0 only: both processors
+        // of a grid row hold a replica of its block.
+        let n = 10;
+        let mut b = ProgramBuilder::new("rank1");
+        let bounds = Rect::d1((1, n));
+        let [a, bb] = b.arrays(["A", "B"], bounds);
+        let (east, west) = (Offset::d3(1, 0, 0), Offset::d3(-1, 0, 0));
+        b.assign(
+            Region::from_rect(bounds),
+            a,
+            Expr::Index(0) * Expr::Index(0),
+        );
+        b.assign(
+            Region::from_rect(Rect::d1((2, n - 1))),
+            bb,
+            Expr::at(a, east) - Expr::at(a, west),
+        );
+        let src = b.finish();
+        for (_, cfg) in OptConfig::presets() {
+            assert_bit_identical(&src, &optimize(&src, &cfg).program, 4);
         }
     }
 
