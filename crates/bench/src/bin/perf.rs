@@ -8,11 +8,13 @@
 //! cargo run --release -p commopt-bench --bin perf -- --paper         # paper sizing (slow)
 //! ```
 //!
-//! `--strip-wall` zeroes the optimizer wall-clock fields — the snapshot's
-//! only nondeterministic values — which is how the committed baseline
-//! (`results/BENCH_baseline.json`) is produced: a stripped snapshot of the
-//! same build is byte-for-byte reproducible. Compare snapshots with the
-//! `perfdiff` binary.
+//! `--strip-wall` zeroes the four wall-clock fields (the header's `wall_us`
+//! and `cells_wall_us`, each row's `opt_wall_us` and `cell_wall_us`) — the
+//! snapshot's only nondeterministic values — which is how the committed
+//! baselines (`results/BENCH_baseline.json`,
+//! `results/BENCH_paper_baseline.json`) are produced: a stripped snapshot
+//! of the same build is byte-for-byte reproducible. Compare snapshots with
+//! the `perfdiff` binary.
 
 use commopt_bench::perf::{to_json, Mode, Snapshot};
 use commopt_testkit::pool;

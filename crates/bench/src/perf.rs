@@ -7,9 +7,15 @@
 //! counts, simulated times, per-IRONMAN-call latency histogram summaries,
 //! mesh link hotspots, and the optimizer's wall-clock.
 //!
-//! Snapshots are **deterministic**: every field except `opt_wall_us` (the
-//! only real-time measurement) is a pure function of the code, so two runs
-//! of the same build serialize byte-identically after
+//! Every row metric is declared once, in [`METRICS`], with its [`Gate`];
+//! the writer, the reader, [`diff`] and [`Snapshot::strip_volatile`] all
+//! iterate that table, and only `collect_row` knows how each value is
+//! read from a run.
+//!
+//! Snapshots are **deterministic**: every field except the four wall
+//! clocks (the header's `wall_us` and `cells_wall_us`, each row's
+//! `opt_wall_us` and `cell_wall_us`) is a pure function of the code, so
+//! two runs of the same build serialize byte-identically after
 //! [`Snapshot::strip_volatile`]. That is what makes the committed baseline
 //! (`results/BENCH_baseline.json`) a regression gate: [`diff`] compares
 //! two snapshots metric-by-metric — counts must match exactly, times and
@@ -28,6 +34,7 @@ use crate::{library_tag, machine_for};
 use commopt_benchmarks::Experiment;
 use commopt_core::optimize;
 use commopt_ironman::Library;
+use commopt_sim::trace::json_string;
 use commopt_sim::{Histogram, SimConfig, Simulator};
 use commopt_testkit::pool::Pool;
 
@@ -65,6 +72,34 @@ impl Mode {
     }
 }
 
+/// Every row metric, in snapshot order: its JSON field name and how
+/// [`diff`] gates it. Counts are [`Gate::Exact`] and read back only as
+/// non-negative integers; an integer-valued `f64` prints without a
+/// fraction, so they also write as integers. The [`Gate::Informational`]
+/// wall clocks are the volatile ones: they come last, after
+/// `hotspot_link`. `collect_row` fills [`PerfRow::values`] in this order.
+pub const METRICS: [(&str, Gate); 12] = [
+    ("static_count", Gate::Exact),
+    ("dynamic_count", Gate::Exact),
+    ("reductions", Gate::Exact),
+    ("time_s", Gate::Relative),
+    ("comm_time_s", Gate::Relative),
+    ("messages", Gate::Exact),
+    ("bytes", Gate::Exact),
+    ("hops", Gate::Exact),
+    ("max_utilization", Gate::Relative),
+    ("hotspot_busy_us", Gate::Relative),
+    // Optimizer wall-clock, µs.
+    ("opt_wall_us", Gate::Informational),
+    // Whole-cell harness wall-clock (optimize + simulate + metric
+    // extraction), µs; summed across rows it is the serial-equivalent
+    // cost of the matrix.
+    ("cell_wall_us", Gate::Informational),
+];
+
+/// Index of `cell_wall_us` in [`METRICS`].
+const CELL_WALL: usize = METRICS.len() - 1;
+
 /// One serialized histogram: the compact non-zero buckets plus exact
 /// extremes (enough to rebuild the [`Histogram`]) and its derived summary
 /// fields for human readers.
@@ -82,26 +117,11 @@ pub struct PerfRow {
     pub machine: String,
     pub library: String,
     pub procs: u64,
-    pub static_count: u64,
-    pub dynamic_count: u64,
-    pub reductions: u64,
-    pub time_s: f64,
-    pub comm_time_s: f64,
-    pub messages: u64,
-    pub bytes: u64,
-    pub hops: u64,
-    pub max_utilization: f64,
-    pub hotspot_busy_us: f64,
+    /// The [`METRICS`] values, in table order.
+    pub values: [f64; METRICS.len()],
     /// The busiest directed link, as `p<from>->p<to>`; absent when the run
     /// moved no data.
     pub hotspot_link: Option<String>,
-    /// Optimizer wall-clock, µs. Volatile: zeroed by
-    /// [`Snapshot::strip_volatile`], never gated by [`diff`].
-    pub opt_wall_us: f64,
-    /// Whole-cell harness wall-clock (optimize + simulate + metric
-    /// extraction), µs. Volatile and informational, like `opt_wall_us`;
-    /// summed across rows it is the serial-equivalent cost of the matrix.
-    pub cell_wall_us: f64,
     /// Per-IRONMAN-call latency histograms, name-ordered.
     pub hists: Vec<HistEntry>,
 }
@@ -159,20 +179,24 @@ impl Snapshot {
             size,
             iters,
             wall_us: t0.elapsed().as_secs_f64() * 1e6,
-            cells_wall_us: rows.iter().map(|r| r.cell_wall_us).sum(),
+            cells_wall_us: rows.iter().map(|r| r.values[CELL_WALL]).sum(),
             rows,
         }
     }
 
-    /// Zeroes the volatile fields (optimizer and harness wall-clocks),
-    /// after which two snapshots of the same build are byte-identical —
-    /// whatever the worker count. Committed baselines are stored stripped.
+    /// Zeroes the volatile fields (the [`Gate::Informational`] wall
+    /// clocks), after which two snapshots of the same build are
+    /// byte-identical — whatever the worker count. Committed baselines are
+    /// stored stripped.
     pub fn strip_volatile(&mut self) {
         self.wall_us = 0.0;
         self.cells_wall_us = 0.0;
         for row in &mut self.rows {
-            row.opt_wall_us = 0.0;
-            row.cell_wall_us = 0.0;
+            for (v, &(_, gate)) in row.values.iter_mut().zip(&METRICS) {
+                if gate == Gate::Informational {
+                    *v = 0.0;
+                }
+            }
         }
     }
 
@@ -188,6 +212,7 @@ impl Snapshot {
     }
 }
 
+/// Runs one cell and reads its [`METRICS`] values, in table order.
 fn collect_row(key: Key) -> PerfRow {
     let bench = key.benchmark();
     let procs = key.sizing.procs(&bench);
@@ -205,7 +230,21 @@ fn collect_row(key: Key) -> PerfRow {
     )
     .run();
     let m = r.metrics.as_ref().expect("metrics were enabled");
-    let hotspot = m.mesh.hotspot();
+    let reg = &m.registry;
+    let values = [
+        opt.static_count() as f64,
+        r.dynamic_comm as f64,
+        r.reductions as f64,
+        r.time_s,
+        r.comm_time_s,
+        reg.counter("comm.messages") as f64,
+        reg.counter("comm.bytes") as f64,
+        reg.counter("comm.hops") as f64,
+        reg.gauge("mesh.max_utilization").unwrap_or(0.0),
+        reg.gauge("mesh.hotspot_busy_us").unwrap_or(0.0),
+        opt_wall_us,
+        cell_t0.elapsed().as_secs_f64() * 1e6,
+    ];
     PerfRow {
         bench: key.bench.to_string(),
         // The paper calls its message-vectorization-only level "vect".
@@ -217,21 +256,9 @@ fn collect_row(key: Key) -> PerfRow {
         machine: model.to_ascii_lowercase(),
         library: library_tag(key.library).to_string(),
         procs: procs as u64,
-        static_count: opt.static_count(),
-        dynamic_count: r.dynamic_comm,
-        reductions: r.reductions,
-        time_s: r.time_s,
-        comm_time_s: r.comm_time_s,
-        messages: m.registry.counter("comm.messages"),
-        bytes: m.registry.counter("comm.bytes"),
-        hops: m.registry.counter("comm.hops"),
-        max_utilization: m.registry.gauge("mesh.max_utilization").unwrap_or(0.0),
-        hotspot_busy_us: m.registry.gauge("mesh.hotspot_busy_us").unwrap_or(0.0),
-        hotspot_link: hotspot.map(|(l, _)| l.to_string()),
-        opt_wall_us,
-        cell_wall_us: cell_t0.elapsed().as_secs_f64() * 1e6,
-        hists: m
-            .registry
+        values,
+        hotspot_link: m.mesh.hotspot().map(|(l, _)| l.to_string()),
+        hists: reg
             .hists()
             .map(|(name, h)| HistEntry {
                 name: name.to_string(),
@@ -252,8 +279,8 @@ pub fn to_json(s: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": {},\n", s.schema));
-    out.push_str(&format!("  \"rev\": {},\n", quote(&s.rev)));
-    out.push_str(&format!("  \"mode\": {},\n", quote(&s.mode)));
+    out.push_str(&format!("  \"rev\": {},\n", json_string(&s.rev)));
+    out.push_str(&format!("  \"mode\": {},\n", json_string(&s.mode)));
     out.push_str(&format!("  \"size\": {},\n", s.size));
     out.push_str(&format!("  \"iters\": {},\n", s.iters));
     out.push_str(&format!("  \"wall_us\": {},\n", fmt_f64(s.wall_us)));
@@ -273,33 +300,27 @@ pub fn to_json(s: &Snapshot) -> String {
 
 fn write_row(out: &mut String, r: &PerfRow) {
     out.push('{');
-    out.push_str(&format!("\"bench\": {}, ", quote(&r.bench)));
-    out.push_str(&format!("\"exp\": {}, ", quote(&r.exp)));
-    out.push_str(&format!("\"machine\": {}, ", quote(&r.machine)));
-    out.push_str(&format!("\"library\": {}, ", quote(&r.library)));
-    out.push_str(&format!("\"procs\": {}, ", r.procs));
-    out.push_str(&format!("\"static_count\": {}, ", r.static_count));
-    out.push_str(&format!("\"dynamic_count\": {}, ", r.dynamic_count));
-    out.push_str(&format!("\"reductions\": {}, ", r.reductions));
-    out.push_str(&format!("\"time_s\": {}, ", fmt_f64(r.time_s)));
-    out.push_str(&format!("\"comm_time_s\": {}, ", fmt_f64(r.comm_time_s)));
-    out.push_str(&format!("\"messages\": {}, ", r.messages));
-    out.push_str(&format!("\"bytes\": {}, ", r.bytes));
-    out.push_str(&format!("\"hops\": {}, ", r.hops));
-    out.push_str(&format!(
-        "\"max_utilization\": {}, ",
-        fmt_f64(r.max_utilization)
-    ));
-    out.push_str(&format!(
-        "\"hotspot_busy_us\": {}, ",
-        fmt_f64(r.hotspot_busy_us)
-    ));
-    match &r.hotspot_link {
-        Some(l) => out.push_str(&format!("\"hotspot_link\": {}, ", quote(l))),
-        None => out.push_str("\"hotspot_link\": null, "),
+    for (key, v) in [
+        ("bench", &r.bench),
+        ("exp", &r.exp),
+        ("machine", &r.machine),
+        ("library", &r.library),
+    ] {
+        out.push_str(&format!("\"{key}\": {}, ", json_string(v)));
     }
-    out.push_str(&format!("\"opt_wall_us\": {}, ", fmt_f64(r.opt_wall_us)));
-    out.push_str(&format!("\"cell_wall_us\": {}, ", fmt_f64(r.cell_wall_us)));
+    out.push_str(&format!("\"procs\": {}, ", r.procs));
+    // The gated metrics, the link, then the volatile wall clocks.
+    for volatile in [false, true] {
+        if volatile {
+            let link = r.hotspot_link.as_deref().map_or("null".into(), json_string);
+            out.push_str(&format!("\"hotspot_link\": {link}, "));
+        }
+        for (&(name, gate), &v) in METRICS.iter().zip(&r.values) {
+            if (gate == Gate::Informational) == volatile {
+                out.push_str(&format!("\"{name}\": {}, ", fmt_f64(v)));
+            }
+        }
+    }
     out.push_str("\"hists\": [");
     for (i, e) in r.hists.iter().enumerate() {
         if i > 0 {
@@ -313,7 +334,7 @@ fn write_row(out: &mut String, r: &PerfRow) {
 fn write_hist(out: &mut String, e: &HistEntry) {
     let h = &e.hist;
     out.push('{');
-    out.push_str(&format!("\"name\": {}, ", quote(&e.name)));
+    out.push_str(&format!("\"name\": {}, ", json_string(&e.name)));
     out.push_str("\"buckets\": [");
     for (i, (b, c)) in h.nonzero_buckets().enumerate() {
         if i > 0 {
@@ -338,24 +359,6 @@ fn write_hist(out: &mut String, e: &HistEntry) {
         None => out.push_str("\"count\": 0"),
     }
     out.push('}');
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Rust's shortest round-trip form, which is also valid JSON (no inf/NaN
@@ -393,10 +396,8 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
         mode: get_str(&doc, "mode")?,
         size: get_u64(&doc, "size")?,
         iters: get_u64(&doc, "iters")?,
-        // Wall-clock fields are volatile and informational; snapshots
-        // written before they existed (the committed baseline) read as 0.
-        wall_us: get_f64_or(&doc, "wall_us", 0.0)?,
-        cells_wall_us: get_f64_or(&doc, "cells_wall_us", 0.0)?,
+        wall_us: get_f64(&doc, "wall_us")?,
+        cells_wall_us: get_f64(&doc, "cells_wall_us")?,
         rows,
     })
 }
@@ -412,22 +413,20 @@ fn parse_row(r: &Json) -> Result<PerfRow, String> {
     {
         hists.push(parse_hist(h).map_err(|e| format!("hist {i}: {e}"))?);
     }
+    let mut values = [0.0; METRICS.len()];
+    for (v, &(name, gate)) in values.iter_mut().zip(&METRICS) {
+        *v = match gate {
+            Gate::Exact => get_u64(r, name)? as f64,
+            _ => get_f64(r, name)?,
+        };
+    }
     Ok(PerfRow {
         bench: get_str(r, "bench")?,
         exp: get_str(r, "exp")?,
         machine: get_str(r, "machine")?,
         library: get_str(r, "library")?,
         procs: get_u64(r, "procs")?,
-        static_count: get_u64(r, "static_count")?,
-        dynamic_count: get_u64(r, "dynamic_count")?,
-        reductions: get_u64(r, "reductions")?,
-        time_s: get_f64(r, "time_s")?,
-        comm_time_s: get_f64(r, "comm_time_s")?,
-        messages: get_u64(r, "messages")?,
-        bytes: get_u64(r, "bytes")?,
-        hops: get_u64(r, "hops")?,
-        max_utilization: get_f64(r, "max_utilization")?,
-        hotspot_busy_us: get_f64(r, "hotspot_busy_us")?,
+        values,
         hotspot_link: match r.get("hotspot_link") {
             Some(Json::Null) | None => None,
             Some(v) => Some(
@@ -436,8 +435,6 @@ fn parse_row(r: &Json) -> Result<PerfRow, String> {
                     .to_string(),
             ),
         },
-        opt_wall_us: get_f64(r, "opt_wall_us")?,
-        cell_wall_us: get_f64_or(r, "cell_wall_us", 0.0)?,
         hists,
     })
 }
@@ -456,9 +453,12 @@ fn parse_hist(h: &Json) -> Result<HistEntry, String> {
         if pair.len() != 2 {
             return Err("bucket entries must be [index, count]".into());
         }
-        let idx = pair[0].as_f64().ok_or("bad bucket index")? as usize;
-        let count = pair[1].as_f64().ok_or("bad bucket count")? as u64;
-        buckets.push((idx, count));
+        let idx = pair[0].as_f64().ok_or("bad bucket index")?;
+        let count = pair[1].as_f64().ok_or("bad bucket count")?;
+        buckets.push((
+            non_negative_int(idx, "bucket index")? as usize,
+            non_negative_int(count, "bucket count")?,
+        ));
     }
     let count = get_u64(h, "count")?;
     let hist = if count == 0 {
@@ -497,20 +497,14 @@ fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing number '{key}'"))
 }
 
-/// Like [`get_f64`], but an *absent* key yields `default` (a present
-/// non-number is still an error) — for fields added after snapshots were
-/// first committed.
-fn get_f64_or(v: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j.as_f64().ok_or_else(|| format!("bad number '{key}'")),
-    }
+fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
+    non_negative_int(get_f64(v, key)?, key)
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    let n = get_f64(v, key)?;
+/// `n` as a count; anything but a non-negative integer is an error.
+fn non_negative_int(n: f64, what: &str) -> Result<u64, String> {
     if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("'{key}' must be a non-negative integer, got {n}"));
+        return Err(format!("'{what}' must be a non-negative integer, got {n}"));
     }
     Ok(n as u64)
 }
@@ -529,7 +523,8 @@ pub enum Gate {
     /// and utilizations — these shift legitimately when cost models are
     /// recalibrated, but a large move is a regression).
     Relative,
-    /// Reported, never gated (optimizer wall-clock).
+    /// Reported, never gated, and zeroed by [`Snapshot::strip_volatile`]
+    /// (the wall clocks).
     Informational,
 }
 
@@ -631,72 +626,14 @@ fn fmt_metric(v: f64) -> String {
     }
 }
 
-/// The gated metrics of one row, as `(name, old, new, gate)` triples.
+/// The gated metrics of one row, as `(name, old, new, gate)` triples: the
+/// [`METRICS`] in snapshot order, then each histogram's count and mean.
 fn row_metrics(old: &PerfRow, new: &PerfRow) -> Vec<(String, f64, f64, Gate)> {
-    let mut m: Vec<(String, f64, f64, Gate)> = vec![
-        (
-            "static_count".into(),
-            old.static_count as f64,
-            new.static_count as f64,
-            Gate::Exact,
-        ),
-        (
-            "dynamic_count".into(),
-            old.dynamic_count as f64,
-            new.dynamic_count as f64,
-            Gate::Exact,
-        ),
-        (
-            "reductions".into(),
-            old.reductions as f64,
-            new.reductions as f64,
-            Gate::Exact,
-        ),
-        (
-            "messages".into(),
-            old.messages as f64,
-            new.messages as f64,
-            Gate::Exact,
-        ),
-        (
-            "bytes".into(),
-            old.bytes as f64,
-            new.bytes as f64,
-            Gate::Exact,
-        ),
-        ("hops".into(), old.hops as f64, new.hops as f64, Gate::Exact),
-        ("time_s".into(), old.time_s, new.time_s, Gate::Relative),
-        (
-            "comm_time_s".into(),
-            old.comm_time_s,
-            new.comm_time_s,
-            Gate::Relative,
-        ),
-        (
-            "max_utilization".into(),
-            old.max_utilization,
-            new.max_utilization,
-            Gate::Relative,
-        ),
-        (
-            "hotspot_busy_us".into(),
-            old.hotspot_busy_us,
-            new.hotspot_busy_us,
-            Gate::Relative,
-        ),
-        (
-            "opt_wall_us".into(),
-            old.opt_wall_us,
-            new.opt_wall_us,
-            Gate::Informational,
-        ),
-        (
-            "cell_wall_us".into(),
-            old.cell_wall_us,
-            new.cell_wall_us,
-            Gate::Informational,
-        ),
-    ];
+    let mut m: Vec<(String, f64, f64, Gate)> = METRICS
+        .iter()
+        .zip(old.values.iter().zip(&new.values))
+        .map(|(&(name, gate), (&o, &n))| (name.to_string(), o, n, gate))
+        .collect();
     // Histograms: counts gate exactly, means within the threshold. Iterate
     // the union of names so an appearing/vanishing histogram is caught.
     let mut names: Vec<&str> = old
@@ -773,29 +710,25 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold: f64) -> Result<DiffReport
                 continue;
             }
         };
-        for (metric, ov, nv, gate) in row_metrics(o, n) {
+        for (metric, old, new, gate) in row_metrics(o, n) {
             compared += 1;
-            if ov == nv {
+            if old == new {
                 continue;
             }
-            let rel = if ov == 0.0 {
-                f64::INFINITY
-            } else {
-                ((nv - ov) / ov.abs()).abs()
-            };
-            let fail = match gate {
-                Gate::Exact => true,
-                Gate::Relative => rel > threshold,
-                Gate::Informational => false,
-            };
-            deltas.push(Delta {
+            let mut d = Delta {
                 row: key.clone(),
                 metric,
-                old: ov,
-                new: nv,
+                old,
+                new,
                 gate,
-                fail,
-            });
+                fail: false,
+            };
+            d.fail = match gate {
+                Gate::Exact => true,
+                Gate::Relative => d.rel().abs() > threshold,
+                Gate::Informational => false,
+            };
+            deltas.push(d);
         }
     }
     Ok(DiffReport {
@@ -809,6 +742,11 @@ pub fn diff(old: &Snapshot, new: &Snapshot, threshold: f64) -> Result<DiffReport
 mod tests {
     use super::*;
 
+    /// The index of a row metric in [`METRICS`].
+    fn at(name: &str) -> usize {
+        METRICS.iter().position(|&(m, _)| m == name).unwrap()
+    }
+
     fn tiny_snapshot() -> Snapshot {
         // One benchmark cell, quick sizing — fast enough to collect twice.
         let bench = commopt_benchmarks::tomcatv();
@@ -819,8 +757,8 @@ mod tests {
             mode: "quick".into(),
             size: 16,
             iters: 2,
-            wall_us: row.cell_wall_us,
-            cells_wall_us: row.cell_wall_us,
+            wall_us: row.values[CELL_WALL],
+            cells_wall_us: row.values[CELL_WALL],
             rows: vec![row],
         }
     }
@@ -851,10 +789,28 @@ mod tests {
         let snap = tiny_snapshot();
         let r = &snap.rows[0];
         assert_eq!(r.key(), "tomcatv/pl/t3d");
-        assert!(r.dynamic_count > 0 && r.messages > 0 && r.bytes > 0);
-        assert!(r.max_utilization > 0.0 && r.hotspot_link.is_some());
+        let v = |name| r.values[at(name)];
+        assert!(v("dynamic_count") > 0.0 && v("messages") > 0.0 && v("bytes") > 0.0);
+        assert!(v("max_utilization") > 0.0 && r.hotspot_link.is_some());
         let dn = r.hists.iter().find(|e| e.name == "ironman.dn.ns").unwrap();
-        assert_eq!(dn.hist.count(), r.dynamic_count);
+        assert_eq!(dn.hist.count() as f64, v("dynamic_count"));
+    }
+
+    #[test]
+    fn strip_zeroes_exactly_the_wall_clocks() {
+        let snap = tiny_snapshot();
+        assert_eq!(METRICS[CELL_WALL].0, "cell_wall_us");
+        assert!(snap.rows[0].values[CELL_WALL] > 0.0);
+        let mut stripped = snap.clone();
+        stripped.strip_volatile();
+        assert_eq!((stripped.wall_us, stripped.cells_wall_us), (0.0, 0.0));
+        for (i, &(name, gate)) in METRICS.iter().enumerate() {
+            let want = match gate {
+                Gate::Informational => 0.0,
+                _ => snap.rows[0].values[i],
+            };
+            assert_eq!(stripped.rows[0].values[i], want, "{name}");
+        }
     }
 
     #[test]
@@ -872,7 +828,7 @@ mod tests {
         let old = tiny_snapshot();
         let mut new = old.clone();
         // A 5% time drift is under a 10% threshold...
-        new.rows[0].time_s *= 1.05;
+        new.rows[0].values[at("time_s")] *= 1.05;
         let r = diff(&old, &new, 0.10).unwrap();
         assert!(!r.regressed(), "{}", r.render());
         assert_eq!(r.deltas.len(), 1); // reported but ok
@@ -881,13 +837,13 @@ mod tests {
         assert!(r.regressed());
         // Any count drift fails regardless of threshold.
         let mut new = old.clone();
-        new.rows[0].dynamic_count += 1;
+        new.rows[0].values[at("dynamic_count")] += 1.0;
         let r = diff(&old, &new, 0.50).unwrap();
         assert!(r.regressed());
         assert!(r.render().contains("dynamic_count"));
         // Wall-clock drift never fails.
         let mut new = old.clone();
-        new.rows[0].opt_wall_us += 1e6;
+        new.rows[0].values[at("opt_wall_us")] += 1e6;
         let r = diff(&old, &new, 0.10).unwrap();
         assert!(!r.regressed());
         assert!(r.render().contains("info"));
@@ -932,6 +888,50 @@ mod tests {
             let broken = text.replacen(field, bad, 1);
             assert_ne!(broken, text);
             assert!(from_json(&broken).is_err(), "{bad} parsed");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_fractional_and_negative_row_counts() {
+        let snap = tiny_snapshot();
+        let text = to_json(&snap);
+        for name in ["static_count", "messages"] {
+            let n = snap.rows[0].values[at(name)];
+            let field = format!("\"{name}\": {n},");
+            for bad in [format!("\"{name}\": {n}.5,"), format!("\"{name}\": -{n},")] {
+                let broken = text.replacen(&field, &bad, 1);
+                assert_ne!(broken, text);
+                assert!(from_json(&broken).is_err(), "{bad} parsed");
+            }
+        }
+    }
+
+    #[test]
+    fn parser_rejects_fractional_and_negative_histogram_buckets() {
+        // Values 0 and 5 occupy buckets 0 and 3, one observation each.
+        let mut hist = Histogram::new();
+        hist.record(0);
+        hist.record(5);
+        let mut text = String::new();
+        write_hist(
+            &mut text,
+            &HistEntry {
+                name: "h".into(),
+                hist,
+            },
+        );
+        let good = "[[0, 1], [3, 1]]";
+        assert!(text.contains(good));
+        let parse = |buckets: &str| parse_hist(&json::parse(&text.replace(good, buckets)).unwrap());
+        assert!(parse(good).is_ok());
+        // Each of these used to truncate to the good histogram.
+        for bad in [
+            "[[0, 1], [3.7, 1]]",
+            "[[-3, 1], [3, 1]]",
+            "[[0, 1.5], [3, 1]]",
+            "[[0, 1], [3, 1.5]]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
         }
     }
 

@@ -26,7 +26,7 @@
 //! poisoned ghosts and the sequential oracle.
 
 use commopt_ir::analysis::CommRef;
-use commopt_ir::{ArrayId, Block, CallKind, Program, Stmt, Transfer, TransferId};
+use commopt_ir::{written_arrays, Block, CallKind, Program, Stmt, Transfer, TransferId};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics from the cross-block pass.
@@ -55,17 +55,6 @@ pub fn global_pass(program: &mut Program) -> GlobalStats {
     program.body = strip_transfers(&body, &remove);
     prune_transfers(program);
     stats
-}
-
-/// All arrays written anywhere in the block tree.
-fn written_in(block: &Block) -> HashSet<ArrayId> {
-    let mut out = HashSet::new();
-    commopt_ir::visit::walk_stmts(block, &mut |s, _| {
-        if let Some(a) = commopt_ir::arrays_written(s) {
-            out.insert(a);
-        }
-    });
-    out
 }
 
 /// Bottom-up hoisting of loop-invariant transfers.
@@ -116,7 +105,7 @@ fn split_invariant(
     body: Block,
     loop_var: Option<commopt_ir::LoopVarId>,
 ) -> (Vec<Stmt>, Block) {
-    let killed = written_in(&body);
+    let killed = written_arrays(&body);
     // Transfers whose calls appear directly in this statement list.
     let mut direct: Vec<TransferId> = Vec::new();
     for s in body.iter() {
@@ -193,7 +182,7 @@ fn mark_redundant(
             Stmt::Repeat { body, .. } | Stmt::For { body, .. } => {
                 // Stable entry state: whatever the body kills is unreliable
                 // on iterations after the first.
-                let killed = written_in(body);
+                let killed = written_arrays(body);
                 avail.retain(|r| !killed.contains(&r.array));
                 mark_redundant(program, body, avail, remove);
                 avail.retain(|r| !killed.contains(&r.array));

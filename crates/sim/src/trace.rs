@@ -266,7 +266,7 @@ pub fn chrome_trace(trace: &Trace, program: &Program) -> String {
 }
 
 /// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
