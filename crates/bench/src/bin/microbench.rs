@@ -212,88 +212,6 @@ fn main() {
         }
     }
 
-    // Transfer-state storage: the engine's old BTreeMap-of-rows layout
-    // (entry-or-insert on post, clone-read on put, whole-row insert on
-    // sync) against the dense slab it was replaced with (direct indexing,
-    // in-place row copy). Same access mix, same data.
-    {
-        use std::collections::BTreeMap;
-        let transfers = 256usize;
-        let nprocs = 16usize;
-        let clocks: Vec<f64> = (0..nprocs).map(|p| p as f64).collect();
-        let rounds = 8usize;
-        let (med, min) = time_us(runs, || {
-            let mut dr: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-            let mut acc = 0.0;
-            for round in 0..rounds {
-                for tid in 0..transfers as u32 {
-                    let row = dr.entry(tid).or_insert_with(|| vec![0.0; nprocs]);
-                    row[round % nprocs] = clocks[round % nprocs];
-                    let snap = dr.get(&tid).cloned().unwrap_or_else(|| vec![0.0; nprocs]);
-                    acc += snap[(round + 1) % nprocs];
-                    dr.insert(tid, clocks.clone());
-                }
-            }
-            black_box(acc);
-        });
-        t.row(&[
-            "xfer_state".into(),
-            "btreemap-rows".into(),
-            fmt_us(med),
-            fmt_us(min),
-        ]);
-        let (med, min) = time_us(runs, || {
-            let mut dr = vec![0.0f64; transfers * nprocs];
-            let mut acc = 0.0;
-            for round in 0..rounds {
-                for tid in 0..transfers {
-                    let row = tid * nprocs;
-                    dr[row + round % nprocs] = clocks[round % nprocs];
-                    acc += dr[row + (round + 1) % nprocs];
-                    dr[row..row + nprocs].copy_from_slice(&clocks);
-                }
-            }
-            black_box(acc);
-        });
-        t.row(&[
-            "xfer_state".into(),
-            "dense-slab".into(),
-            fmt_us(med),
-            fmt_us(min),
-        ]);
-    }
-
-    // Unshifted array-reference assignment: the element-wise copy the
-    // evaluator used to emit for `B := A` against the block memcpy the
-    // fast path now takes.
-    {
-        let n = 64 * 1024;
-        let src: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut dst = vec![0.0f64; n];
-        let (med, min) = time_us(runs, || {
-            for (d, s) in dst.iter_mut().zip(black_box(&src)) {
-                *d = *s;
-            }
-            black_box(&mut dst);
-        });
-        t.row(&[
-            "eval_ref(64k)".into(),
-            "element-wise".into(),
-            fmt_us(med),
-            fmt_us(min),
-        ]);
-        let (med, min) = time_us(runs, || {
-            dst.copy_from_slice(black_box(&src));
-            black_box(&mut dst);
-        });
-        t.row(&[
-            "eval_ref(64k)".into(),
-            "memcpy".into(),
-            fmt_us(med),
-            fmt_us(min),
-        ]);
-    }
-
     // Worker-pool dispatch overhead: 256 near-empty tasks, so the numbers
     // are dominated by claim/store traffic rather than useful work.
     {

@@ -116,19 +116,6 @@ pub fn stmt_comm_refs(stmt: &Stmt) -> Vec<CommRef> {
     }
 }
 
-/// All arrays read by an expression (with any offset, including zero).
-pub fn arrays_read(expr: &Expr) -> Vec<ArrayId> {
-    let mut out = Vec::new();
-    expr.walk(&mut |e| {
-        if let Expr::Ref { array, .. } = e {
-            if !out.contains(array) {
-                out.push(*array);
-            }
-        }
-    });
-    out
-}
-
 /// The array written by a statement, if any.
 pub fn arrays_written(stmt: &Stmt) -> Option<ArrayId> {
     match stmt {
@@ -237,9 +224,6 @@ mod tests {
             Expr::local(ArrayId(1)) * shifted(2, compass::SE),
         );
         assert_eq!(arrays_written(&s), Some(ArrayId(0)));
-        if let Stmt::Assign { rhs, .. } = &s {
-            assert_eq!(arrays_read(rhs), vec![ArrayId(1), ArrayId(2)]);
-        }
     }
 
     #[test]

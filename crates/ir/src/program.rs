@@ -113,14 +113,6 @@ impl Program {
             .map(ArrayId::from_index)
     }
 
-    /// Looks up a scalar by name.
-    pub fn scalar_by_name(&self, name: &str) -> Option<ScalarId> {
-        self.scalars
-            .iter()
-            .position(|s| s.name == name)
-            .map(ScalarId::from_index)
-    }
-
     /// The maximum rank of any declared array (1 when no arrays exist).
     pub fn max_rank(&self) -> usize {
         self.arrays.iter().map(|a| a.rect.rank).max().unwrap_or(1)
@@ -194,7 +186,6 @@ mod tests {
         assert_eq!(p.scalar(s).init, 0.0);
         assert_eq!(p.array_by_name("B"), Some(b));
         assert_eq!(p.array_by_name("Z"), None);
-        assert_eq!(p.scalar_by_name("err"), Some(s));
         assert_eq!(p.max_rank(), 2);
     }
 

@@ -5,7 +5,6 @@
 //! by the optimizer to replace each statement sequence with an instrumented
 //! one.
 
-use crate::analysis::Span;
 use crate::stmt::{Block, Stmt};
 
 /// Visits every statement in the block tree, pre-order, passing the loop
@@ -21,22 +20,6 @@ pub fn walk_stmts(block: &Block, f: &mut impl FnMut(&Stmt, usize)) {
         }
     }
     go(block, 0, f);
-}
-
-/// Visits every statement in the block tree, pre-order, passing each
-/// statement's [`Span`] — the path of statement indices diagnostics print.
-pub fn walk_stmts_spanned(block: &Block, f: &mut impl FnMut(&Stmt, &Span)) {
-    fn go(block: &Block, prefix: &Span, f: &mut impl FnMut(&Stmt, &Span)) {
-        for (i, stmt) in block.iter().enumerate() {
-            let span = prefix.child(i);
-            f(stmt, &span);
-            match stmt {
-                Stmt::Repeat { body, .. } | Stmt::For { body, .. } => go(body, &span, f),
-                _ => {}
-            }
-        }
-    }
-    go(block, &Span::root(), f);
 }
 
 /// Rebuilds the block tree bottom-up, applying `rewrite` to every block's
@@ -109,28 +92,6 @@ mod tests {
             }
         });
         assert_eq!(seen, vec![(1.0, 0), (2.0, 1), (3.0, 2)]);
-    }
-
-    #[test]
-    fn spanned_walk_reports_paths() {
-        let mut seen = Vec::new();
-        walk_stmts_spanned(&prog_block(), &mut |s, span| {
-            if let Stmt::Assign {
-                rhs: Expr::Const(c),
-                ..
-            } = s
-            {
-                seen.push((*c, span.to_string()));
-            }
-        });
-        assert_eq!(
-            seen,
-            vec![
-                (1.0, "s0".to_string()),
-                (2.0, "s1.0".to_string()),
-                (3.0, "s1.1.0".to_string()),
-            ]
-        );
     }
 
     #[test]

@@ -68,13 +68,14 @@ pub enum ARange {
     Range(IExpr, IExpr),
 }
 
-/// Integer expressions: configs, loop variables, arithmetic.
+/// Integer expressions: configs, loop variables, arithmetic. Each
+/// operator carries its own position.
 #[derive(Clone, PartialEq, Debug)]
 pub enum IExpr {
     Int(i64),
     Name(String, Span),
-    Neg(Box<IExpr>),
-    Bin(char, Box<IExpr>, Box<IExpr>),
+    Neg(Box<IExpr>, Span),
+    Bin(char, Box<IExpr>, Box<IExpr>, Span),
 }
 
 /// Statements.

@@ -317,7 +317,8 @@ impl Lowerer {
         }
     }
 
-    /// Evaluates an integer expression to `var + c` form.
+    /// Evaluates an integer expression to `var + c` form. Errors name the
+    /// offending operator's position; arithmetic that leaves `i64` is one.
     fn ieval(&self, e: &IExpr) -> Result<IVal, LangError> {
         match e {
             IExpr::Int(v) => Ok(IVal { var: None, c: *v }),
@@ -336,68 +337,68 @@ impl Lowerer {
                     format!("unknown integer name {name}"),
                 ))
             }
-            IExpr::Neg(a) => {
+            IExpr::Neg(a, span) => {
                 let a = self.ieval(a)?;
                 if a.var.is_some() {
                     return Err(LangError::new(
-                        Span::default(),
+                        *span,
                         "cannot negate a loop variable in a bound",
                     ));
                 }
-                Ok(IVal { var: None, c: -a.c })
+                let c =
+                    a.c.checked_neg()
+                        .ok_or_else(|| LangError::new(*span, "integer overflow"))?;
+                Ok(IVal { var: None, c })
             }
-            IExpr::Bin(op, a, b) => {
+            IExpr::Bin(op, a, b, span) => {
+                let span = *span;
                 let a = self.ieval(a)?;
                 let b = self.ieval(b)?;
-                match op {
+                let (var, c) = match op {
                     '+' => match (a.var, b.var) {
-                        (v, None) => Ok(IVal {
-                            var: v,
-                            c: a.c + b.c,
-                        }),
-                        (None, v) => Ok(IVal {
-                            var: v,
-                            c: a.c + b.c,
-                        }),
-                        _ => Err(LangError::new(
-                            Span::default(),
-                            "bounds may reference at most one loop variable",
-                        )),
+                        (v, None) | (None, v) => (v, a.c.checked_add(b.c)),
+                        _ => {
+                            return Err(LangError::new(
+                                span,
+                                "bounds may reference at most one loop variable",
+                            ))
+                        }
                     },
                     '-' => {
                         if b.var.is_some() {
                             return Err(LangError::new(
-                                Span::default(),
+                                span,
                                 "cannot subtract a loop variable in a bound",
                             ));
                         }
-                        Ok(IVal {
-                            var: a.var,
-                            c: a.c - b.c,
-                        })
+                        (a.var, a.c.checked_sub(b.c))
                     }
                     '*' | '/' => {
                         if a.var.is_some() || b.var.is_some() {
                             return Err(LangError::new(
-                                Span::default(),
+                                span,
                                 "bounds must be affine in loop variables",
                             ));
                         }
-                        let c = if *op == '*' {
-                            a.c * b.c
+                        if *op == '*' {
+                            (None, a.c.checked_mul(b.c))
+                        } else if b.c == 0 {
+                            return Err(LangError::new(span, "division by zero"));
                         } else {
-                            if b.c == 0 {
-                                return Err(LangError::new(Span::default(), "division by zero"));
-                            }
-                            a.c / b.c
-                        };
-                        Ok(IVal { var: None, c })
+                            (None, a.c.checked_div(b.c))
+                        }
                     }
-                    other => Err(LangError::new(
-                        Span::default(),
-                        format!("unknown integer operator {other}"),
-                    )),
-                }
+                    other => {
+                        return Err(LangError::new(
+                            span,
+                            format!("unknown integer operator {other}"),
+                        ))
+                    }
+                };
+                Ok(IVal {
+                    var,
+                    c: c.ok_or_else(|| LangError::new(span, "integer overflow"))?,
+                })
             }
         }
     }
@@ -616,6 +617,46 @@ end
         let src = "program p; config n = 4; var A : [1..n,1..n];\nbegin for i := 1 .. n { [2*i, 1..n] A := 1.0; } end";
         let err = compile(src).unwrap_err();
         assert!(err.to_string().contains("affine"), "{err}");
+    }
+
+    #[test]
+    fn bound_errors_name_the_offending_operator() {
+        // Each fragment sits on line 9 of the program.
+        let head = "program p;\nconfig n = 8;\ndirection east = [0, 1];\n\
+                    var A, B : [1..n, 1..n] double;\nbegin\n  for i := 1 .. n {\n    \
+                    for j := 1 .. n {\n      [i, 1..n] B := A;\n";
+        for (line9, what, col) in [
+            ("[-i, 2..n-1] B := A@east;", "cannot negate", 8),
+            ("[i+j, 2..n-1] B := A;", "at most one loop variable", 9),
+            ("[n-i, 2..n-1] B := A;", "cannot subtract", 9),
+            ("[2*i, 2..n-1] B := A;", "must be affine", 9),
+            ("[n/0, 2..n-1] B := A;", "division by zero", 9),
+        ] {
+            let src = format!("{head}      {line9}\n    }}\n  }}\nend\n");
+            let err = compile(&src).unwrap_err();
+            assert!(err.message.contains(what), "{line9}: {err}");
+            assert_eq!(err.span, Span { line: 9, col }, "{line9}: {err}");
+        }
+    }
+
+    #[test]
+    fn integer_overflow_in_a_bound_is_an_error() {
+        for region in [
+            "[1..n*2, 1..4]",
+            "[n+1, 1..4]",
+            "[-n-2, 1..4]",
+            // i64::MIN / -1 and -i64::MIN.
+            "[(-n-1)/-1, 1..4]",
+            "[-(-n-1), 1..4]",
+        ] {
+            let src = format!(
+                "program p;\nconfig n = 9223372036854775807;\nregion R = {region};\n\
+                 var A : [R];\nbegin [R] A := 1.0; end"
+            );
+            let err = compile(&src).unwrap_err();
+            assert_eq!(err.message, "integer overflow", "{region}");
+            assert_eq!(err.span.line, 3, "{region}: {err}");
+        }
     }
 
     #[test]

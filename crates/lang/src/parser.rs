@@ -235,10 +235,11 @@ impl Parser {
     fn iexpr(&mut self) -> Result<IExpr, LangError> {
         let mut e = self.iterm()?;
         loop {
+            let span = self.span();
             if self.eat(&Tok::Plus) {
-                e = IExpr::Bin('+', Box::new(e), Box::new(self.iterm()?));
+                e = IExpr::Bin('+', Box::new(e), Box::new(self.iterm()?), span);
             } else if self.eat(&Tok::Minus) {
-                e = IExpr::Bin('-', Box::new(e), Box::new(self.iterm()?));
+                e = IExpr::Bin('-', Box::new(e), Box::new(self.iterm()?), span);
             } else {
                 return Ok(e);
             }
@@ -248,10 +249,11 @@ impl Parser {
     fn iterm(&mut self) -> Result<IExpr, LangError> {
         let mut e = self.ifact()?;
         loop {
+            let span = self.span();
             if self.eat(&Tok::Star) {
-                e = IExpr::Bin('*', Box::new(e), Box::new(self.ifact()?));
+                e = IExpr::Bin('*', Box::new(e), Box::new(self.ifact()?), span);
             } else if self.eat(&Tok::Slash) {
-                e = IExpr::Bin('/', Box::new(e), Box::new(self.ifact()?));
+                e = IExpr::Bin('/', Box::new(e), Box::new(self.ifact()?), span);
             } else {
                 return Ok(e);
             }
@@ -271,7 +273,7 @@ impl Parser {
             }
             Tok::Minus => {
                 self.bump();
-                Ok(IExpr::Neg(Box::new(self.ifact()?)))
+                Ok(IExpr::Neg(Box::new(self.ifact()?), span))
             }
             Tok::LParen => {
                 self.bump();

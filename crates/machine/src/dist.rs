@@ -2,8 +2,8 @@
 //!
 //! All arrays are trivially aligned — element `(i, j)` of every array lives
 //! on the same processor — and block distributed over the first
-//! [`DIST_DIMS`](crate::topology::DIST_DIMS) dimensions of the grid
-//! (paper §3.1). A rank-3 array's third dimension is processor-local.
+//! [`DIST_DIMS`] dimensions of the grid (paper §3.1). A rank-3 array's
+//! third dimension is processor-local.
 
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
@@ -27,14 +27,55 @@ impl BlockDist {
         BlockDist { grid, bounds }
     }
 
-    /// The inclusive sub-range of `lo..=hi` owned by block `k` of `nblocks`.
-    fn split(lo: i64, hi: i64, k: usize, nblocks: usize) -> (i64, i64) {
-        let n = (hi - lo + 1).max(0) as usize;
-        let base = n / nblocks;
-        let rem = n % nblocks;
+    /// The number of blocks along dimension `d`: the grid's extent along a
+    /// distributed dimension, one along a processor-local one.
+    pub fn blocks(&self, d: usize) -> usize {
+        if d < DIST_DIMS.min(self.bounds.rank) {
+            self.grid.dims[d]
+        } else {
+            1
+        }
+    }
+
+    /// Dimension `d`'s first index, then the length of a short block and
+    /// the number of leading blocks one index longer.
+    fn split(&self, d: usize) -> (i64, usize, usize) {
+        let n = self.bounds.extent(d) as usize;
+        let k = self.blocks(d);
+        (self.bounds.lo[d], n / k, n % k)
+    }
+
+    /// The inclusive index range of block `k` along dimension `d`: empty
+    /// (`hi < lo`) when there are more blocks than indices and `k` is past
+    /// them, since leading blocks take the remainder, like the ZPL runtime.
+    pub fn span(&self, d: usize, k: usize) -> (i64, i64) {
+        let (lo, base, rem) = self.split(d);
         let start = k.min(rem) * (base + 1) + k.saturating_sub(rem) * base;
         let len = if k < rem { base + 1 } else { base };
-        (lo + start as i64, lo + start as i64 + len as i64 - 1)
+        (lo + start as i64, lo + (start + len) as i64 - 1)
+    }
+
+    /// The block along dimension `d` that holds index `i`: the inverse of
+    /// [`span`](BlockDist::span), in O(1).
+    ///
+    /// # Panics
+    /// Panics when `i` lies outside the bounds along `d`.
+    pub fn block_of(&self, d: usize, i: i64) -> usize {
+        assert!(
+            self.bounds.lo[d] <= i && i <= self.bounds.hi[d],
+            "index {i} outside dimension {d} of {:?}",
+            self.bounds
+        );
+        let (lo, base, rem) = self.split(d);
+        let o = (i - lo) as usize;
+        // The leading blocks cover `rem * (base + 1)` indices; past them
+        // `base` is at least one.
+        let long = rem * (base + 1);
+        if o < long {
+            o / (base + 1)
+        } else {
+            rem + (o - long) / base
+        }
     }
 
     /// The block of the index space owned by processor `p` (possibly empty
@@ -44,14 +85,7 @@ impl BlockDist {
         let mut lo = self.bounds.lo;
         let mut hi = self.bounds.hi;
         for d in 0..DIST_DIMS.min(self.bounds.rank) {
-            let (l, h) = Self::split(
-                self.bounds.lo[d],
-                self.bounds.hi[d],
-                c[d],
-                self.grid.dims[d],
-            );
-            lo[d] = l;
-            hi[d] = h;
+            (lo[d], hi[d]) = self.span(d, c[d]);
         }
         Rect {
             rank: self.bounds.rank,
@@ -72,14 +106,7 @@ impl BlockDist {
         );
         let mut c = [0usize; DIST_DIMS];
         for d in 0..DIST_DIMS.min(self.bounds.rank) {
-            // Find the block containing idx[d] along dimension d.
-            c[d] = (0..self.grid.dims[d])
-                .find(|&k| {
-                    let (l, h) =
-                        Self::split(self.bounds.lo[d], self.bounds.hi[d], k, self.grid.dims[d]);
-                    l <= idx[d] && idx[d] <= h
-                })
-                .expect("index must fall in some block");
+            c[d] = self.block_of(d, idx[d]);
         }
         self.grid.at(c)
     }
@@ -108,6 +135,23 @@ mod tests {
         let d = BlockDist::new(ProcGrid::new(1, 2), Rect::d2((1, 4), (1, 7)));
         assert_eq!(d.owned(0), Rect::d2((1, 4), (1, 4)));
         assert_eq!(d.owned(1), Rect::d2((1, 4), (5, 7)));
+    }
+
+    #[test]
+    fn empty_blocks_lie_past_the_indices() {
+        // Rows 1–3 over 4 blocks, columns 1–6 over 4 (2 + 2 + 1 + 1).
+        let d = BlockDist::new(ProcGrid::new(4, 4), Rect::d2((1, 3), (1, 6)));
+        let spans = |dim| {
+            (0..d.blocks(dim))
+                .map(|k| d.span(dim, k))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(spans(0), [(1, 1), (2, 2), (3, 3), (4, 3)]);
+        assert_eq!(spans(1), [(1, 2), (3, 4), (5, 5), (6, 6)]);
+        assert_eq!(spans(2), [(0, 0)]);
+        assert_eq!(d.block_of(0, 3), 2);
+        assert_eq!(d.block_of(1, 6), 3);
+        assert!(d.owned(12).is_empty());
     }
 
     #[test]

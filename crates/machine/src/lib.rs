@@ -7,9 +7,9 @@
 //! * [`topology::ProcGrid`] — the virtual processor mesh ZPL distributes
 //!   arrays over (2D for the benchmark programs; 3D arrays keep their third
 //!   dimension processor-local, as on the real compiler);
-//! * [`dist`] — block distribution of array index spaces over the grid,
-//!   including ghost-region geometry and the slab exchanged for a given
-//!   shift offset;
+//! * [`dist`] — block distribution of array index spaces over the grid:
+//!   each processor's block, each block's range along a dimension, and
+//!   the block and processor owning an index, all in O(1);
 //! * [`linkstats::MeshTraffic`] — per-link traffic accounting over the
 //!   mesh's X-then-Y dimension-ordered routes ([`topology::ProcGrid::route`]):
 //!   bytes, messages and busy time per directed link, with utilization and

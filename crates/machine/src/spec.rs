@@ -187,11 +187,6 @@ impl MachineSpec {
             .unwrap_or_else(|| panic!("{} has no {} library", self.name, lib.name()))
     }
 
-    /// Microseconds of CPU time for `n` element-flops.
-    pub fn compute_us(&self, flops: u64) -> f64 {
-        flops as f64 * self.flop_us
-    }
-
     /// Time for a `nprocs`-wide reduction/broadcast tree.
     pub fn reduce_us(&self, nprocs: usize) -> f64 {
         let stages = (nprocs.max(1) as f64).log2().ceil();
@@ -277,7 +272,6 @@ mod tests {
     #[test]
     fn t3d_is_faster_at_compute() {
         assert!(MachineSpec::t3d().flop_us < MachineSpec::paragon().flop_us);
-        assert!((MachineSpec::t3d().compute_us(1000) - 280.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! invariants every executor relies on, checked over seeded random grids,
 //! bounds, and offsets (commopt-testkit; no external dependencies).
 
-use commopt_ir::Rect;
+// Dimension loops deliberately index several parallel arrays by `d`.
+#![allow(clippy::needless_range_loop)]
+
+use commopt_ir::{Rect, MAX_RANK};
+use commopt_machine::topology::DIST_DIMS;
 use commopt_machine::{BlockDist, ProcGrid};
 use commopt_testkit::{cases, Rng};
 
@@ -36,6 +40,60 @@ fn blocks_partition_the_index_space() {
         for p in grid.procs() {
             let o = d.owned(p);
             o.for_each(|idx| assert_eq!(d.owner_of(idx), p));
+        }
+    });
+}
+
+/// Bounds of rank 1 to 3 with 1–9 indices along each dimension, so that a
+/// grid of up to 6×6 often has more blocks than indices.
+fn arb_small_bounds(rng: &mut Rng) -> Rect {
+    let rank = rng.usize(1, 3);
+    let (mut lo, mut hi) = ([0; MAX_RANK], [0; MAX_RANK]);
+    for d in 0..rank {
+        lo[d] = rng.i64(-2, 3);
+        hi[d] = lo[d] + rng.i64(0, 8);
+    }
+    Rect::new(rank, lo, hi)
+}
+
+#[test]
+fn block_of_and_owner_of_agree_with_owned() {
+    cases(512, |rng| {
+        let grid = arb_grid(rng);
+        let bounds = arb_small_bounds(rng);
+        let d = BlockDist::new(grid, bounds);
+        for p in grid.procs() {
+            let owned = d.owned(p);
+            let coords = grid.coords(p);
+            for dim in 0..MAX_RANK {
+                let k = if dim < DIST_DIMS.min(bounds.rank) {
+                    coords[dim]
+                } else {
+                    0
+                };
+                assert_eq!(d.span(dim, k), (owned.lo[dim], owned.hi[dim]));
+                for i in owned.lo[dim]..=owned.hi[dim] {
+                    assert_eq!(d.block_of(dim, i), k, "{bounds:?} on {grid:?}, dim {dim}");
+                }
+            }
+            // A rank-1 array's block is replicated along its grid row; the
+            // owner is the replica in column 0.
+            let mut home = coords;
+            if bounds.rank == 1 {
+                home[1] = 0;
+            }
+            owned.for_each(|idx| assert_eq!(d.owner_of(idx), grid.at(home)));
+        }
+        // Blocks past the indices are empty, and all of them together
+        // cover each distributed dimension.
+        for dim in 0..DIST_DIMS.min(bounds.rank) {
+            let len: i64 = (0..d.blocks(dim))
+                .map(|k| {
+                    let (lo, hi) = d.span(dim, k);
+                    (hi - lo + 1).max(0)
+                })
+                .sum();
+            assert_eq!(len, bounds.extent(dim));
         }
     });
 }

@@ -142,26 +142,24 @@ impl DistArray {
     }
 
     /// Appends `rect`'s values to `out` in row-major order, each copied by
-    /// rows from its owner's block. `starts` must be this array's
-    /// [`BlockStarts`]; they name the owners without a per-element
-    /// lookup. A rank-1 array is read from processor column 0's replica,
-    /// the one [`BlockDist::owner_of`] names.
-    pub fn read_into(&self, rect: &Rect, starts: &BlockStarts, out: &mut Vec<f64>) {
+    /// rows from its owner's block. A rank-1 array is read from processor
+    /// column 0's replica, the one [`BlockDist::owner_of`] names.
+    pub fn read_into(&self, rect: &Rect, out: &mut Vec<f64>) {
         if rect.is_empty() {
             return;
         }
         let at = out.len();
         out.resize(at + rect.count() as usize, 0.0);
         let out = &mut out[at..];
-        let blocks = |d: usize| starts.block_of(d, rect.lo[d])..=starts.block_of(d, rect.hi[d]);
-        let cols = if rect.rank > 1 { blocks(1) } else { 0..=0 };
+        let dist = &self.dist;
+        let blocks = |d: usize| dist.block_of(d, rect.lo[d])..=dist.block_of(d, rect.hi[d]);
         for r in blocks(0) {
-            for c in cols.clone() {
-                let part = rect.intersect(&starts.block(r, c));
-                let block = &self.blocks[r * self.dist.grid.dims[1] + c];
+            for c in blocks(1) {
+                let p = dist.grid.at([r, c]);
+                let part = rect.intersect(&dist.owned(p));
                 for (base, len, _) in runs(&part) {
                     let at = offset_in(rect, base);
-                    out[at..at + len].copy_from_slice(block.run(base, len));
+                    out[at..at + len].copy_from_slice(self.blocks[p].run(base, len));
                 }
             }
         }
@@ -172,60 +170,8 @@ impl DistArray {
     pub fn gather(&self) -> (Rect, Vec<f64>) {
         let bounds = self.dist.bounds;
         let mut out = Vec::with_capacity(bounds.count() as usize);
-        self.read_into(&bounds, &BlockStarts::new(&self.dist), &mut out);
+        self.read_into(&bounds, &mut out);
         (bounds, out)
-    }
-}
-
-/// Where a distribution's blocks start along each dimension, then one past
-/// its bounds: a block per processor row along dimension 0, one per
-/// processor column along dimension 1 of a rank ≥ 2 array, and one block
-/// along every other dimension. Empty blocks (more processors than
-/// indices) start where the next one does.
-pub struct BlockStarts {
-    rank: usize,
-    starts: [Vec<i64>; MAX_RANK],
-}
-
-impl BlockStarts {
-    pub fn new(dist: &BlockDist) -> BlockStarts {
-        let [rows, cols] = dist.grid.dims;
-        let bounds = dist.bounds;
-        let starts = std::array::from_fn(|d| {
-            let mut starts: Vec<i64> = match d {
-                0 => (0..rows).map(|r| dist.owned(r * cols).lo[0]).collect(),
-                1 if bounds.rank > 1 => (0..cols).map(|c| dist.owned(c).lo[1]).collect(),
-                _ => vec![bounds.lo[d]],
-            };
-            starts.push(bounds.hi[d] + 1);
-            starts
-        });
-        BlockStarts {
-            rank: bounds.rank,
-            starts,
-        }
-    }
-
-    /// The block starts along dimension `d`.
-    pub fn dim(&self, d: usize) -> &[i64] {
-        &self.starts[d]
-    }
-
-    /// The (non-empty) block along dimension `d` that holds index `i`.
-    fn block_of(&self, d: usize, i: i64) -> usize {
-        self.starts[d].partition_point(|&s| s <= i) - 1
-    }
-
-    /// The block in processor row `r` and column `c`.
-    fn block(&self, r: usize, c: usize) -> Rect {
-        let k = [r, c, 0];
-        let mut lo = [0; MAX_RANK];
-        let mut hi = [0; MAX_RANK];
-        for d in 0..self.rank {
-            lo[d] = self.starts[d][k[d]];
-            hi[d] = self.starts[d][k[d] + 1] - 1;
-        }
-        Rect::new(self.rank, lo, hi)
     }
 }
 
@@ -355,21 +301,19 @@ mod tests {
     fn slab_reads_span_one_two_and_three_owners() {
         // 8² on 2×2: owners split at row 5 and column 5.
         let d = tagged(ProcGrid::new(2, 2), Rect::d2((1, 8), (1, 8)));
-        let starts = BlockStarts::new(&d.dist);
         // 12² on 8×8: columns 1–2, 3–4, 5–6, 7–8, then one wide.
         let narrow = tagged(ProcGrid::square(64), Rect::d2((1, 12), (1, 12)));
-        let narrow_starts = BlockStarts::new(&narrow.dist);
-        for (d, starts, slab, owners) in [
+        for (d, slab, owners) in [
             // The east ghost column of processor 0.
-            (&d, &starts, Rect::d2((2, 4), (5, 5)), 1),
+            (&d, Rect::d2((2, 4), (5, 5)), 1),
             // The south ghost row of an SE offset: split between
             // processors 2 and 3.
-            (&d, &starts, Rect::d2((5, 5), (2, 5)), 2),
+            (&d, Rect::d2((5, 5), (2, 5)), 2),
             // A corner block over all four owners.
-            (&d, &starts, Rect::d2((4, 5), (4, 6)), 4),
-            (&narrow, &narrow_starts, Rect::d2((3, 3), (2, 4)), 2),
-            (&narrow, &narrow_starts, Rect::d2((3, 3), (1, 5)), 3),
-            (&narrow, &narrow_starts, Rect::d2((8, 9), (6, 9)), 6),
+            (&d, Rect::d2((4, 5), (4, 6)), 4),
+            (&narrow, Rect::d2((3, 3), (2, 4)), 2),
+            (&narrow, Rect::d2((3, 3), (1, 5)), 3),
+            (&narrow, Rect::d2((8, 9), (6, 9)), 6),
         ] {
             let mut seen = Vec::new();
             slab.for_each(|i| {
@@ -381,7 +325,7 @@ mod tests {
             assert_eq!(seen.len(), owners, "{slab:?}");
             // Reads append after what the buffer already holds.
             let mut out = vec![-1.0];
-            d.read_into(&slab, starts, &mut out);
+            d.read_into(&slab, &mut out);
             assert_eq!(out[0], -1.0);
             assert_eq!(bits(&out[1..]), per_element(d, &slab), "{slab:?}");
         }
@@ -397,20 +341,14 @@ mod tests {
         let (_, data) = d.gather();
         assert_eq!(bits(&data), per_element(&d, &d.dist.bounds));
         let mut slab = Vec::new();
-        d.read_into(&Rect::d1((4, 6)), &BlockStarts::new(&d.dist), &mut slab);
+        d.read_into(&Rect::d1((4, 6)), &mut slab);
         assert_eq!(bits(&slab), per_element(&d, &Rect::d1((4, 6))));
     }
 
     #[test]
-    fn block_starts_skip_empty_blocks() {
+    fn new_blocks_are_zero_where_owned_and_nan_elsewhere() {
+        // Three rows over four processor rows: the last blocks are empty.
         let d = DistArray::new(ProcGrid::new(4, 4), Rect::d2((1, 3), (1, 6)), 1);
-        let starts = BlockStarts::new(&d.dist);
-        assert_eq!(starts.dim(0), [1, 2, 3, 4, 4]);
-        assert_eq!(starts.dim(1), [1, 3, 5, 6, 7]);
-        assert_eq!(starts.dim(2), [0, 1]);
-        assert_eq!(starts.block_of(0, 3), 2);
-        assert_eq!(starts.block_of(1, 6), 3);
-        // New blocks hold zeros in every owned cell, NaN in every ghost.
         for (p, b) in d.blocks.iter().enumerate() {
             let owned = d.dist.owned(p);
             b.rect

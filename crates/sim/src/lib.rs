@@ -58,6 +58,7 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod faults;
+mod layout;
 mod ledger;
 pub mod metrics;
 pub mod safety;
@@ -74,28 +75,3 @@ pub use metrics::{
 pub use safety::SafetyViolation;
 pub use seq::SeqInterp;
 pub use trace::{chrome_trace, Recorder, SpanKind, Trace, TraceEvent, TraceHandle, TraceSink};
-
-use commopt_ir::Program;
-use commopt_ironman::Library;
-use commopt_machine::MachineSpec;
-
-/// Convenience: simulate `program` on `machine`/`library` with `nprocs`
-/// processors, timing only (no numerics).
-pub fn simulate(
-    program: &Program,
-    machine: &MachineSpec,
-    library: Library,
-    nprocs: usize,
-) -> Result<SimResult, SimError> {
-    Simulator::new(program, SimConfig::timing(machine.clone(), library, nprocs)).try_run()
-}
-
-/// Convenience: full simulation including distributed numerics.
-pub fn simulate_full(
-    program: &Program,
-    machine: &MachineSpec,
-    library: Library,
-    nprocs: usize,
-) -> Result<SimResult, SimError> {
-    Simulator::new(program, SimConfig::full(machine.clone(), library, nprocs)).try_run()
-}

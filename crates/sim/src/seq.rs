@@ -5,8 +5,8 @@
 //! element, with straightforward recursive expression evaluation. It
 //! deliberately shares no evaluation code with the distributed engine so
 //! the two can serve as oracles for each other: for every benchmark and
-//! every optimizer configuration, `simulate_full(...)` must reproduce
-//! `SeqInterp::run(source)` exactly.
+//! every optimizer configuration, a full-mode [`Simulator`](crate::Simulator)
+//! run must reproduce `SeqInterp::run(source)` exactly.
 
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]

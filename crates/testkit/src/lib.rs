@@ -78,12 +78,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A uniform `f64` in `[lo, hi)`.
-    pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi, "empty range [{lo}, {hi})");
-        lo + self.f64() * (hi - lo)
-    }
-
     /// A fair coin.
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1

@@ -73,11 +73,6 @@ impl Pool {
         Pool { jobs: jobs.max(1) }
     }
 
-    /// A pool sized by [`resolve_jobs`].
-    pub fn from_env(cli: Option<usize>) -> Pool {
-        Pool::new(resolve_jobs(cli))
-    }
-
     /// The worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
