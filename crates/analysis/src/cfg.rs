@@ -1,29 +1,28 @@
-//! The control-flow graph and the worklist fixpoint solver.
+//! The node list commlint's analyses run over, and the two structured
+//! fixpoint drivers that run them.
 //!
-//! The mini-ZPL IR has structured control flow only (`Repeat`/`For`), so
-//! the CFG of a program is a chain of statement nodes with three extra
-//! edges per loop: a *loop-entry* edge from the loop header into its body,
-//! a *back* edge from the last body statement to the header, and a
-//! *loop-exit* edge from the last body statement to the statement after
-//! the loop. Entry and exit edges carry the loop's *kill set* — the ghost
-//! refs of the arrays its body writes — which the ghost-availability
-//! analysis uses to drop carried ghost data conservatively, exactly the
-//! way `verify_plan` does.
+//! The mini-ZPL IR has structured control flow only (`Repeat`/`For`), so a
+//! program lowers to a list of nodes in program pre-order: one per source
+//! statement and per DN, and one header per loop, which records where its
+//! body's nodes end. A loop's *kill set* — the ghost refs of the arrays
+//! its body writes — is applied on loop entry and exit, so the
+//! ghost-availability analysis drops carried ghost data conservatively,
+//! exactly the way `verify_plan` does.
 //!
-//! Building the graph interns every `(array, offset)` reference the
+//! Building the list interns every `(array, offset)` reference the
 //! program reads or a transfer carries as a dense *ref id*, and every
 //! (ref, constant read rectangle) pair as a dense *site id*, so the
-//! analyses' states are fixed-width bitsets over those ids.
+//! analyses' states are fixed-width bitsets over those ids. It also works
+//! out once whether each DN delivers stale data (see [`NodeOp::Dn`]).
 //!
-//! [`solve`] is a generic worklist solver: it iterates transfer functions
-//! to a fixpoint over this graph in either direction, starting optimistic
-//! (unvisited nodes contribute nothing to a join), so loops converge to
-//! the most precise fixpoint the back-edge iteration supports.
+//! [`forward`] and [`backward`] iterate an [`Analysis`] to a fixpoint by
+//! walking the list: each loop body is walked until the state at its
+//! header repeats, and the first walk joins nothing from the back edge,
+//! so loops converge to the most precise fixpoint the iteration supports.
 
 use crate::bits::BitSet;
 use commopt_ir::analysis::{stmt_comm_refs, written_arrays, CommRef, Span};
 use commopt_ir::{ArrayId, CallKind, LoopEnv, Program, Rect, Region, Stmt, TransferId};
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// One non-local read of a source statement.
@@ -37,7 +36,7 @@ pub struct Read {
     pub site: Option<usize>,
 }
 
-/// What a CFG node does, pre-digested for the transfer functions.
+/// What a node does, pre-digested for the transfer functions.
 #[derive(Clone, Debug)]
 pub enum NodeOp {
     /// A source statement: non-local reads, then an optional whole-array
@@ -46,49 +45,33 @@ pub enum NodeOp {
         reads: Vec<Read>,
         writes: Option<ArrayId>,
     },
-    /// One IRONMAN call. `sr_before_in_list` records whether the
-    /// transfer's SR appears *earlier in the same statement list*, because
-    /// that is the scope of `verify_plan`'s per-block SR snapshot: a DN
-    /// whose SR sits in a different list, or later in this one, must take
-    /// the freshness fallback ([`Cfg::written_before`], mirroring the
-    /// version-0 fallback of `verify_plan`) even though the dataflow state
-    /// happens to carry a pending set across the loop's back edge.
-    Comm {
-        kind: CallKind,
+    /// A DN call. `stale` has one flag per transfer item: whether the
+    /// carried array was written since the transfer's latest SR earlier in
+    /// the same statement list (writes in nested loop bodies count), or,
+    /// when the list has no such SR, anywhere earlier in program
+    /// pre-order. That is `verify_plan`'s per-list SR snapshot and its
+    /// version-0 fallback. The other calls deliver nothing and get no node.
+    Dn {
         transfer: TransferId,
-        sr_before_in_list: bool,
+        stale: Vec<bool>,
     },
-    /// A loop header. Its entry and exit edges kill `kill`: the ref ids of
-    /// every array the body writes.
-    Loop { kill: BitSet },
-    /// Synthetic entry/exit marker.
-    Boundary,
+    /// A loop header. Its body is the nodes up to `end` (exclusive); `kill`
+    /// holds the ref ids of every array the body writes.
+    Loop { kill: BitSet, end: usize },
 }
 
-/// One node of the graph.
+/// One node of the list.
 #[derive(Clone, Debug)]
 pub struct Node {
     pub span: Span,
     pub op: NodeOp,
 }
 
-/// A directed edge; `kill` names the loop node whose kill set the edge
-/// applies (loop-entry and loop-exit edges only).
-#[derive(Clone, Copy, Debug)]
-pub struct Edge {
-    pub to: usize,
-    pub kill: Option<usize>,
-}
-
-/// The control-flow graph of one instrumented (or source) program, with
-/// its interned id spaces.
+/// The node list of one instrumented (or source) program, with its
+/// interned id spaces.
 pub struct Cfg {
     /// Nodes in program pre-order.
     pub nodes: Vec<Node>,
-    pub succs: Vec<Vec<Edge>>,
-    pub preds: Vec<Vec<Edge>>,
-    pub entry: usize,
-    pub exit: usize,
     /// The interned references, indexed by ref id.
     pub refs: Vec<CommRef>,
     /// Each transfer's items as ref ids, in item order.
@@ -101,34 +84,21 @@ pub struct Cfg {
     pub array_refs: Vec<BitSet>,
     /// Per array: the site ids reading its ghosts.
     pub array_sites: Vec<BitSet>,
-    /// Per array: the first node writing it, in program pre-order
-    /// (`usize::MAX` when nothing does).
-    first_write: Vec<usize>,
 }
 
 impl Cfg {
     pub fn build(program: &Program) -> Cfg {
         let mut b = Builder {
+            program,
             nodes: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
             ref_ids: HashMap::new(),
             refs: Vec::new(),
             site_ids: HashMap::new(),
             sites: Vec::new(),
             loop_writes: Vec::new(),
-            first_write: vec![usize::MAX; program.arrays.len()],
+            written: vec![false; program.arrays.len()],
         };
-        let entry = b.push(Node {
-            span: Span::root(),
-            op: NodeOp::Boundary,
-        });
-        let out = b.lower(&program.body, &Span::root(), (entry, None));
-        let exit = b.push(Node {
-            span: Span::root(),
-            op: NodeOp::Boundary,
-        });
-        b.connect(out, exit);
+        b.lower(&program.body, &Span::root());
         let transfer_refs: Vec<Vec<usize>> = program
             .transfers
             .iter()
@@ -157,70 +127,43 @@ impl Cfg {
             ref_sites[r].push(id);
         }
         for (ix, arrays) in b.loop_writes {
-            let mut kill = BitSet::new(nrefs);
-            for a in arrays {
-                kill.union_with(&array_refs[a.index()]);
+            if let NodeOp::Loop { kill, .. } = &mut b.nodes[ix].op {
+                *kill = BitSet::new(nrefs);
+                for a in arrays {
+                    kill.union_with(&array_refs[a.index()]);
+                }
             }
-            b.nodes[ix].op = NodeOp::Loop { kill };
         }
         Cfg {
             nodes: b.nodes,
-            succs: b.succs,
-            preds: b.preds,
-            entry,
-            exit,
             refs: b.refs,
             transfer_refs,
             ref_sites,
             site_rects: b.sites.into_iter().map(|(_, rect)| rect).collect(),
             array_refs,
             array_sites,
-            first_write: b.first_write,
         }
-    }
-
-    /// The kill set of an edge, if any.
-    pub fn kill_of(&self, e: Edge) -> Option<&BitSet> {
-        e.kill.map(|ix| match &self.nodes[ix].op {
-            NodeOp::Loop { kill } => kill,
-            _ => unreachable!("kill edges reference loop nodes"),
-        })
-    }
-
-    /// Whether any statement preceding node `ix` in program pre-order
-    /// writes `array`.
-    pub fn written_before(&self, array: ArrayId, ix: usize) -> bool {
-        self.first_write[array.index()] < ix
     }
 }
 
-struct Builder {
+struct Builder<'a> {
+    program: &'a Program,
     nodes: Vec<Node>,
-    succs: Vec<Vec<Edge>>,
-    preds: Vec<Vec<Edge>>,
     ref_ids: HashMap<CommRef, usize>,
     refs: Vec<CommRef>,
     site_ids: HashMap<(usize, Rect), usize>,
     sites: Vec<(usize, Rect)>,
     /// Loop header nodes with the arrays their bodies write; the headers
-    /// become [`NodeOp::Loop`]s, with kill sets over ref ids, once every
-    /// ref is interned.
+    /// get their kill sets, over ref ids, once every ref is interned.
     loop_writes: Vec<(usize, BTreeSet<ArrayId>)>,
-    first_write: Vec<usize>,
+    /// Per array: whether a statement lowered so far writes it.
+    written: Vec<bool>,
 }
 
-impl Builder {
-    fn push(&mut self, node: Node) -> usize {
-        self.nodes.push(node);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+impl Builder<'_> {
+    fn push(&mut self, span: Span, op: NodeOp) -> usize {
+        self.nodes.push(Node { span, op });
         self.nodes.len() - 1
-    }
-
-    fn connect(&mut self, from: (usize, Option<usize>), to: usize) {
-        let (src, kill) = from;
-        self.succs[src].push(Edge { to, kill });
-        self.preds[to].push(Edge { to: src, kill });
     }
 
     fn intern(&mut self, r: CommRef) -> usize {
@@ -237,51 +180,54 @@ impl Builder {
         })
     }
 
-    /// Lowers one statement list, chaining from `prev` (a node plus the
-    /// kill the edge out of it must carry). Returns the outgoing port.
-    fn lower(
-        &mut self,
-        block: &commopt_ir::Block,
-        prefix: &Span,
-        mut prev: (usize, Option<usize>),
-    ) -> (usize, Option<usize>) {
-        let mut srs_seen: BTreeSet<TransferId> = BTreeSet::new();
+    /// Lowers one statement list, in pre-order.
+    fn lower(&mut self, block: &commopt_ir::Block, prefix: &Span) {
+        // Writes in this list are numbered as they happen; per array the
+        // number of its latest write, per transfer the count when its latest
+        // SR ran. A DN's item is stale when its array's latest write is
+        // numbered above that count.
+        let mut writes_seen = 0;
+        let mut last_write: HashMap<ArrayId, usize> = HashMap::new();
+        let mut sr_at: HashMap<TransferId, usize> = HashMap::new();
         for (i, stmt) in block.iter().enumerate() {
             let span = prefix.child(i);
             match stmt {
                 Stmt::Repeat { body, .. } | Stmt::For { body, .. } => {
-                    let head = self.push(Node {
-                        span: span.clone(),
-                        op: NodeOp::Boundary,
-                    });
-                    self.loop_writes.push((head, written_arrays(body)));
-                    self.connect(prev, head);
-                    if body.iter().next().is_some() {
-                        // head -> body (kill), body end -> head (back edge),
-                        // body end -> after (kill).
-                        let body_out = self.lower(body, &span, (head, Some(head)));
-                        let (out_node, _) = body_out;
-                        self.connect((out_node, None), head);
-                        prev = (out_node, Some(head));
-                    } else {
-                        prev = (head, None);
+                    let body_writes = written_arrays(body);
+                    writes_seen += 1;
+                    for &a in &body_writes {
+                        last_write.insert(a, writes_seen);
+                    }
+                    let kill = BitSet::new(0);
+                    let head = self.push(span.clone(), NodeOp::Loop { kill, end: 0 });
+                    self.loop_writes.push((head, body_writes));
+                    self.lower(body, &span);
+                    let body_end = self.nodes.len();
+                    if let NodeOp::Loop { end, .. } = &mut self.nodes[head].op {
+                        *end = body_end;
                     }
                 }
-                Stmt::Comm { kind, transfer } => {
-                    let node = self.push(Node {
-                        span: span.clone(),
-                        op: NodeOp::Comm {
-                            kind: *kind,
-                            transfer: *transfer,
-                            sr_before_in_list: srs_seen.contains(transfer),
-                        },
-                    });
-                    if *kind == CallKind::SR {
-                        srs_seen.insert(*transfer);
+                Stmt::Comm { kind, transfer } => match kind {
+                    CallKind::SR => {
+                        sr_at.insert(*transfer, writes_seen);
                     }
-                    self.connect(prev, node);
-                    prev = (node, None);
-                }
+                    CallKind::DN => {
+                        let since = sr_at.get(transfer);
+                        let stale = self
+                            .program
+                            .transfer(*transfer)
+                            .items
+                            .iter()
+                            .map(|item| match since {
+                                Some(&sr) => last_write.get(&item.array).is_some_and(|&w| w > sr),
+                                None => self.written[item.array.index()],
+                            })
+                            .collect();
+                        let transfer = *transfer;
+                        self.push(span, NodeOp::Dn { transfer, stale });
+                    }
+                    CallKind::DR | CallKind::SV => {}
+                },
                 source => {
                     let region = match source {
                         Stmt::Assign { region, .. } => Some(*region),
@@ -303,20 +249,15 @@ impl Builder {
                         })
                         .collect();
                     let writes = commopt_ir::arrays_written(source);
-                    let node = self.push(Node {
-                        span: span.clone(),
-                        op: NodeOp::Source { reads, writes },
-                    });
                     if let Some(w) = writes {
-                        let first = &mut self.first_write[w.index()];
-                        *first = (*first).min(node);
+                        writes_seen += 1;
+                        last_write.insert(w, writes_seen);
+                        self.written[w.index()] = true;
                     }
-                    self.connect(prev, node);
-                    prev = (node, None);
+                    self.push(span, NodeOp::Source { reads, writes });
                 }
             }
         }
-        prev
     }
 }
 
@@ -327,102 +268,141 @@ pub fn constant_rect(region: Region) -> Option<Rect> {
         .then(|| region.eval(&LoopEnv::default()))
 }
 
-/// Direction of a dataflow analysis.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Direction {
-    Forward,
-    Backward,
-}
-
-/// A dataflow problem over the [`Cfg`].
-///
-/// The solver computes, for each node, the state *entering* the node in
-/// the direction of the analysis (program-order "in" for forward problems,
-/// program-order "out" for backward ones), by iterating `transfer` over a
-/// worklist until nothing changes. Joins start optimistic: a predecessor
-/// the worklist has not reached yet contributes nothing, so must-problems
-/// converge from above to their greatest fixpoint — the precision the
-/// back-edge iteration is there to buy.
+/// A dataflow problem over the [`Cfg`]'s node list.
 pub trait Analysis {
     type State: Clone + PartialEq;
 
-    fn direction(&self) -> Direction;
-
-    /// State at the boundary (program entry for forward, exit for backward).
+    /// State at the boundary: program entry for [`forward`], program exit
+    /// for [`backward`].
     fn boundary(&self) -> Self::State;
 
-    /// Combines `other` into `acc` at a join point.
+    /// Combines `other` into `acc` where control flow joins.
     fn join(&self, acc: &mut Self::State, other: &Self::State);
 
-    /// Applies an edge's kill set (loop-entry/exit edges): the ref ids of
-    /// the arrays the loop body writes.
-    fn edge(&self, kill: &BitSet, state: &mut Self::State);
+    /// Applies a loop's kill set, the ref ids of the arrays its body
+    /// writes. [`forward`] applies it on loop entry and on loop exit;
+    /// [`backward`] never does.
+    fn kill(&self, _kill: &BitSet, _state: &mut Self::State) {}
 
-    /// Pushes a state through node `ix`.
-    fn transfer(&self, ix: usize, node: &Node, state: &mut Self::State);
+    /// Pushes a state through a source or DN node, in the direction of
+    /// the analysis.
+    fn transfer(&self, node: &Node, state: &mut Self::State);
 }
 
-/// Runs `analysis` to a fixpoint. Returns the per-node entering state (in
-/// analysis direction); `None` for nodes the analysis never reached.
-///
-/// The worklist is seeded in the analysis direction — program order for
-/// forward problems, reverse program order for backward ones — so a
-/// node's first visit usually finds its inputs already computed.
-pub fn solve<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<Option<A::State>> {
-    let n = cfg.nodes.len();
-    let backward = analysis.direction() == Direction::Backward;
-    let (boundary_node, preds, succs) = if backward {
-        (cfg.exit, &cfg.succs, &cfg.preds)
-    } else {
-        (cfg.entry, &cfg.preds, &cfg.succs)
-    };
+/// Runs a forward problem. Returns, per node, the state entering it in
+/// program order.
+pub fn forward<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<A::State> {
+    let mut walk = Walk::new(cfg, analysis);
+    walk.forward(0, cfg.nodes.len(), analysis.boundary());
+    walk.finish()
+}
 
-    let mut state: Vec<Option<A::State>> = vec![None; n];
-    let mut out: Vec<Option<A::State>> = vec![None; n];
-    let mut worklist: std::collections::VecDeque<usize> = if backward {
-        (0..n).rev().collect()
-    } else {
-        (0..n).collect()
-    };
-    let mut queued = vec![true; n];
+/// Runs a backward problem. Returns, per node, the state leaving it in
+/// program order (the state entering it in the analysis direction).
+pub fn backward<A: Analysis>(cfg: &Cfg, analysis: &A) -> Vec<A::State> {
+    let mut walk = Walk::new(cfg, analysis);
+    walk.backward(0, cfg.nodes.len(), analysis.boundary());
+    walk.finish()
+}
 
-    while let Some(ix) = worklist.pop_front() {
-        queued[ix] = false;
-        // Join over the already-computed incoming states.
-        let mut incoming: Option<A::State> = (ix == boundary_node).then(|| analysis.boundary());
-        for e in &preds[ix] {
-            let Some(s) = &out[e.to] else { continue };
-            let s = match cfg.kill_of(*e) {
-                Some(kill) => {
-                    let mut s = s.clone();
-                    analysis.edge(kill, &mut s);
-                    Cow::Owned(s)
-                }
-                None => Cow::Borrowed(s),
-            };
-            match &mut incoming {
-                Some(acc) => analysis.join(acc, &s),
-                None => incoming = Some(s.into_owned()),
-            }
-        }
-        let Some(incoming) = incoming else { continue };
-        // Transfer functions are pure: an unchanged input means an
-        // unchanged output, and nothing downstream needs revisiting.
-        if state[ix].as_ref() == Some(&incoming) {
-            continue;
-        }
-        let mut new_out = incoming.clone();
-        analysis.transfer(ix, &cfg.nodes[ix], &mut new_out);
-        state[ix] = Some(incoming);
-        out[ix] = Some(new_out);
-        for e in &succs[ix] {
-            if !queued[e.to] {
-                queued[e.to] = true;
-                worklist.push_back(e.to);
-            }
+/// One driver run: the problem, and the state recorded at each node.
+struct Walk<'a, A: Analysis> {
+    cfg: &'a Cfg,
+    analysis: &'a A,
+    states: Vec<Option<A::State>>,
+}
+
+impl<'a, A: Analysis> Walk<'a, A> {
+    fn new(cfg: &'a Cfg, analysis: &'a A) -> Self {
+        let states = vec![None; cfg.nodes.len()];
+        Walk {
+            cfg,
+            analysis,
+            states,
         }
     }
-    state
+
+    fn finish(self) -> Vec<A::State> {
+        let states = self.states.into_iter();
+        states.map(|s| s.expect("every node is walked")).collect()
+    }
+
+    /// Walks the statement list `ix..end` forward from `state`, recording
+    /// each node's entering state; returns the state leaving the list.
+    fn forward(&mut self, mut ix: usize, end: usize, mut state: A::State) -> A::State {
+        let (cfg, analysis) = (self.cfg, self.analysis);
+        while ix < end {
+            self.states[ix] = Some(state.clone());
+            let node = &cfg.nodes[ix];
+            let NodeOp::Loop {
+                kill,
+                end: body_end,
+            } = &node.op
+            else {
+                analysis.transfer(node, &mut state);
+                ix += 1;
+                continue;
+            };
+            // `state` is the state before the loop. Each walk of the body
+            // starts from the header state, which then becomes the state
+            // before the loop joined with the walk's result.
+            let mut head = state.clone();
+            state = loop {
+                let mut entry = head.clone();
+                analysis.kill(kill, &mut entry);
+                let out = self.forward(ix + 1, *body_end, entry);
+                let mut next = out.clone();
+                analysis.join(&mut next, &state);
+                if next == head {
+                    break out;
+                }
+                head = next;
+                self.states[ix] = Some(head.clone());
+            };
+            analysis.kill(kill, &mut state);
+            ix = *body_end;
+        }
+        state
+    }
+
+    /// Walks the statement list `start..end` backward from `state`, the
+    /// state after the list, recording each node's leaving state; returns
+    /// the state before the list.
+    fn backward(&mut self, start: usize, end: usize, mut state: A::State) -> A::State {
+        let (cfg, analysis) = (self.cfg, self.analysis);
+        let mut heads = Vec::new();
+        let mut ix = start;
+        while ix < end {
+            heads.push(ix);
+            ix = match cfg.nodes[ix].op {
+                NodeOp::Loop { end, .. } => end,
+                _ => ix + 1,
+            };
+        }
+        for ix in heads.into_iter().rev() {
+            let node = &cfg.nodes[ix];
+            let NodeOp::Loop { end: body_end, .. } = &node.op else {
+                self.states[ix] = Some(state.clone());
+                analysis.transfer(node, &mut state);
+                continue;
+            };
+            // `state` is the state after the loop. Each walk of the body
+            // starts from the state at its end: the state after the loop
+            // joined with the previous walk's result.
+            let mut bottom = state.clone();
+            state = loop {
+                let top = self.backward(ix + 1, *body_end, bottom.clone());
+                let mut next = top.clone();
+                analysis.join(&mut next, &state);
+                if next == bottom {
+                    break top;
+                }
+                bottom = next;
+            };
+            self.states[ix] = Some(state.clone());
+        }
+        state
+    }
 }
 
 #[cfg(test)]
@@ -452,77 +432,123 @@ mod tests {
     }
 
     #[test]
-    fn loops_get_entry_back_and_exit_edges() {
+    fn loop_headers_record_body_end_and_kill() {
         let cfg = Cfg::build(&two_level_program());
-        // entry, X:=, loop, body stmt, A:=, exit.
-        assert_eq!(cfg.nodes.len(), 6);
-        let loop_ix = cfg
-            .nodes
-            .iter()
-            .position(|n| matches!(n.op, NodeOp::Loop { .. }))
-            .unwrap();
-        let body_ix = loop_ix + 1;
-        // Loop-entry edge carries the body's kill set: the ghost of A, which
-        // the body writes, but not the ghost of X.
-        let entry_edge = cfg.succs[loop_ix]
-            .iter()
-            .find(|e| e.to == body_ix)
-            .expect("loop -> body edge");
+        // X:=, loop, body stmt, A:=.
+        assert_eq!(cfg.nodes.len(), 4);
+        let NodeOp::Loop { kill, end } = &cfg.nodes[1].op else {
+            panic!("node 1 is the loop header");
+        };
+        assert_eq!(*end, 3);
         let id = |array, offset| {
             cfg.refs
                 .iter()
                 .position(|r| *r == CommRef { array, offset })
                 .expect("interned ref")
         };
-        let kill = cfg.kill_of(*entry_edge).unwrap();
+        // The kill set holds the ghost of A, which the body writes, but not
+        // the ghost of X.
         assert!(kill.contains(id(ArrayId(1), compass::WEST)));
         assert!(!kill.contains(id(ArrayId(0), compass::EAST)));
-        // Back edge from the body end to the header, no kill.
-        assert!(cfg.succs[body_ix]
-            .iter()
-            .any(|e| e.to == loop_ix && e.kill.is_none()));
-        // Exit edge from the body end past the loop, with the kill.
-        assert!(cfg.succs[body_ix]
-            .iter()
-            .any(|e| e.to == body_ix + 1 && e.kill == Some(loop_ix)));
     }
 
     #[test]
     fn spans_match_statement_paths() {
         let cfg = Cfg::build(&two_level_program());
-        let spans: Vec<String> = cfg
-            .nodes
-            .iter()
-            .filter(|n| !matches!(n.op, NodeOp::Boundary))
-            .map(|n| n.span.to_string())
-            .collect();
+        let spans: Vec<String> = cfg.nodes.iter().map(|n| n.span.to_string()).collect();
         assert_eq!(spans, vec!["s0", "s1", "s1.0", "s2"]);
     }
 
-    #[test]
-    fn written_before_follows_program_pre_order() {
-        // entry(0), X:=(1), loop(2), body A:=(3), A:=(4), exit(5).
-        let cfg = Cfg::build(&two_level_program());
-        let (x, a) = (ArrayId(0), ArrayId(1));
-        assert!(!cfg.written_before(x, 1) && cfg.written_before(x, 2));
-        assert!(!cfg.written_before(a, 3) && cfg.written_before(a, 4));
+    /// The stale flags of every DN node, in node order.
+    fn stale_flags(body: Vec<Stmt>) -> Vec<Vec<bool>> {
+        let mut p = Program::new("stale");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        let y = p.add_array("Y", Rect::d2((1, 8), (1, 8)));
+        let r = Region::d2((2, 7), (2, 7));
+        p.add_transfer(vec![
+            commopt_ir::TransferItem::new(x, compass::EAST, r),
+            commopt_ir::TransferItem::new(y, compass::EAST, r),
+        ]);
+        p.body = Block::new(body);
+        Cfg::build(&p)
+            .nodes
+            .into_iter()
+            .filter_map(|n| match n.op {
+                NodeOp::Dn { stale, .. } => Some(stale),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// A trivial forward may-analysis: the set of arrays written so far.
-    struct WrittenSoFar;
-    impl Analysis for WrittenSoFar {
-        type State = BTreeSet<ArrayId>;
-        fn direction(&self) -> Direction {
-            Direction::Forward
+    fn write(array: u32) -> Stmt {
+        Stmt::assign(Region::d2((2, 7), (2, 7)), ArrayId(array), Expr::Const(1.0))
+    }
+
+    fn call(kind: CallKind) -> Stmt {
+        Stmt::Comm {
+            kind,
+            transfer: TransferId(0),
         }
+    }
+
+    fn repeat(body: Vec<Stmt>) -> Stmt {
+        Stmt::Repeat {
+            count: 2,
+            body: Block::new(body),
+        }
+    }
+
+    #[test]
+    fn stale_flags_count_writes_since_the_latest_sr_in_the_list() {
+        use CallKind::{DN, SR};
+        // A write of X after the SR, inside a nested loop, counts.
+        assert_eq!(
+            stale_flags(vec![call(SR), repeat(vec![write(0)]), call(DN)]),
+            vec![vec![true, false]]
+        );
+        // The latest SR counts: the write before it does not.
+        assert_eq!(
+            stale_flags(vec![call(SR), write(1), call(SR), call(DN)]),
+            vec![vec![false, false]]
+        );
+        // An SR in a nested list does not reset the outer list's snapshot.
+        assert_eq!(
+            stale_flags(vec![call(SR), write(1), repeat(vec![call(SR)]), call(DN)]),
+            vec![vec![false, true]]
+        );
+    }
+
+    #[test]
+    fn stale_flags_fall_back_to_any_earlier_write_without_an_sr() {
+        use CallKind::{DN, SR};
+        // No SR before the DN in its list: any write earlier in pre-order,
+        // even one in another list, makes the item stale.
+        assert_eq!(
+            stale_flags(vec![
+                repeat(vec![write(1)]),
+                call(SR),
+                repeat(vec![call(DN)])
+            ]),
+            vec![vec![false, true]]
+        );
+        assert_eq!(
+            stale_flags(vec![call(DN), write(0), call(SR)]),
+            vec![vec![false, false]]
+        );
+    }
+
+    /// A may-analysis: the arrays written before a node when run forward,
+    /// after it when run backward.
+    struct Writes;
+    impl Analysis for Writes {
+        type State = BTreeSet<ArrayId>;
         fn boundary(&self) -> Self::State {
             BTreeSet::new()
         }
         fn join(&self, acc: &mut Self::State, other: &Self::State) {
             acc.extend(other.iter().copied());
         }
-        fn edge(&self, _kill: &BitSet, _state: &mut Self::State) {}
-        fn transfer(&self, _ix: usize, node: &Node, state: &mut Self::State) {
+        fn transfer(&self, node: &Node, state: &mut Self::State) {
             if let NodeOp::Source {
                 writes: Some(w), ..
             } = &node.op
@@ -533,20 +559,93 @@ mod tests {
     }
 
     #[test]
-    fn worklist_reaches_fixpoint_through_loops() {
+    fn forward_reaches_fixpoint_through_loops() {
         let cfg = Cfg::build(&two_level_program());
-        let states = solve(&cfg, &WrittenSoFar);
-        // At exit, every write is visible.
-        let at_exit = states[cfg.exit].as_ref().unwrap();
-        assert!(at_exit.contains(&ArrayId(0)) && at_exit.contains(&ArrayId(1)));
+        let states = forward(&cfg, &Writes);
+        // At the last statement, every earlier write is visible.
+        assert_eq!(states[3], BTreeSet::from([ArrayId(0), ArrayId(1)]));
         // At the body statement, the back edge has folded the body's own
         // write of A into the loop-header join.
-        let body_ix = cfg
+        assert!(states[2].contains(&ArrayId(1)));
+    }
+
+    #[test]
+    fn backward_reaches_fixpoint_through_loops() {
+        // X := 1; repeat { A := ... }; X := 1
+        let mut p = two_level_program();
+        p.body.0[2] = write(0);
+        let states = backward(&Cfg::build(&p), &Writes);
+        // After the last statement nothing is written; after the body
+        // statement, the back edge adds the body's own write of A to the
+        // write of X after the loop.
+        assert!(states[3].is_empty());
+        let both = BTreeSet::from([ArrayId(0), ArrayId(1)]);
+        assert_eq!(states[2], both);
+        assert_eq!(states[0], both);
+    }
+
+    /// A forward must-analysis over ref ids: the refs read since the last
+    /// loop kill that covers them.
+    struct ReadSinceKill<'a>(&'a Cfg);
+    impl Analysis for ReadSinceKill<'_> {
+        type State = BitSet;
+        fn boundary(&self) -> BitSet {
+            BitSet::new(self.0.refs.len())
+        }
+        fn join(&self, acc: &mut BitSet, other: &BitSet) {
+            acc.intersect_with(other);
+        }
+        fn kill(&self, kill: &BitSet, state: &mut BitSet) {
+            state.subtract(kill);
+        }
+        fn transfer(&self, node: &Node, state: &mut BitSet) {
+            if let NodeOp::Source { reads, .. } = &node.op {
+                for read in reads {
+                    state.insert(read.r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_ending_a_body_kills_on_the_enclosing_back_edge() {
+        // A := X@east; repeat { repeat { X := 1; A := X@east } }
+        let (x, a) = (ArrayId(0), ArrayId(1));
+        let r = Region::d2((2, 7), (2, 7));
+        let read = Stmt::assign(r, a, Expr::at(x, compass::EAST));
+        let mut p = two_level_program();
+        p.body.0 = vec![read.clone(), repeat(vec![repeat(vec![write(0), read])])];
+        let cfg = Cfg::build(&p);
+        let states = forward(&cfg, &ReadSinceKill(&cfg));
+        // X@east is read before the outer loop and at the end of the inner
+        // body, but the inner loop's exit kill drops it before the back edge
+        // reaches the outer header, so it does not survive the header join.
+        let x_east = cfg.refs.iter().position(|r| r.array == x).unwrap();
+        assert!(!states[1].contains(x_east));
+    }
+
+    #[test]
+    fn empty_loop_bodies_pass_states_through() {
+        // X := 1; repeat {}; A := 0; repeat {}
+        let mut p = two_level_program();
+        p.body.0[1] = repeat(Vec::new());
+        p.body.0.push(repeat(Vec::new()));
+        let cfg = Cfg::build(&p);
+        let ends: Vec<usize> = cfg
             .nodes
             .iter()
-            .position(|n| matches!(n.op, NodeOp::Loop { .. }))
-            .unwrap()
-            + 1;
-        assert!(states[body_ix].as_ref().unwrap().contains(&ArrayId(1)));
+            .enumerate()
+            .filter_map(|(ix, n)| match n.op {
+                NodeOp::Loop { end, .. } => Some(end - ix),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends, vec![1, 1]);
+        let fwd = forward(&cfg, &Writes);
+        assert_eq!(fwd[1], BTreeSet::from([ArrayId(0)]));
+        assert_eq!(fwd[3], BTreeSet::from([ArrayId(0), ArrayId(1)]));
+        let bwd = backward(&cfg, &Writes);
+        assert_eq!(bwd[0], BTreeSet::from([ArrayId(1)]));
+        assert!(bwd[3].is_empty());
     }
 }

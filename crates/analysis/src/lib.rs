@@ -18,10 +18,12 @@
 //!   *headroom* left on the table, in the spirit of the paper's
 //!   level-by-level comparison.
 //!
-//! The analyses run over a [`cfg::Cfg`] with a generic worklist solver
-//! ([`cfg::solve`]): forward must-availability of ghost data
-//! (reaching-definitions style) and backward may-liveness of delivered
-//! regions, both loop-aware via back-edge iteration to a fixpoint.
+//! The analyses run over a [`cfg::Cfg`], the program's statements as a
+//! pre-order node list whose loop headers record where their bodies end.
+//! Two structured drivers iterate each loop body to a fixpoint:
+//! [`cfg::forward`] for must-availability of ghost data
+//! (reaching-definitions style) and [`cfg::backward`] for may-liveness of
+//! delivered regions.
 
 pub mod bits;
 pub mod cfg;
@@ -221,7 +223,7 @@ impl LintReport {
     }
 }
 
-/// Lints an instrumented program: builds the CFG once, runs the forward
+/// Lints an instrumented program: builds the node list once, runs the forward
 /// ghost-availability and backward liveness fixpoints plus the block-local
 /// scans, and returns every finding sorted by (span, code).
 pub fn lint(program: &Program) -> LintReport {
@@ -500,6 +502,58 @@ mod tests {
             "stale ghost data: X@east was written after its transfer's SR"
         );
         assert_eq!(c001[0].transfer, None);
+    }
+
+    #[test]
+    fn ghost_delivered_at_body_end_reaches_the_next_iteration_only() {
+        // X := 1; repeat { A := X@east; [quad t0 for X@east] }: the first
+        // iteration's read has no delivery (C001), and the back edge keeps
+        // the DN's data live for the next iteration's read (no C002).
+        let mut p = Program::new("late-in-body");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        let a = p.add_array("A", Rect::d2((1, 8), (1, 8)));
+        let t = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region())]);
+        p.body = Block::new(vec![
+            Stmt::assign(region(), x, Expr::Const(1.0)),
+            Stmt::Repeat {
+                count: 2,
+                body: Block::new(vec![
+                    Stmt::assign(region(), a, Expr::at(x, compass::EAST)),
+                    call(CallKind::DR, t),
+                    call(CallKind::SR, t),
+                    call(CallKind::DN, t),
+                    call(CallKind::SV, t),
+                ]),
+            },
+        ]);
+        let report = lint(&p);
+        assert_eq!(
+            report.render(),
+            "error[C001] s1.0: non-local read of X@east has no covering transfer \
+             (t0 delivers it at s1.3, which does not dominate this read)\n\
+             1 finding(s): 1 error(s), 0 warning(s)\n"
+        );
+    }
+
+    #[test]
+    fn dn_after_two_srs_takes_the_latest() {
+        // X := 1; DR; SR; X := 2; SR; DN; A := X@east; SV: the second SR
+        // sends the rewritten X, so the read is fresh.
+        let mut p = delivered_program();
+        let x = commopt_ir::ArrayId(0);
+        let t = commopt_ir::TransferId(0);
+        p.body
+            .0
+            .insert(3, Stmt::assign(region(), x, Expr::Const(2.0)));
+        p.body.0.insert(4, call(CallKind::SR, t));
+        let report = lint(&p);
+        assert_eq!(report.count(Code::C001), 0, "{}", report.render());
+        // Swapping the write and the second SR makes the ghost stale.
+        p.body.0.swap(3, 4);
+        let report = lint(&p);
+        let c001: Vec<&Diagnostic> = report.with_code(Code::C001).collect();
+        assert_eq!(c001.len(), 1, "{}", report.render());
+        assert_eq!(c001[0].span.to_string(), "s6");
     }
 
     /// X := 1; [quad t0 delivering X@east over `delivered`]; a read of

@@ -13,9 +13,9 @@
 //! observe it.
 
 use crate::bits::BitSet;
-use crate::cfg::{constant_rect, Analysis, Cfg, Direction, Node, NodeOp};
+use crate::cfg::{constant_rect, Analysis, Cfg, Node, NodeOp};
 use crate::{Code, Diagnostic};
-use commopt_ir::{CallKind, Program, Region};
+use commopt_ir::{Program, Region};
 
 /// Backward state: which later reads can still see a delivered ghost.
 #[derive(Clone, PartialEq, Debug)]
@@ -57,10 +57,6 @@ pub struct LiveAnalysis<'a> {
 impl Analysis for LiveAnalysis<'_> {
     type State = LiveState;
 
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
     fn boundary(&self) -> LiveState {
         LiveState {
             any: BitSet::new(self.cfg.refs.len()),
@@ -73,11 +69,7 @@ impl Analysis for LiveAnalysis<'_> {
         acc.sites.union_with(&other.sites);
     }
 
-    fn edge(&self, _kill: &BitSet, _state: &mut LiveState) {
-        // Liveness needs no loop-edge kills: writes kill at their node.
-    }
-
-    fn transfer(&self, _ix: usize, node: &Node, state: &mut LiveState) {
+    fn transfer(&self, node: &Node, state: &mut LiveState) {
         if let NodeOp::Source { reads, writes } = &node.op {
             // Backward through a statement: the write redefines the array
             // (killing liveness of its ghosts), then the reads generate.
@@ -98,19 +90,13 @@ impl Analysis for LiveAnalysis<'_> {
 /// Runs the liveness analysis and reports every C002 finding: a DN none of
 /// whose delivered items is read before redefinition.
 pub fn check(program: &Program, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    let states = crate::cfg::solve(cfg, &LiveAnalysis { cfg });
-    for (ix, node) in cfg.nodes.iter().enumerate() {
-        let NodeOp::Comm {
-            kind: CallKind::DN,
-            transfer,
-            ..
-        } = &node.op
-        else {
+    let states = crate::cfg::backward(cfg, &LiveAnalysis { cfg });
+    for (node, after) in cfg.nodes.iter().zip(&states) {
+        let NodeOp::Dn { transfer, .. } = &node.op else {
             continue;
         };
-        // Backward "entering" state at a node is the program-order state
-        // *after* it — exactly the liveness of what this DN delivered.
-        let Some(after) = &states[ix] else { continue };
+        // `after` is the program-order state after the DN: the liveness of
+        // what it delivered.
         let t = program.transfer(*transfer);
         let dead = t
             .items

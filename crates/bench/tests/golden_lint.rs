@@ -98,7 +98,7 @@ impl Palette {
     fn of(program: &Program) -> Palette {
         let mut regions = Vec::new();
         let mut refs = Vec::new();
-        walk_stmts(&program.body, &mut |s, _| {
+        walk_stmts(&program.body, &mut |s| {
             if let Stmt::Assign { region, .. } = s {
                 if !regions.contains(region) {
                     regions.push(*region);

@@ -278,7 +278,7 @@ mod tests {
         for (_, cfg) in OptConfig::presets() {
             let opt = optimize(&p, &cfg);
             let mut dns = 0;
-            commopt_ir::visit::walk_stmts(&opt.program.body, &mut |s, _| {
+            commopt_ir::visit::walk_stmts(&opt.program.body, &mut |s| {
                 dns += usize::from(matches!(
                     s,
                     Stmt::Comm {

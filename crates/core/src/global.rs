@@ -232,7 +232,7 @@ fn strip_transfers(block: &Block, remove: &HashSet<TransferId>) -> Block {
 /// static count (`transfers.len()`) stays meaningful.
 fn prune_transfers(program: &mut Program) {
     let mut used: HashSet<TransferId> = HashSet::new();
-    commopt_ir::visit::walk_stmts(&program.body, &mut |s, _| {
+    commopt_ir::visit::walk_stmts(&program.body, &mut |s| {
         if let Stmt::Comm { transfer, .. } = s {
             used.insert(*transfer);
         }
@@ -404,7 +404,7 @@ mod tests {
             assert_eq!(t.id.index(), i);
         }
         // Every Comm stmt references a live transfer.
-        commopt_ir::visit::walk_stmts(&opt.program.body, &mut |s, _| {
+        commopt_ir::visit::walk_stmts(&opt.program.body, &mut |s| {
             if let commopt_ir::Stmt::Comm { transfer, .. } = s {
                 assert!(transfer.index() < opt.program.transfers.len());
             }

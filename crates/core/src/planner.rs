@@ -36,7 +36,7 @@ pub struct PlannedComm {
     pub seq: u32,
     /// Items carried; all share one offset.
     pub items: Vec<PlannedItem>,
-    /// Placement of the four calls (filled by [`place`]).
+    /// Placement of the four calls (filled by the planner's `place`).
     pub dr_gap: usize,
     pub sr_gap: usize,
     pub dn_gap: usize,

@@ -126,10 +126,10 @@ pub fn arrays_written(stmt: &Stmt) -> Option<ArrayId> {
 
 /// All arrays written anywhere in a block tree — the kill set a loop
 /// boundary applies to carried ghost data (used by both `verify_plan` and
-/// the static analyzer's loop-edge transfer functions).
+/// the static analyzer's loop kill sets).
 pub fn written_arrays(block: &Block) -> BTreeSet<ArrayId> {
     let mut out = BTreeSet::new();
-    crate::visit::walk_stmts(block, &mut |s, _| {
+    crate::visit::walk_stmts(block, &mut |s| {
         if let Some(a) = arrays_written(s) {
             out.insert(a);
         }

@@ -22,7 +22,7 @@ pub fn to_source(p: &Program) -> String {
     let _ = writeln!(out, "program {};", p.name);
     // Collect distinct non-zero offsets in first-use order.
     let mut offsets: Vec<Offset> = Vec::new();
-    crate::visit::walk_stmts(&p.body, &mut |s, _| {
+    crate::visit::walk_stmts(&p.body, &mut |s| {
         let scan = |e: &Expr, offsets: &mut Vec<Offset>| {
             e.walk(&mut |n| {
                 if let Expr::Ref { offset, .. } = n {

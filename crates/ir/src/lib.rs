@@ -27,7 +27,7 @@
 //!   IRONMAN interface of the paper's §3.1.
 //!
 //! The crate also provides a [`builder::ProgramBuilder`] for constructing
-//! programs in Rust, a [`validate`] pass, a ZPL-flavoured pretty printer
+//! programs in Rust, a [`validate()`] pass, a ZPL-flavoured pretty printer
 //! ([`display`]), and the statement-level dataflow queries
 //! ([`analysis`]) that the optimizer relies on.
 

@@ -6,8 +6,9 @@
 
 use crate::expr::{Expr, ScalarRhs};
 use crate::ids::{ArrayId, LoopVarId, ScalarId};
+use crate::offset::Offset;
 use crate::program::Program;
-use crate::region::Region;
+use crate::region::{AffineBound, Region};
 use crate::stmt::{Block, Stmt};
 
 /// A validation failure, with enough context to locate the offending
@@ -49,6 +50,13 @@ pub enum ValidateError {
     },
     /// A communication call names a transfer not in the transfer table.
     UnknownTransfer(crate::comm::TransferId),
+    /// A statement's region, or its region shifted by a reference's
+    /// offset, leaves the bounds of the array it writes or reads.
+    OutOfBounds {
+        array: String,
+        access: String,
+        bounds: String,
+    },
 }
 
 impl std::fmt::Display for ValidateError {
@@ -86,6 +94,14 @@ impl std::fmt::Display for ValidateError {
                 )
             }
             ValidateError::UnknownTransfer(id) => write!(f, "unknown transfer {id:?}"),
+            ValidateError::OutOfBounds {
+                array,
+                access,
+                bounds,
+            } => write!(
+                f,
+                "access {access} of array {array} leaves its bounds {bounds}"
+            ),
         }
     }
 }
@@ -101,6 +117,9 @@ pub fn validate(program: &Program) -> Result<(), Vec<ValidateError>> {
     let mut errs = Vec::new();
     let mut bound: Vec<LoopVarId> = Vec::new();
     check_block(program, &program.body, &mut bound, &mut errs);
+    if errs.is_empty() {
+        check_bounds(program, &program.body, &mut Vec::new(), &mut errs);
+    }
     if errs.is_empty() {
         Ok(())
     } else {
@@ -192,6 +211,109 @@ fn check_block(
                     errs.push(ValidateError::UnknownTransfer(*transfer));
                 }
             }
+        }
+    }
+}
+
+/// Checks that every statement's accesses stay inside their arrays, on a
+/// structurally valid program. `ends` holds the loop variables in scope,
+/// innermost last, each with its first and last value when both are
+/// constant and the loop runs at least once.
+fn check_bounds(
+    p: &Program,
+    block: &Block,
+    ends: &mut Vec<(LoopVarId, Option<(i64, i64)>)>,
+    errs: &mut Vec<ValidateError>,
+) {
+    for stmt in block.iter() {
+        let (region, expr) = match stmt {
+            Stmt::Assign { region, lhs, rhs } => {
+                check_access(p, region, *lhs, Offset::ZERO, ends, errs);
+                (region, rhs)
+            }
+            Stmt::ScalarAssign {
+                rhs: ScalarRhs::Reduce { region, expr, .. },
+                ..
+            } => (region, expr),
+            Stmt::Repeat { body, .. } => {
+                check_bounds(p, body, ends, errs);
+                continue;
+            }
+            Stmt::For {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                let runs = (*step > 0 && lo.c <= hi.c) || (*step < 0 && lo.c >= hi.c);
+                let constant = lo.is_constant() && hi.is_constant() && runs;
+                ends.push((*var, constant.then_some((lo.c, hi.c))));
+                check_bounds(p, body, ends, errs);
+                ends.pop();
+                continue;
+            }
+            Stmt::ScalarAssign { .. } | Stmt::Comm { .. } => continue,
+        };
+        expr.walk(&mut |n| {
+            if let Expr::Ref { array, offset } = n {
+                check_access(p, region, *array, *offset, ends, errs);
+            }
+        });
+    }
+}
+
+/// Checks one access: `region` shifted by `offset` must lie inside
+/// `array`. A constant region is checked exactly; a loop-relative one at
+/// its loops' first and at their last values, and not at all when one of
+/// those is unknown.
+fn check_access(
+    p: &Program,
+    region: &Region,
+    array: ArrayId,
+    offset: Offset,
+    ends: &[(LoopVarId, Option<(i64, i64)>)],
+    errs: &mut Vec<ValidateError>,
+) {
+    let bounds = p.array(array).rect;
+    if region.rank != bounds.rank {
+        return;
+    }
+    // A bound's value on its loop's first or last trip.
+    let at = |b: AffineBound, last: bool| match b.var {
+        None => Some(b.c),
+        Some(v) => match ends.iter().rev().find(|(w, _)| *w == v)? {
+            (_, Some((first_value, last_value))) => {
+                Some(b.c + if last { *last_value } else { *first_value })
+            }
+            (_, None) => None,
+        },
+    };
+    // The loops' first trips, then their last, which a constant region
+    // does not need.
+    let trips: &[bool] = if region.is_constant() {
+        &[false]
+    } else {
+        &[false, true]
+    };
+    for &last in trips {
+        let mut access = bounds;
+        for (d, dim) in region.dims[..region.rank].iter().enumerate() {
+            let (Some(lo), Some(hi)) = (at(dim.lo, last), at(dim.hi, last)) else {
+                return;
+            };
+            let shift = i64::from(offset.get(d));
+            (access.lo[d], access.hi[d]) = (lo + shift, hi + shift);
+        }
+        let inside =
+            (0..bounds.rank).all(|d| bounds.lo[d] <= access.lo[d] && access.hi[d] <= bounds.hi[d]);
+        if !inside && !access.is_empty() {
+            errs.push(ValidateError::OutOfBounds {
+                array: p.array(array).name.clone(),
+                access: format!("{access:?}"),
+                bounds: format!("{bounds:?}"),
+            });
+            return;
         }
     }
 }
@@ -378,6 +500,70 @@ mod tests {
         }]);
         let errs = validate(&p2).unwrap_err();
         assert!(matches!(errs[0], ValidateError::BadStep(2)));
+    }
+
+    #[test]
+    fn catches_out_of_bounds_regions_and_shifted_reads() {
+        let bounds = Rect::d2((1, 8), (1, 8));
+        let build = |region: Region, rhs: Expr| {
+            let mut b = ProgramBuilder::new("oob");
+            let a = b.array("A", bounds);
+            b.array("X", bounds);
+            b.assign(region, a, rhs);
+            b.finish()
+        };
+        let x = ArrayId(1);
+        // The write region itself, and the read region shifted east.
+        let write = build(Region::d2((0, 8), (1, 8)), Expr::Const(1.0));
+        let read = build(Region::d2((1, 8), (1, 8)), Expr::at(x, compass::EAST));
+        for (p, access) in [(write, "[0..8, 1..8]"), (read, "[1..8, 2..9]")] {
+            let errs = validate(&p).unwrap_err();
+            assert_eq!(
+                errs,
+                vec![ValidateError::OutOfBounds {
+                    array: if access.starts_with("[0") { "A" } else { "X" }.into(),
+                    access: access.into(),
+                    bounds: "[1..8, 1..8]".into(),
+                }]
+            );
+        }
+        // A shift that stays inside, and an empty region, are fine.
+        assert!(validate(&build(
+            Region::d2((1, 8), (1, 7)),
+            Expr::at(x, compass::EAST)
+        ))
+        .is_ok());
+        assert!(validate(&build(Region::d2((5, 4), (0, 9)), Expr::Const(1.0))).is_ok());
+    }
+
+    #[test]
+    fn loop_relative_regions_are_checked_at_the_loop_ends() {
+        let program = |lo: i64, hi: i64, step: i64| {
+            let mut p = Program::new("rows");
+            let a = p.add_array("A", Rect::d2((1, 8), (1, 8)));
+            let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+            let i = p.add_loop_var("i");
+            p.body = Block::new(vec![Stmt::For {
+                var: i,
+                lo: lo.into(),
+                hi: hi.into(),
+                step,
+                body: Block::new(vec![Stmt::assign(
+                    Region::row2(i, (1, 8)),
+                    a,
+                    Expr::at(x, compass::NORTH),
+                )]),
+            }]);
+            p
+        };
+        // Row i reads row i - 1: fine from 2, out of bounds from 1, in
+        // either direction.
+        assert!(validate(&program(2, 8, 1)).is_ok());
+        assert!(validate(&program(8, 2, -1)).is_ok());
+        assert!(validate(&program(1, 8, 1)).is_err());
+        assert!(validate(&program(8, 1, -1)).is_err());
+        // A loop that never runs is not checked.
+        assert!(validate(&program(8, 1, 1)).is_ok());
     }
 
     #[test]

@@ -586,6 +586,23 @@ end
     }
 
     #[test]
+    fn out_of_bounds_accesses_are_rejected() {
+        // A write region past the array's low edge, and a shifted read past
+        // its high edge.
+        for body in ["[0..n, 1..n] A := 1.0;", "[1..n, 1..n] A := B@east;"] {
+            let src = format!(
+                "program oob;\nconfig n = 8;\ndirection east = [0, 1];\n\
+                 var A, B : [1..n, 1..n] double;\nbegin\n  {body}\nend\n"
+            );
+            let err = compile(&src).unwrap_err().to_string();
+            assert!(
+                err.contains("leaves its bounds [1..8, 1..8]"),
+                "{body}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn semantics_match_hand_built_program() {
         // The parsed jacobi must execute identically to the builder-made
         // one from the sim tests; spot check a value via the sequential

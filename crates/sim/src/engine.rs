@@ -262,7 +262,7 @@ impl<'p> Simulator<'p> {
             .map(|t| GeomSlot::new(t, &layout, !cfg.compute_data))
             .collect();
         let mut charges = Vec::new();
-        walk_stmts(&program.body, &mut |stmt, _| {
+        walk_stmts(&program.body, &mut |stmt| {
             if let Some((region, part, expr)) = charge_of(stmt) {
                 let flops = f64::from(expr_flops(expr));
                 let m = &cfg.machine;
@@ -1415,7 +1415,7 @@ mod tests {
         let m = cfg.machine.clone();
         let sim = executed(&opt.program, cfg);
         let mut regions = Vec::new();
-        walk_stmts(&opt.program.body, &mut |s, _| {
+        walk_stmts(&opt.program.body, &mut |s| {
             regions.extend(charge_of(s).map(|(region, ..)| *region));
         });
         assert_eq!(regions.len(), sim.charges.len());

@@ -474,7 +474,7 @@ pub(crate) fn charge_of(stmt: &Stmt) -> Option<(&Region, Option<usize>, &Expr)> 
 /// The number of charge slots in `block`.
 pub(crate) fn charge_slots(block: &commopt_ir::Block) -> usize {
     let mut k = 0;
-    walk_stmts(block, &mut |s, _| k += usize::from(charge_of(s).is_some()));
+    walk_stmts(block, &mut |s| k += usize::from(charge_of(s).is_some()));
     k
 }
 
