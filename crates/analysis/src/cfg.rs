@@ -6,8 +6,7 @@
 //! statement and per DN, and one header per loop, which records where its
 //! body's nodes end. A loop's *kill set* — the ghost refs of the arrays
 //! its body writes — is applied on loop entry and exit, so the
-//! ghost-availability analysis drops carried ghost data conservatively,
-//! exactly the way `verify_plan` does.
+//! ghost-availability analysis drops carried ghost data conservatively.
 //!
 //! Building the list interns every `(array, offset)` reference the
 //! program reads or a transfer carries as a dense *ref id*, and every
@@ -49,8 +48,7 @@ pub enum NodeOp {
     /// carried array was written since the transfer's latest SR earlier in
     /// the same statement list (writes in nested loop bodies count), or,
     /// when the list has no such SR, anywhere earlier in program
-    /// pre-order. That is `verify_plan`'s per-list SR snapshot and its
-    /// version-0 fallback. The other calls deliver nothing and get no node.
+    /// pre-order. The other calls deliver nothing and get no node.
     Dn {
         transfer: TransferId,
         stale: Vec<bool>,

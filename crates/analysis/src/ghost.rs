@@ -1,15 +1,15 @@
 //! Forward must-availability of ghost data — the reaching-definitions side
-//! of commlint, and the static mirror of `verify_plan`'s ghost tracking.
+//! of commlint, and the source of its C001 findings.
 //!
 //! The abstract state records, per interned [`CommRef`](commopt_ir::CommRef),
 //! whether a delivered ghost copy is available, whether it is fresh, and
 //! which transfer delivered it. The join is a *must* join: a ghost is
 //! available only if every incoming path delivered it, and fresh only if
 //! it is fresh on every path. Loop entry and exit kill ghosts of arrays the
-//! loop body writes — the same conservative rule `verify_plan` applies —
-//! and iterating the body then recovers anything the body itself
-//! re-delivers. Whether a DN delivers stale data is fixed when the node
-//! list is built ([`NodeOp::Dn`]); later writes make a ghost stale here.
+//! loop body writes — a conservative rule — and iterating the body then
+//! recovers anything the body itself re-delivers. Whether a DN delivers
+//! stale data is fixed when the node list is built ([`NodeOp::Dn`]); later
+//! writes make a ghost stale here.
 
 use crate::bits::BitSet;
 use crate::cfg::{Analysis, Cfg, Node, NodeOp};

@@ -8,8 +8,11 @@
 //! * **Legality** (error severity): reads of ghost data that no transfer
 //!   delivers or that a later write made stale ([`Code::C001`]), sends
 //!   hoisted above a def of their source ([`Code::C005`]), and call-protocol
-//!   violations ([`Code::C006`]). These mirror the dynamic
-//!   `commopt_core::verify_plan` oracle, statically.
+//!   violations ([`Code::C006`]). [`LintReport::safe`] also rejects a
+//!   source buffer overwritten in flight ([`Code::W101`], a warning); it is
+//!   the workspace's one static communication-safety judgement. Its
+//!   independent reference is execution: `tests/oracle.rs` runs every
+//!   mutant it calls safe in full mode against the sequential interpreter.
 //! * **Missed optimizations** (warning severity): transfers nobody reads
 //!   ([`Code::C002`]), redundant re-deliveries the rr pass would remove
 //!   ([`Code::C003`]), and combinable transfers the cc pass would merge
@@ -201,6 +204,13 @@ impl LintReport {
         self.errors().next().is_none()
     }
 
+    /// The plan is communication-safe: no error-severity finding and no
+    /// source buffer overwritten in flight (W101). Every ghost read is
+    /// covered by a fresh delivery, and the call protocol holds.
+    pub fn safe(&self) -> bool {
+        self.error_free() && self.count(Code::W101) == 0
+    }
+
     /// No findings at all.
     pub fn clean(&self) -> bool {
         self.diagnostics.is_empty()
@@ -355,8 +365,7 @@ mod tests {
         p.body.0.remove(2); // drop the SR
         let report = lint(&p);
         // DN-before-SR and SV-before-SR order violations, plus an SR
-        // multiplicity of 0 at the block flush — exactly what verify_plan
-        // reports for the same program.
+        // multiplicity of 0 at the block flush.
         assert_eq!(report.count(Code::C006), 3, "{}", report.render());
         assert!(!report.error_free());
     }
@@ -556,6 +565,37 @@ mod tests {
         assert_eq!(c001[0].span.to_string(), "s6");
     }
 
+    #[test]
+    fn dn_takes_its_sr_from_its_own_list() {
+        // X := 1; DR t; SR t; X := 2; repeat 2 { SR t }; DN t; A := X@east;
+        // SV t. The SR in the loop body belongs to another statement list,
+        // so the DN takes X from the first SR, before X := 2: the read at
+        // s6 is stale.
+        let mut p = delivered_program();
+        let (x, t) = (commopt_ir::ArrayId(0), commopt_ir::TransferId(0));
+        p.body.0.splice(
+            3..3,
+            [
+                Stmt::assign(region(), x, Expr::Const(2.0)),
+                Stmt::Repeat {
+                    count: 2,
+                    body: Block::new(vec![call(CallKind::SR, t)]),
+                },
+            ],
+        );
+        let report = lint(&p);
+        let c001: Vec<String> = report
+            .with_code(Code::C001)
+            .map(|d| format!("{}: {}", d.span, d.message))
+            .collect();
+        assert_eq!(
+            c001,
+            ["s6: stale ghost data: X@east was written after t0's SR"],
+            "{}",
+            report.render()
+        );
+    }
+
     /// X := 1; [quad t0 delivering X@east over `delivered`]; a read of
     /// X@east by `read` (a statement or a loop around one).
     fn delivery_then(delivered: Region, read: impl FnOnce(&mut Program) -> Stmt) -> Program {
@@ -617,6 +657,106 @@ mod tests {
         let report = lint(&program);
         assert_eq!(report.count(Code::C002), 0, "{}", report.render());
         assert!(report.error_free(), "{}", report.render());
+    }
+
+    /// X := 1; [quad t0 delivering X@east]; then `rest`.
+    fn quad_then(rest: impl FnOnce(&mut Program) -> Vec<Stmt>) -> Program {
+        let mut p = Program::new("quad-then");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        p.add_array("A", Rect::d2((1, 8), (1, 8)));
+        let t = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region())]);
+        let mut body = vec![
+            Stmt::assign(region(), x, Expr::Const(1.0)),
+            call(CallKind::DR, t),
+            call(CallKind::SR, t),
+            call(CallKind::DN, t),
+            call(CallKind::SV, t),
+        ];
+        body.extend(rest(&mut p));
+        p.body = Block::new(body);
+        p
+    }
+
+    #[test]
+    fn write_after_a_completed_quad_makes_the_read_stale() {
+        let x = commopt_ir::ArrayId(0);
+        let p = quad_then(|_| {
+            vec![
+                Stmt::assign(region(), x, Expr::Const(2.0)),
+                read_x_east(region()),
+            ]
+        });
+        let report = lint(&p);
+        let c001: Vec<&Diagnostic> = report.with_code(Code::C001).collect();
+        assert_eq!(c001.len(), 1, "{}", report.render());
+        assert_eq!(c001[0].span.to_string(), "s6");
+        assert_eq!(c001[0].r.map(|r| r.array), Some(x));
+        assert!(!report.safe());
+    }
+
+    #[test]
+    fn loop_invariant_ghosts_cross_into_a_loop() {
+        // The body never writes X, so one delivery before the loop covers
+        // the read on every iteration (the cross-block pass relies on this).
+        let p = quad_then(|_| {
+            vec![Stmt::Repeat {
+                count: 2,
+                body: Block::new(vec![read_x_east(region())]),
+            }]
+        });
+        let report = lint(&p);
+        assert!(report.clean(), "{}", report.render());
+        assert!(report.safe());
+    }
+
+    #[test]
+    fn write_in_flight_after_the_read_is_unsafe_but_error_free() {
+        // DR; SR; DN; A := X@east; X := 0; SV: the read is covered, but the
+        // send buffer is overwritten before SV (W101, a warning), so the
+        // plan is not safe.
+        let mut p = delivered_program();
+        let x = commopt_ir::ArrayId(0);
+        p.body
+            .0
+            .insert(5, Stmt::assign(region(), x, Expr::Const(0.0)));
+        let report = lint(&p);
+        assert_eq!(report.count(Code::W101), 1, "{}", report.render());
+        assert_eq!(
+            report
+                .with_code(Code::W101)
+                .next()
+                .unwrap()
+                .span
+                .to_string(),
+            "s5"
+        );
+        assert!(report.error_free(), "{}", report.render());
+        assert!(!report.safe());
+    }
+
+    #[test]
+    fn dn_before_sr_with_no_dr_or_sv_is_c006() {
+        // DN; SR; A := X@east: DN before SR, SR before DR, and DR and SV
+        // each appear zero times in the list.
+        let mut p = Program::new("disorder");
+        let x = p.add_array("X", Rect::d2((1, 8), (1, 8)));
+        p.add_array("A", Rect::d2((1, 8), (1, 8)));
+        let t = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region())]);
+        p.body = Block::new(vec![
+            call(CallKind::DN, t),
+            call(CallKind::SR, t),
+            read_x_east(region()),
+        ]);
+        let report = lint(&p);
+        assert_eq!(
+            report.render(),
+            "error[C006] s0: call protocol: DN before SR for t0\n\
+             error[C006] s0: call protocol: t0 has 0 DR call(s) in its block (expected 1)\n\
+             error[C006] s0: call protocol: t0 has 0 SV call(s) in its block (expected 1)\n\
+             error[C006] s1: call protocol: SR before DR for t0\n\
+             4 finding(s): 4 error(s), 0 warning(s)\n"
+        );
+        assert!(!report.safe());
     }
 
     #[test]

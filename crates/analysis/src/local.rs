@@ -1,5 +1,5 @@
 //! Block-scoped lint scans: missed-optimization detectors (C003, C004)
-//! and the call-protocol/source-volatility mirrors of `verify_plan`
+//! and the unsafe-hoist, call-protocol and source-volatility checks
 //! (C005, C006, W101).
 //!
 //! C003/C004 replay the optimizer's own redundant-removal and combination
@@ -19,8 +19,8 @@ pub fn check(program: &Program, out: &mut Vec<Diagnostic>) {
     scan_list(program, &program.body.0, &Span::root(), out);
 }
 
-/// Per-transfer call bookkeeping, scoped (like `verify_plan`'s) to one
-/// statement list.
+/// Per-transfer call bookkeeping, scoped to one statement list: a
+/// transfer's four calls must all appear in the same list.
 #[derive(Default)]
 struct CallState {
     dr: u32,
@@ -133,8 +133,7 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
                         if !carries {
                             continue;
                         }
-                        // W101: in-flight source buffer overwritten
-                        // (mirrors verify_plan's VolatileSource).
+                        // W101: in-flight source buffer overwritten.
                         if st.sr > 0 && st.sv == 0 {
                             out.push(Diagnostic {
                                 code: Code::W101,
@@ -164,8 +163,8 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
     }
     flush_segment(&mut seg, out);
 
-    // C006 multiplicity, mirroring verify_plan's per-block flush: each of
-    // a transfer's four calls must appear exactly once in its block.
+    // C006 multiplicity: each of a transfer's four calls must appear
+    // exactly once in its block.
     for (t, st) in calls {
         for (kind, n) in [
             (CallKind::DR, st.dr),

@@ -1,38 +1,38 @@
-//! Cross-oracle property tests: the static analyzer's verdicts must agree,
-//! class by class, with the dynamic `verify_plan` checker on randomly
-//! mutated optimizer output.
+//! Static-vs-dynamic property tests: every mutant commlint calls safe
+//! must run exactly.
 //!
 //! 200 seeded cases each build a random source program (one loop, or, in
 //! a second run of 200, loops nested up to three deep), optimize it under a
 //! random preset, then apply up to four random mutations (deleting,
 //! duplicating, or moving IRONMAN calls within their statement list;
-//! inserting writes or non-local reads). For every mutant:
+//! inserting writes or non-local reads). Each mutant that commlint finds
+//! safe ([`LintReport::safe`]) runs in full mode on 4 processors over PVM,
+//! where ghost cells start as NaN and only executed transfers fill them.
+//! The run must finish with no [`SimError`](commopt_sim::SimError) and
+//! reproduce, bit for bit, the sequential interpreter's run of the mutant,
+//! which skips its communication calls. A floor on the number of safe
+//! mutants keeps the test from passing vacuously.
 //!
-//! * C001 findings match `MissingCommunication`/`StaleData` errors as a
-//!   multiset of `(span, ref)` pairs;
-//! * W101 findings match `VolatileSource` errors as a multiset of
-//!   `(span, transfer)` pairs;
-//! * the C006 count equals the `CallOrder` + `CallMultiplicity` count.
+//! The reverse direction is not asserted: a mutant commlint rejects may
+//! still compute the right values in this one run, for instance when the
+//! ghost it reads stale holds the same values as the current array.
 //!
-//! C005 (unsafe hoist) is intentionally absent from the comparison: it is a
-//! *stronger* static diagnosis with no dynamic counterpart — it fires at
-//! the SR when a later def invalidates the hoisted send, a situation the
-//! dynamic checker reports downstream as stale or volatile data, or not at
-//! all when the read happens to tolerate it. Mutations keep each
-//! transfer's calls inside the statement list the optimizer placed them
-//! in, matching the per-block call-scoping both checkers share.
+//! [`LintReport::safe`]: commopt_analysis::LintReport::safe
 
-use commopt_analysis::{lint, Code};
-use commopt_core::{optimize, verify_plan, OptConfig, PlanError};
-use commopt_ir::analysis::{CommRef, Span};
+use commopt_analysis::lint;
+use commopt_core::{optimize, OptConfig};
 use commopt_ir::offset::compass;
-use commopt_ir::{
-    ArrayId, Block, CallKind, Expr, Offset, Program, ProgramBuilder, Stmt, TransferId, TransferItem,
-};
+use commopt_ir::{ArrayId, Block, Expr, Offset, Program, ProgramBuilder, Stmt};
+use commopt_ironman::Library;
+use commopt_machine::MachineSpec;
+use commopt_sim::{SeqInterp, SimConfig, Simulator};
 use commopt_testkit::{cases, Rng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N: i64 = 12;
 const NUM_ARRAYS: u32 = 5;
+/// The fewest safe mutants either 200-case test accepts.
+const SAFE_FLOOR: usize = 45;
 
 fn interior() -> commopt_ir::Region {
     commopt_ir::Region::d2((2, N - 1), (2, N - 1))
@@ -222,27 +222,27 @@ fn mutate(rng: &mut Rng, program: &mut Program) {
     });
 }
 
-fn verify_errors(program: &Program) -> Vec<PlanError> {
-    match verify_plan(program) {
-        Ok(()) => Vec::new(),
-        Err(errs) => errs,
-    }
+#[test]
+fn safe_mutants_run_exactly() {
+    let safe = AtomicUsize::new(0);
+    cases(200, |rng| check_mutant(rng, arb_program, &safe));
+    let safe = safe.into_inner();
+    assert!(safe >= SAFE_FLOOR, "only {safe} of 200 mutants were safe");
 }
 
 #[test]
-fn static_verdicts_agree_with_dynamic_oracle_on_200_mutants() {
-    cases(200, |rng| check_mutant(rng, arb_program));
-}
-
-#[test]
-fn static_verdicts_agree_with_dynamic_oracle_on_nested_loop_mutants() {
-    cases(200, |rng| check_mutant(rng, arb_nested_program));
+fn safe_nested_loop_mutants_run_exactly() {
+    let safe = AtomicUsize::new(0);
+    cases(200, |rng| check_mutant(rng, arb_nested_program, &safe));
+    let safe = safe.into_inner();
+    assert!(safe >= SAFE_FLOOR, "only {safe} of 200 mutants were safe");
 }
 
 /// Draws a source program with `arb`, optimizes it under a random preset,
-/// applies up to four random mutations, and checks that both checkers
-/// agree class by class.
-fn check_mutant(rng: &mut Rng, arb: fn(&mut Rng) -> Program) {
+/// applies up to four random mutations, and, when commlint finds the
+/// mutant safe, checks that it runs exactly in full mode (counting it in
+/// `safe`).
+fn check_mutant(rng: &mut Rng, arb: fn(&mut Rng) -> Program, safe: &AtomicUsize) {
     let source = arb(rng);
     let presets = OptConfig::presets();
     let (_, cfg) = &presets[rng.usize(0, presets.len() - 1)];
@@ -250,133 +250,45 @@ fn check_mutant(rng: &mut Rng, arb: fn(&mut Rng) -> Program) {
     for _ in 0..rng.usize(0, 4) {
         mutate(rng, &mut program);
     }
+    if !lint(&program).safe() {
+        return;
+    }
+    safe.fetch_add(1, Ordering::Relaxed);
 
-    let report = lint(&program);
-    let errs = verify_errors(&program);
     let text = commopt_ir::display::program_to_string(&program);
-
-    // C001 <=> MissingCommunication + StaleData, as (span, ref) pairs.
-    let mut c001: Vec<(Span, CommRef)> = report
-        .with_code(Code::C001)
-        .map(|d| (d.span.clone(), d.r.expect("C001 carries its ref")))
-        .collect();
-    let mut dynamic_reads: Vec<(Span, CommRef)> = errs
-        .iter()
-        .filter_map(|e| match e {
-            PlanError::MissingCommunication { span, r } | PlanError::StaleData { span, r } => {
-                Some((span.clone(), *r))
-            }
-            _ => None,
-        })
-        .collect();
-    c001.sort();
-    dynamic_reads.sort();
-    assert_eq!(
-        c001,
-        dynamic_reads,
-        "C001 disagreement\nlint:\n{}\nverify: {errs:?}\nprogram:\n{text}",
-        report.render()
-    );
-
-    // W101 <=> VolatileSource, as (span, transfer) pairs.
-    let mut w101: Vec<(Span, TransferId)> = report
-        .with_code(Code::W101)
-        .map(|d| (d.span.clone(), d.transfer.expect("W101 carries a transfer")))
-        .collect();
-    let mut volatile: Vec<(Span, TransferId)> = errs
-        .iter()
-        .filter_map(|e| match e {
-            PlanError::VolatileSource { span, transfer, .. } => Some((span.clone(), *transfer)),
-            _ => None,
-        })
-        .collect();
-    w101.sort();
-    volatile.sort();
-    assert_eq!(
-        w101,
-        volatile,
-        "W101 disagreement\nlint:\n{}\nverify: {errs:?}\nprogram:\n{text}",
-        report.render()
-    );
-
-    // C006 count <=> protocol error count.
-    let protocol = errs
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                PlanError::CallOrder { .. } | PlanError::CallMultiplicity { .. }
-            )
-        })
-        .count();
-    assert_eq!(
-        report.count(Code::C006),
-        protocol,
-        "C006 disagreement\nlint:\n{}\nverify: {errs:?}\nprogram:\n{text}",
-        report.render()
-    );
+    // The sequential interpreter skips communication calls, so this runs
+    // the mutant's source.
+    let reference = SeqInterp::run(&program);
+    let run = Simulator::new(
+        &program,
+        SimConfig::full(MachineSpec::t3d(), Library::Pvm, 4),
+    )
+    .try_run()
+    .unwrap_or_else(|e| panic!("safe mutant failed to run: {e}\nprogram:\n{text}"));
+    for a in &program.arrays {
+        let want = reference.array(&a.name).expect("reference array");
+        let got = run.array(&a.name).expect("simulated array");
+        if let Some(i) = (0..want.len()).find(|&i| want[i] != got[i]) {
+            panic!(
+                "safe mutant computed {}[{i}] = {} (reference {})\nprogram:\n{text}",
+                a.name, got[i], want[i]
+            );
+        }
+    }
 }
 
 #[test]
-fn unmutated_optimizer_output_is_error_free_at_every_preset() {
+fn unmutated_optimizer_output_is_safe_at_every_preset() {
     cases(32, |rng| {
         let source = arb_program(rng);
         for (name, cfg) in OptConfig::presets() {
             let program = optimize(&source, &cfg).program;
             let report = lint(&program);
             assert!(
-                report.error_free(),
-                "{name} output has error findings:\n{}",
+                report.safe(),
+                "{name} output is unsafe:\n{}",
                 report.render()
             );
-            assert!(verify_plan(&program).is_ok());
         }
     });
-}
-
-#[test]
-fn dn_takes_its_sr_from_its_own_list_in_both_checkers() {
-    // X := 1; DR t; SR t; X := 2; repeat 2 { SR t }; DN t; A := X@east; SV t
-    // The SR in the loop body belongs to another statement list, so the DN
-    // snapshots X at the first SR, before X := 2: the read at s6 is stale.
-    let region = interior();
-    let mut p = Program::new("two-lists");
-    let x = p.add_array("X", commopt_ir::Rect::d2((1, N), (1, N)));
-    let a = p.add_array("A", commopt_ir::Rect::d2((1, N), (1, N)));
-    let t = p.add_transfer(vec![TransferItem::new(x, compass::EAST, region)]);
-    p.body = Block::new(vec![
-        Stmt::assign(region, x, Expr::Const(1.0)),
-        Stmt::comm(CallKind::DR, t),
-        Stmt::comm(CallKind::SR, t),
-        Stmt::assign(region, x, Expr::Const(2.0)),
-        Stmt::Repeat {
-            count: 2,
-            body: Block::new(vec![Stmt::comm(CallKind::SR, t)]),
-        },
-        Stmt::comm(CallKind::DN, t),
-        Stmt::assign(region, a, Expr::at(x, compass::EAST)),
-        Stmt::comm(CallKind::SV, t),
-    ]);
-    let stale = CommRef {
-        array: x,
-        offset: compass::EAST,
-    };
-    let report = lint(&p);
-    let c001: Vec<(String, &str)> = report
-        .with_code(Code::C001)
-        .map(|d| (d.span.to_string(), d.message.as_str()))
-        .collect();
-    assert_eq!(
-        c001,
-        vec![(
-            "s6".to_string(),
-            "stale ghost data: X@east was written after t0's SR"
-        )],
-        "{}",
-        report.render()
-    );
-    assert!(verify_errors(&p).iter().any(|e| matches!(
-        e,
-        PlanError::StaleData { span, r } if span.to_string() == "s6" && *r == stale
-    )));
 }

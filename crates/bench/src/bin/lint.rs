@@ -10,8 +10,9 @@
 //! ```
 //!
 //! With no program argument, lints the whole paper suite. Exit status is 1
-//! when any error-severity finding is reported, or — under
-//! `--deny-warnings` — when any finding is reported at all.
+//! when a file cannot be read or compiled, when any error-severity finding
+//! is reported, or — under `--deny-warnings` — when any finding is
+//! reported at all. Only a command-line error prints the usage text.
 
 use commopt_analysis::lint;
 use commopt_bench::parse_exp;
@@ -83,11 +84,16 @@ fn run(args: Vec<String>) -> Result<bool, String> {
         if let Some(b) = suite().into_iter().find(|b| b.name == t.as_str()) {
             programs.push((b.name.to_string(), b.program()));
         } else {
-            let text = std::fs::read_to_string(t).map_err(|e| format!("{t}: {e}"))?;
-            let program = Frontend::new(&text)
-                .compile()
-                .map_err(|e| format!("{t}: {e}"))?;
-            programs.push((t.clone(), program));
+            let compiled = std::fs::read_to_string(t)
+                .map_err(|e| e.to_string())
+                .and_then(|text| Frontend::new(&text).compile().map_err(|e| e.to_string()));
+            match compiled {
+                Ok(program) => programs.push((t.clone(), program)),
+                Err(e) => {
+                    eprintln!("lint: {t}: {e}");
+                    return Ok(false);
+                }
+            }
         }
     }
 

@@ -2,9 +2,9 @@
 //! (the build must work offline, so external dev-dependencies are out).
 //!
 //! Measures the hot paths of the toolchain — frontend compilation, each
-//! optimizer preset, plan verification, structural counting, and the
-//! simulator — over the paper's benchmark suite, reporting the median and
-//! minimum of repeated runs.
+//! optimizer preset, structural counting, commlint, and the simulator —
+//! over the paper's benchmark suite, reporting the median and minimum of
+//! repeated runs.
 //!
 //! Usage: `cargo run --release -p commopt-bench --bin microbench [-- --quick]`
 
@@ -71,15 +71,6 @@ fn main() {
 
     for b in suite() {
         let opt = optimize(&b.program(), &OptConfig::pl());
-        let (med, min) = time_us(runs, || {
-            commopt_core::verify_plan(black_box(&opt.program)).unwrap();
-        });
-        t.row(&[
-            "verify_plan".into(),
-            b.name.into(),
-            fmt_us(med),
-            fmt_us(min),
-        ]);
         let (med, min) = time_us(runs, || {
             black_box(commopt_core::dynamic_count(black_box(&opt.program)));
         });

@@ -14,9 +14,7 @@
 
 use crate::machine_for;
 use commopt_benchmarks::{suite, Benchmark, Experiment};
-use commopt_core::{
-    dynamic_count, global_pass, optimize, static_count, verify_plan, GlobalStats, OptConfig,
-};
+use commopt_core::{dynamic_count, global_pass, optimize, static_count, GlobalStats, OptConfig};
 use commopt_ir::Program;
 use commopt_ironman::Library;
 use commopt_lang::parser::parse;
@@ -213,7 +211,12 @@ impl Matrix {
             if k.plan == Plan::Global && !plans.contains_key(&plan_of(k, k.plan)) {
                 let mut global = plans[&optimized].0.clone();
                 let stats = global_pass(&mut global);
-                verify_plan(&global).expect("global plan must stay communication-safe");
+                let report = commopt_analysis::lint(&global);
+                assert!(
+                    report.safe(),
+                    "global plan must stay communication-safe:\n{}",
+                    report.render()
+                );
                 plans.insert(plan_of(k, k.plan), (global, stats));
             }
         }

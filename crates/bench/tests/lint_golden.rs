@@ -79,3 +79,22 @@ fn no_error_severity_findings_at_any_level() {
         }
     }
 }
+
+#[test]
+fn lint_cli_reports_a_compile_error_at_its_statement_without_usage() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("oob.zpl");
+    std::fs::write(
+        &path,
+        "program oob;\nconfig n = 8;\nvar A : [1..n, 1..n] double;\n\
+         begin\n  [0..n, 1..n] A := 1.0;\nend\n",
+    )
+    .expect("write the program");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_lint"))
+        .arg(&path)
+        .output()
+        .expect("run the lint binary");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error at 5:3: "), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}

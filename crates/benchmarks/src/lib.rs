@@ -113,7 +113,7 @@ pub fn jacobi_source() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commopt_core::{optimize, verify_plan, OptConfig};
+    use commopt_core::{optimize, OptConfig};
     use commopt_ir::validate;
 
     #[test]
@@ -140,8 +140,13 @@ mod tests {
             let p = b.program_with(16, 2);
             for (name, cfg) in OptConfig::presets() {
                 let opt = optimize(&p, &cfg);
-                verify_plan(&opt.program)
-                    .unwrap_or_else(|e| panic!("{} under {name}: {e:?}", b.name));
+                let report = commopt_analysis::lint(&opt.program);
+                assert!(
+                    report.safe(),
+                    "{} under {name}:\n{}",
+                    b.name,
+                    report.render()
+                );
             }
         }
     }

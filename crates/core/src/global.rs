@@ -14,19 +14,25 @@
 //!    over the whole statement tree removes any transfer whose data is
 //!    already valid at its call site — typically re-communication in a
 //!    later basic block of slabs fetched by an earlier one (which the
-//!    paper's block-scoped `rr` cannot see). Loop bodies are analyzed
-//!    against the *stable* entry state (entry availability minus
-//!    everything the body kills), which is correct for every iteration.
+//!    paper's block-scoped `rr` cannot see). Availability is kept per
+//!    `(array, offset)` as the regions delivered, and a transfer goes only
+//!    when delivered regions include all of its own. Loop bodies are
+//!    analyzed against the *stable* entry state (entry availability minus
+//!    everything the body kills), which is correct for every iteration,
+//!    and the same state holds after the loop: the body may run zero
+//!    times, and a loop-relative region names a new slab each trip.
 //!
 //! Safety rests on the same invariant the block-local planner guarantees:
 //! within the region a transfer covers, no member array is written between
 //! delivery and the covered uses — so "still available" data is current
-//! data. The upgraded [`crate::verify::verify_plan`] checks the output,
+//! data. commlint (`commopt_analysis::lint`) checks the output statically,
 //! and the workspace property tests run it against the simulator's NaN-
 //! poisoned ghosts and the sequential oracle.
 
 use commopt_ir::analysis::CommRef;
-use commopt_ir::{written_arrays, Block, CallKind, Program, Stmt, Transfer, TransferId};
+use commopt_ir::{
+    written_arrays, AffineBound, Block, CallKind, Program, Region, Stmt, Transfer, TransferId,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics from the cross-block pass.
@@ -47,7 +53,7 @@ pub fn global_pass(program: &mut Program) -> GlobalStats {
     let body = hoist_block(program, body, &mut stats);
     program.body = body;
 
-    let mut avail: HashSet<CommRef> = HashSet::new();
+    let mut avail = Avail::new();
     let mut remove: HashSet<TransferId> = HashSet::new();
     let body = std::mem::take(&mut program.body);
     mark_redundant(program, &body, &mut avail, &mut remove);
@@ -143,13 +149,18 @@ fn split_invariant(
     (hoisted, Block::new(rest))
 }
 
+/// Ghost data known valid at a point: the regions delivered for each
+/// `(array, offset)` since the array was last written.
+type Avail = HashMap<CommRef, Vec<Region>>;
+
 /// Forward availability walk; transfers whose items are all available at
 /// their first call are marked for removal (their DN would re-deliver data
-/// that is already valid).
+/// that is already valid). An item is available when one delivered region
+/// of its `(array, offset)` includes each of its regions.
 fn mark_redundant(
     program: &Program,
     block: &Block,
-    avail: &mut HashSet<CommRef>,
+    avail: &mut Avail,
     remove: &mut HashSet<TransferId>,
 ) {
     // Track the first time we see each transfer in this block so the
@@ -161,10 +172,13 @@ fn mark_redundant(
                 let tr = program.transfer(*transfer);
                 if decided.insert(*transfer) {
                     let covered = tr.items.iter().all(|it| {
-                        avail.contains(&CommRef {
+                        let delivered = avail.get(&CommRef {
                             array: it.array,
                             offset: it.offset,
-                        })
+                        });
+                        it.regions
+                            .iter()
+                            .all(|r| delivered.is_some_and(|ds| ds.iter().any(|d| includes(d, r))))
                     });
                     if covered {
                         remove.insert(*transfer);
@@ -172,28 +186,44 @@ fn mark_redundant(
                 }
                 if *kind == CallKind::DN && !remove.contains(transfer) {
                     for it in &tr.items {
-                        avail.insert(CommRef {
-                            array: it.array,
-                            offset: it.offset,
-                        });
+                        avail
+                            .entry(CommRef {
+                                array: it.array,
+                                offset: it.offset,
+                            })
+                            .or_default()
+                            .extend(&it.regions);
                     }
                 }
             }
             Stmt::Repeat { body, .. } | Stmt::For { body, .. } => {
                 // Stable entry state: whatever the body kills is unreliable
-                // on iterations after the first.
+                // on iterations after the first. The body's own deliveries
+                // do not outlive the loop: it may run zero times, and a
+                // loop-relative region names a different slab each trip.
                 let killed = written_arrays(body);
-                avail.retain(|r| !killed.contains(&r.array));
-                mark_redundant(program, body, avail, remove);
-                avail.retain(|r| !killed.contains(&r.array));
+                avail.retain(|r, _| !killed.contains(&r.array));
+                mark_redundant(program, body, &mut avail.clone(), remove);
             }
             source => {
                 if let Some(w) = commopt_ir::arrays_written(source) {
-                    avail.retain(|r| r.array != w);
+                    avail.retain(|r, _| r.array != w);
                 }
             }
         }
     }
+}
+
+/// `true` when `outer` includes `inner` for every value of the loop
+/// variables: each pair of bounds is constant or relative to the same
+/// variable, and `outer`'s constants enclose `inner`'s.
+fn includes(outer: &Region, inner: &Region) -> bool {
+    let le = |a: AffineBound, b: AffineBound| a.var == b.var && a.c <= b.c;
+    outer.rank == inner.rank
+        && outer.dims[..outer.rank]
+            .iter()
+            .zip(&inner.dims)
+            .all(|(o, i)| le(o.lo, i.lo) && le(i.hi, o.hi))
 }
 
 /// Removes every call of the marked transfers.
@@ -269,9 +299,13 @@ mod tests {
     use super::*;
     use crate::config::OptConfig;
     use crate::emit::optimize_program;
-    use crate::verify::verify_plan;
     use commopt_ir::offset::compass;
     use commopt_ir::{Expr, ProgramBuilder, Rect, Region};
+
+    fn assert_safe(program: &Program) {
+        let report = commopt_analysis::lint(program);
+        assert!(report.safe(), "{}", report.render());
+    }
 
     fn bounds() -> Rect {
         Rect::d2((1, 12), (1, 12))
@@ -313,7 +347,7 @@ mod tests {
         assert_eq!(stats.removed, 1);
         assert_eq!(opt.program.transfers.len(), 1);
         assert_eq!(crate::counts::dynamic_count(&opt.program), 1);
-        verify_plan(&opt.program).unwrap();
+        assert_safe(&opt.program);
     }
 
     #[test]
@@ -332,7 +366,7 @@ mod tests {
         let stats = global_pass(&mut opt.program);
         assert_eq!(stats, GlobalStats::default());
         assert_eq!(crate::counts::dynamic_count(&opt.program), before);
-        verify_plan(&opt.program).unwrap();
+        assert_safe(&opt.program);
     }
 
     #[test]
@@ -349,7 +383,7 @@ mod tests {
         let mut opt = optimize_program(&b.finish(), &OptConfig::pl());
         let stats = global_pass(&mut opt.program);
         assert_eq!(stats.hoisted, 0);
-        verify_plan(&opt.program).unwrap();
+        assert_safe(&opt.program);
     }
 
     #[test]
@@ -373,7 +407,7 @@ mod tests {
         assert_eq!(stats.hoisted, 2);
         assert_eq!(stats.removed, 1);
         assert_eq!(crate::counts::dynamic_count(&opt.program), 1);
-        verify_plan(&opt.program).unwrap();
+        assert_safe(&opt.program);
     }
 
     #[test]
@@ -392,7 +426,7 @@ mod tests {
         let stats = global_pass(&mut opt.program);
         assert_eq!(stats.hoisted, 2); // one level per loop
         assert_eq!(crate::counts::dynamic_count(&opt.program), 1);
-        verify_plan(&opt.program).unwrap();
+        assert_safe(&opt.program);
     }
 
     #[test]
@@ -409,5 +443,54 @@ mod tests {
                 assert!(transfer.index() < opt.program.transfers.len());
             }
         });
+    }
+
+    #[test]
+    fn a_sweep_delivers_nothing_to_a_later_sweep() {
+        // Two sweeps over one loop variable: for i := 2 .. 3 { [i, 2..11]
+        // A := X@east }, then for i := 2 .. 11 { [i, 2..11] C := X@east }.
+        // The first delivered rows 2 and 3 only, so the second keeps its
+        // transfer.
+        let mut b = ProgramBuilder::new("two-sweeps");
+        let x = b.array("X", bounds());
+        let a = b.array("A", bounds());
+        let c = b.array("C", bounds());
+        b.assign(Region::from_rect(bounds()), x, Expr::Index(0));
+        let mut src = b.finish();
+        let i = src.add_loop_var("i");
+        let sweep = |hi: i64, lhs| Stmt::For {
+            var: i,
+            lo: 2.into(),
+            hi: hi.into(),
+            step: 1,
+            body: Block::new(vec![Stmt::assign(
+                Region::row2(i, (2, 11)),
+                lhs,
+                Expr::at(x, compass::EAST),
+            )]),
+        };
+        src.body.0.extend([sweep(3, a), sweep(11, c)]);
+        let mut opt = optimize_program(&src, &OptConfig::pl());
+        let stats = global_pass(&mut opt.program);
+        assert_eq!(stats.removed, 0);
+        assert_safe(&opt.program);
+    }
+
+    #[test]
+    fn included_regions_cover_and_loop_relative_ones_match_their_variable() {
+        let whole = Region::d2((2, 11), (2, 11));
+        let mut p = Program::new("vars");
+        let (i, j) = (p.add_loop_var("i"), p.add_loop_var("j"));
+        assert!(includes(&whole, &Region::d2((3, 5), (2, 11))));
+        assert!(!includes(&Region::d2((3, 5), (2, 11)), &whole));
+        assert!(includes(
+            &Region::row2(i, (1, 12)),
+            &Region::row2(i, (2, 11))
+        ));
+        assert!(!includes(
+            &Region::row2(i, (2, 11)),
+            &Region::row2(j, (2, 11))
+        ));
+        assert!(!includes(&whole, &Region::row2(i, (2, 11))));
     }
 }

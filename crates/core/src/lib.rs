@@ -24,9 +24,11 @@
 //! The entry point is [`optimize`], which takes a source [`Program`] and an
 //! [`OptConfig`] and returns the program with IRONMAN communication calls
 //! inserted, plus static communication counts. [`counts::dynamic_count`]
-//! computes the dynamic count by walking the loop structure, and
-//! [`verify::verify_plan`] is an independent safety checker used by the
-//! test suite.
+//! computes the dynamic count by walking the loop structure. Whether a
+//! plan is communication-safe is commlint's judgement
+//! (`commopt_analysis::lint(&program).safe()`); debug builds of
+//! [`optimize`] assert that every plan they emit has no error-severity
+//! finding.
 //!
 //! ```
 //! use commopt_core::{optimize, OptConfig};
@@ -55,7 +57,6 @@ pub mod emit;
 pub mod global;
 pub mod passlog;
 pub mod planner;
-pub mod verify;
 
 pub use block::{BlockInfo, StmtInfo};
 pub use config::{CombineMode, OptConfig};
@@ -64,7 +65,6 @@ pub use emit::Optimized;
 pub use global::{global_pass, GlobalStats};
 pub use passlog::{PassEvent, PassLog};
 pub use planner::{plan_block, plan_block_logged, PlannedComm};
-pub use verify::{verify_plan, PlanError};
 
 use commopt_ir::Program;
 

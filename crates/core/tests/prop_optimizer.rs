@@ -3,7 +3,8 @@
 //! orderings must hold (baseline ≥ rr ≥ cc statically and dynamically).
 //! Programs are generated from seeded commopt-testkit generators.
 
-use commopt_core::{dynamic_count, optimize, verify_plan, CombineMode, OptConfig};
+use commopt_analysis::lint;
+use commopt_core::{dynamic_count, optimize, CombineMode, OptConfig};
 use commopt_ir::offset::compass;
 use commopt_ir::{validate, Expr, Offset, Program, ProgramBuilder, Rect, Region};
 use commopt_testkit::{cases, Rng};
@@ -87,9 +88,12 @@ fn every_preset_produces_safe_plans() {
         let p = arb_program(rng);
         for (name, cfg) in OptConfig::presets() {
             let opt = optimize(&p, &cfg);
-            if let Err(errs) = verify_plan(&opt.program) {
-                panic!("{name} produced unsafe plan: {errs:?}");
-            }
+            let report = lint(&opt.program);
+            assert!(
+                report.safe(),
+                "{name} produced unsafe plan:\n{}",
+                report.render()
+            );
         }
     });
 }
@@ -115,9 +119,12 @@ fn independent_toggles_produce_safe_plans() {
             max_combined_items: cap,
         };
         let opt = optimize(&p, &cfg);
-        if let Err(errs) = verify_plan(&opt.program) {
-            panic!("unsafe plan for {cfg:?}: {errs:?}");
-        }
+        let report = lint(&opt.program);
+        assert!(
+            report.safe(),
+            "unsafe plan for {cfg:?}:\n{}",
+            report.render()
+        );
     });
 }
 
@@ -155,9 +162,12 @@ fn global_pass_is_safe_and_monotone() {
             let before = dynamic_count(&opt.program);
             let mut program = opt.program.clone();
             let stats = commopt_core::global_pass(&mut program);
-            if let Err(errs) = verify_plan(&program) {
-                panic!("global pass produced unsafe plan: {errs:?}");
-            }
+            let report = lint(&program);
+            assert!(
+                report.safe(),
+                "global pass produced unsafe plan:\n{}",
+                report.render()
+            );
             let after = dynamic_count(&program);
             assert!(
                 after <= before,

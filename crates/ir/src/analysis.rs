@@ -11,9 +11,8 @@ use std::collections::{BTreeSet, HashSet};
 /// program body down through nested loop bodies. `s2.1.0` is statement 0
 /// of the body of statement 1 of the body of top-level statement 2.
 ///
-/// Spans are shared by `verify_plan` and `commlint` so both tools print
-/// identical locations, and they order the way structured control flow
-/// executes: the derived `Ord` is lexicographic with a prefix ordering
+/// commlint's findings and `validate`'s out-of-bounds errors both carry
+/// spans, and spans order the way structured control flow executes: the derived `Ord` is lexicographic with a prefix ordering
 /// shorter-first, which is exactly program pre-order.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 pub struct Span(Vec<u32>);
@@ -48,9 +47,8 @@ impl Span {
     /// With structured `Repeat`/`For` control flow (no branches) this is a
     /// pure path comparison: `self` dominates `other` iff it is a proper
     /// prefix (a loop statement dominates its body) or lexicographically
-    /// earlier. Loops are assumed to run at least one iteration — the same
-    /// convention `verify_plan` uses when it threads ghost state through a
-    /// loop body once.
+    /// earlier. Loops are assumed to run at least one iteration, as
+    /// commlint assumes throughout.
     pub fn dominates(&self, other: &Span) -> bool {
         self.0 < other.0
     }
@@ -125,8 +123,8 @@ pub fn arrays_written(stmt: &Stmt) -> Option<ArrayId> {
 }
 
 /// All arrays written anywhere in a block tree — the kill set a loop
-/// boundary applies to carried ghost data (used by both `verify_plan` and
-/// the static analyzer's loop kill sets).
+/// boundary applies to carried ghost data (used by the cross-block pass
+/// and the static analyzer's loop kill sets).
 pub fn written_arrays(block: &Block) -> BTreeSet<ArrayId> {
     let mut out = BTreeSet::new();
     crate::visit::walk_stmts(block, &mut |s| {

@@ -4,6 +4,7 @@
 //! checked here. Run [`validate`] after building a program by hand or
 //! lowering from source; the benchmark programs are validated by tests.
 
+use crate::analysis::Span;
 use crate::expr::{Expr, ScalarRhs};
 use crate::ids::{ArrayId, LoopVarId, ScalarId};
 use crate::offset::Offset;
@@ -53,6 +54,8 @@ pub enum ValidateError {
     /// A statement's region, or its region shifted by a reference's
     /// offset, leaves the bounds of the array it writes or reads.
     OutOfBounds {
+        /// The statement making the access.
+        at: Span,
         array: String,
         access: String,
         bounds: String,
@@ -98,6 +101,7 @@ impl std::fmt::Display for ValidateError {
                 array,
                 access,
                 bounds,
+                ..
             } => write!(
                 f,
                 "access {access} of array {array} leaves its bounds {bounds}"
@@ -118,7 +122,13 @@ pub fn validate(program: &Program) -> Result<(), Vec<ValidateError>> {
     let mut bound: Vec<LoopVarId> = Vec::new();
     check_block(program, &program.body, &mut bound, &mut errs);
     if errs.is_empty() {
-        check_bounds(program, &program.body, &mut Vec::new(), &mut errs);
+        let mut walk = BoundsWalk {
+            p: program,
+            ends: Vec::new(),
+            path: Vec::new(),
+            errs: &mut errs,
+        };
+        walk.block(&program.body);
     }
     if errs.is_empty() {
         Ok(())
@@ -216,29 +226,38 @@ fn check_block(
 }
 
 /// Checks that every statement's accesses stay inside their arrays, on a
-/// structurally valid program. `ends` holds the loop variables in scope,
-/// innermost last, each with its first and last value when both are
-/// constant and the loop runs at least once.
-fn check_bounds(
-    p: &Program,
-    block: &Block,
-    ends: &mut Vec<(LoopVarId, Option<(i64, i64)>)>,
-    errs: &mut Vec<ValidateError>,
-) {
-    for stmt in block.iter() {
+/// structurally valid program.
+struct BoundsWalk<'a> {
+    p: &'a Program,
+    /// The loop variables in scope, innermost last, each with its first
+    /// and last value when both are constant and the loop runs at least
+    /// once.
+    ends: Vec<(LoopVarId, Option<(i64, i64)>)>,
+    /// Statement-index path of the statement being checked.
+    path: Vec<u32>,
+    errs: &'a mut Vec<ValidateError>,
+}
+
+impl BoundsWalk<'_> {
+    fn block(&mut self, block: &Block) {
+        for (i, stmt) in block.iter().enumerate() {
+            self.path.push(i as u32);
+            self.stmt(stmt);
+            self.path.pop();
+        }
+    }
+
+    fn stmt(&mut self, stmt: &Stmt) {
         let (region, expr) = match stmt {
             Stmt::Assign { region, lhs, rhs } => {
-                check_access(p, region, *lhs, Offset::ZERO, ends, errs);
+                self.access(region, *lhs, Offset::ZERO);
                 (region, rhs)
             }
             Stmt::ScalarAssign {
                 rhs: ScalarRhs::Reduce { region, expr, .. },
                 ..
             } => (region, expr),
-            Stmt::Repeat { body, .. } => {
-                check_bounds(p, body, ends, errs);
-                continue;
-            }
+            Stmt::Repeat { body, .. } => return self.block(body),
             Stmt::For {
                 var,
                 lo,
@@ -248,72 +267,69 @@ fn check_bounds(
             } => {
                 let runs = (*step > 0 && lo.c <= hi.c) || (*step < 0 && lo.c >= hi.c);
                 let constant = lo.is_constant() && hi.is_constant() && runs;
-                ends.push((*var, constant.then_some((lo.c, hi.c))));
-                check_bounds(p, body, ends, errs);
-                ends.pop();
-                continue;
+                self.ends.push((*var, constant.then_some((lo.c, hi.c))));
+                self.block(body);
+                self.ends.pop();
+                return;
             }
-            Stmt::ScalarAssign { .. } | Stmt::Comm { .. } => continue,
+            Stmt::ScalarAssign { .. } | Stmt::Comm { .. } => return,
         };
         expr.walk(&mut |n| {
             if let Expr::Ref { array, offset } = n {
-                check_access(p, region, *array, *offset, ends, errs);
+                self.access(region, *array, *offset);
             }
         });
     }
-}
 
-/// Checks one access: `region` shifted by `offset` must lie inside
-/// `array`. A constant region is checked exactly; a loop-relative one at
-/// its loops' first and at their last values, and not at all when one of
-/// those is unknown.
-fn check_access(
-    p: &Program,
-    region: &Region,
-    array: ArrayId,
-    offset: Offset,
-    ends: &[(LoopVarId, Option<(i64, i64)>)],
-    errs: &mut Vec<ValidateError>,
-) {
-    let bounds = p.array(array).rect;
-    if region.rank != bounds.rank {
-        return;
-    }
-    // A bound's value on its loop's first or last trip.
-    let at = |b: AffineBound, last: bool| match b.var {
-        None => Some(b.c),
-        Some(v) => match ends.iter().rev().find(|(w, _)| *w == v)? {
-            (_, Some((first_value, last_value))) => {
-                Some(b.c + if last { *last_value } else { *first_value })
-            }
-            (_, None) => None,
-        },
-    };
-    // The loops' first trips, then their last, which a constant region
-    // does not need.
-    let trips: &[bool] = if region.is_constant() {
-        &[false]
-    } else {
-        &[false, true]
-    };
-    for &last in trips {
-        let mut access = bounds;
-        for (d, dim) in region.dims[..region.rank].iter().enumerate() {
-            let (Some(lo), Some(hi)) = (at(dim.lo, last), at(dim.hi, last)) else {
-                return;
-            };
-            let shift = i64::from(offset.get(d));
-            (access.lo[d], access.hi[d]) = (lo + shift, hi + shift);
-        }
-        let inside =
-            (0..bounds.rank).all(|d| bounds.lo[d] <= access.lo[d] && access.hi[d] <= bounds.hi[d]);
-        if !inside && !access.is_empty() {
-            errs.push(ValidateError::OutOfBounds {
-                array: p.array(array).name.clone(),
-                access: format!("{access:?}"),
-                bounds: format!("{bounds:?}"),
-            });
+    /// Checks one access: `region` shifted by `offset` must lie inside
+    /// `array`. A constant region is checked exactly; a loop-relative one
+    /// at its loops' first and at their last values, and not at all when
+    /// one of those is unknown.
+    fn access(&mut self, region: &Region, array: ArrayId, offset: Offset) {
+        let bounds = self.p.array(array).rect;
+        if region.rank != bounds.rank {
             return;
+        }
+        // A bound's value on its loop's first or last trip.
+        let at = |b: AffineBound, last: bool| match b.var {
+            None => Some(b.c),
+            Some(v) => match self.ends.iter().rev().find(|(w, _)| *w == v)? {
+                (_, Some((first_value, last_value))) => {
+                    Some(b.c + if last { *last_value } else { *first_value })
+                }
+                (_, None) => None,
+            },
+        };
+        // The loops' first trips, then their last, which a constant region
+        // does not need.
+        let trips: &[bool] = if region.is_constant() {
+            &[false]
+        } else {
+            &[false, true]
+        };
+        for &last in trips {
+            let mut access = bounds;
+            for (d, dim) in region.dims[..region.rank].iter().enumerate() {
+                let (Some(lo), Some(hi)) = (at(dim.lo, last), at(dim.hi, last)) else {
+                    return;
+                };
+                let shift = i64::from(offset.get(d));
+                (access.lo[d], access.hi[d]) = (lo + shift, hi + shift);
+            }
+            let inside = (0..bounds.rank)
+                .all(|d| bounds.lo[d] <= access.lo[d] && access.hi[d] <= bounds.hi[d]);
+            if !inside && !access.is_empty() {
+                self.errs.push(ValidateError::OutOfBounds {
+                    at: self
+                        .path
+                        .iter()
+                        .fold(Span::root(), |at, &i| at.child(i as usize)),
+                    array: self.p.array(array).name.clone(),
+                    access: format!("{access:?}"),
+                    bounds: format!("{bounds:?}"),
+                });
+                return;
+            }
         }
     }
 }
@@ -521,6 +537,7 @@ mod tests {
             assert_eq!(
                 errs,
                 vec![ValidateError::OutOfBounds {
+                    at: Span::root().child(0),
                     array: if access.starts_with("[0") { "A" } else { "X" }.into(),
                     access: access.into(),
                     bounds: "[1..8, 1..8]".into(),

@@ -174,8 +174,15 @@ impl Lowerer {
         self.program.body = body;
 
         commopt_ir::validate(&self.program).map_err(|errs| {
+            // Point at the statement of the first access that fails.
+            let span = errs.iter().find_map(|e| match e {
+                commopt_ir::ValidateError::OutOfBounds { at, .. } => {
+                    stmt_span(&file.body, at.path())
+                }
+                _ => None,
+            });
             LangError::new(
-                Span::default(),
+                span.unwrap_or_default(),
                 format!(
                     "lowered program failed validation: {}",
                     errs.iter()
@@ -495,6 +502,23 @@ impl Lowerer {
     }
 }
 
+/// The source position of the statement at `path`, the statement indices
+/// from the program body down; lowering maps each statement to one.
+fn stmt_span(stmts: &[AStmt], path: &[u32]) -> Option<Span> {
+    let (&i, rest) = path.split_first()?;
+    match (stmts.get(i as usize)?, rest) {
+        (
+            AStmt::ArrayAssign { span, .. }
+            | AStmt::ScalarAssign { span, .. }
+            | AStmt::Repeat { span, .. }
+            | AStmt::For { span, .. },
+            [],
+        ) => Some(*span),
+        (AStmt::Repeat { body, .. } | AStmt::For { body, .. }, _) => stmt_span(body, rest),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,6 +624,19 @@ end
                 "{body}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn out_of_bounds_errors_point_at_the_statement() {
+        let src = "program oob;\nconfig n = 8;\nvar A : [1..n, 1..n] double;\nbegin\n\
+                   [1..n, 1..n] A := 0.0;\n  repeat 2 {\n    [1..n, 1..n] A := 2.0;\n\
+                   \x20   [0..n, 1..n] A := 1.0;\n  }\nend\n";
+        let err = compile(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "error at 8:5: lowered program failed validation: \
+             access [0..8, 1..8] of array A leaves its bounds [1..8, 1..8]"
+        );
     }
 
     #[test]

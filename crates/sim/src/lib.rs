@@ -15,8 +15,8 @@
 //!   on genuinely distributed arrays: each processor owns a block plus a
 //!   ghost ring that is *only* updated by executed transfers, with data
 //!   snapshotted at SR time. A missing or misplaced communication therefore
-//!   produces NaNs or stale values — the dynamic counterpart of the static
-//!   safety checker in `commopt-core::verify` — which the test suite
+//!   produces NaNs or stale values — the dynamic counterpart of commlint's
+//!   static safety check (`commopt-analysis`) — which the test suite
 //!   compares against the independent sequential interpreter in [`seq`];
 //! * optionally (with a sink installed via `SimConfig::with_trace`) a
 //!   per-processor **event timeline** — compute spans and every IRONMAN

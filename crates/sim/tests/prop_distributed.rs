@@ -3,9 +3,9 @@
 //! communication library, the distributed simulation's numerics equal the
 //! independent sequential interpreter's.
 //!
-//! This closes the loop between the static safety verifier (commopt-core)
-//! and the runtime: an optimizer bug that slipped both the planner and the
-//! verifier would surface here as NaN ghosts or stale values.
+//! This closes the loop between the static safety checker (commlint) and
+//! the runtime: an optimizer bug that slipped both the planner and commlint
+//! would surface here as NaN ghosts or stale values.
 
 use commopt_core::{optimize, CombineMode, OptConfig};
 use commopt_ir::offset::compass;
@@ -48,10 +48,17 @@ fn arb_rhs(rng: &mut Rng) -> Expr {
     sum * Expr::Const(1.0 / n)
 }
 
+/// Initial values, the statements before the loop, a loop, and the
+/// statements after it. The loop is a `repeat` over the interior, or an
+/// upward or downward row sweep whose body works on row `i`; a sweep runs
+/// zero times when its bounds cross.
 fn arb_program(rng: &mut Rng) -> Program {
     let pre = rng.vec_of(1, 4, |r| (r.u32(0, NUM_ARRAYS - 1), arb_rhs(r)));
     let body = rng.vec_of(1, 5, |r| (r.u32(0, NUM_ARRAYS - 1), arb_rhs(r)));
+    let post = rng.vec_of(0, 2, |r| (r.u32(0, NUM_ARRAYS - 1), arb_rhs(r)));
     let trips = rng.i64(1, 2) as u64;
+    let sweep = rng.u32(0, 2);
+    let (first, last) = (rng.i64(2, N - 1), rng.i64(1, N - 1));
     let with_reduce = rng.bool();
     let mut b = ProgramBuilder::new("prop");
     let bounds = Rect::d2((1, N), (1, N));
@@ -67,46 +74,57 @@ fn arb_program(rng: &mut Rng) -> Program {
             Expr::Index(0) * Expr::Const(0.1 * (i + 1) as f64) + Expr::Index(1),
         );
     }
-    for (lhs, rhs) in &pre {
-        b.assign(interior(), commopt_ir::ArrayId(*lhs), rhs.clone());
-    }
-    b.repeat(trips, |b| {
-        for (lhs, rhs) in &body {
-            b.assign(interior(), commopt_ir::ArrayId(*lhs), rhs.clone());
+    let emit = |b: &mut ProgramBuilder, region: Region, stmts: &[(u32, Expr)]| {
+        for (lhs, rhs) in stmts {
+            b.assign(region, commopt_ir::ArrayId(*lhs), rhs.clone());
         }
+    };
+    let loop_body = |b: &mut ProgramBuilder, region: Region| {
+        emit(b, region, &body);
         if with_reduce {
             b.reduce(
                 s,
                 ReduceOp::Sum,
-                interior(),
+                region,
                 Expr::local(commopt_ir::ArrayId(0)),
             );
         }
-    });
+    };
+    let row = |i| Region::row2(i, (2, N - 1));
+    emit(&mut b, interior(), &pre);
+    match sweep {
+        0 => b.repeat(trips, |b| loop_body(b, interior())),
+        1 => b.for_up("i", first, last, |b, i| loop_body(b, row(i))),
+        _ => b.for_down("i", last, first, |b, i| loop_body(b, row(i))),
+    };
+    emit(&mut b, interior(), &post);
     b.finish()
 }
 
-fn check(p: &Program, cfg: &OptConfig, library: Library, procs: usize) -> Result<(), String> {
-    let reference = SeqInterp::run(p);
-    let opt = optimize(p, cfg);
-    let r = Simulator::new(
-        &opt.program,
-        SimConfig::full(MachineSpec::t3d(), library, procs),
-    )
-    .run();
-    for a in &p.arrays {
+/// Runs `plan` in full mode and compares every array with the sequential
+/// run of `source`.
+fn compare(source: &Program, plan: &Program, library: Library, procs: usize) -> Result<(), String> {
+    let reference = SeqInterp::run(source);
+    let r = Simulator::new(plan, SimConfig::full(MachineSpec::t3d(), library, procs))
+        .try_run()
+        .map_err(|e| format!("run failed: {e} ({library:?}, {procs}p)"))?;
+    for a in &source.arrays {
         let xs = reference.array(&a.name).expect("reference array");
         let ys = r.array(&a.name).expect("simulated array");
         for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
             if !(x.is_finite() && y.is_finite()) || (x - y).abs() > 1e-9 * x.abs().max(1.0) {
                 return Err(format!(
-                    "{}[{i}]: {x} vs {y} ({cfg:?}, {library:?}, {procs}p)",
+                    "{}[{i}]: {x} vs {y} ({library:?}, {procs}p)",
                     a.name
                 ));
             }
         }
     }
     Ok(())
+}
+
+fn check(p: &Program, cfg: &OptConfig, library: Library, procs: usize) -> Result<(), String> {
+    compare(p, &optimize(p, cfg).program, library, procs).map_err(|e| format!("{e} {cfg:?}"))
 }
 
 #[test]
@@ -143,32 +161,47 @@ fn distributed_equals_sequential_for_random_configs() {
     });
 }
 
+/// `pl` followed by the cross-block pass.
+fn global_plan(p: &Program) -> Program {
+    let mut program = optimize(p, &OptConfig::pl()).program;
+    commopt_core::global_pass(&mut program);
+    program
+}
+
 #[test]
 fn global_pass_preserves_numerics() {
     cases(48, |rng| {
         let p = arb_program(rng);
         let procs = rng.usize(1, 9);
-        let reference = SeqInterp::run(&p);
-        let opt = optimize(&p, &OptConfig::pl());
-        let mut program = opt.program.clone();
-        commopt_core::global_pass(&mut program);
-        let r = Simulator::new(
-            &program,
-            SimConfig::full(MachineSpec::t3d(), Library::Pvm, procs),
-        )
-        .run();
-        for a in &p.arrays {
-            let xs = reference.array(&a.name).expect("reference array");
-            let ys = r.array(&a.name).expect("simulated array");
-            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
-                assert!(
-                    x.is_finite() && y.is_finite() && (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                    "{}[{i}]: {x} vs {y} after global pass",
-                    a.name
-                );
-            }
+        if let Err(e) = compare(&p, &global_plan(&p), Library::Pvm, procs) {
+            panic!("{e} after global pass");
         }
     });
+}
+
+#[test]
+fn global_pass_keeps_a_transfer_a_row_sweep_covers_in_part() {
+    // for i := 2 .. hi { [i, 2..N-1] A := B@east }  [interior] C := B@east
+    // The sweep delivers B@east a row at a time, and not at all when
+    // hi = 1, so the read after it needs its own transfer.
+    for hi in [3, 1] {
+        let mut b = ProgramBuilder::new("sweep-then-read");
+        let bounds = Rect::d2((1, N), (1, N));
+        let [bb, a, c] = b.arrays(["B", "A", "C"], bounds);
+        b.assign(
+            Region::from_rect(bounds),
+            bb,
+            Expr::Index(0) * Expr::Const(0.1) + Expr::Index(1),
+        );
+        b.for_up("i", 2, hi, |b, i| {
+            b.assign(Region::row2(i, (2, N - 1)), a, Expr::at(bb, compass::EAST));
+        });
+        b.assign(interior(), c, Expr::at(bb, compass::EAST));
+        let p = b.finish();
+        if let Err(e) = compare(&p, &global_plan(&p), Library::Pvm, 4) {
+            panic!("hi = {hi}: {e} after global pass");
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Build a program with the Rust IR builder (no mini-ZPL source), inspect
-//! the optimizer's output plan in ZPL-flavoured syntax, and verify the
-//! distributed execution against the sequential interpreter.
+//! the optimizer's output plan in ZPL-flavoured syntax, check it with
+//! commlint, and verify the distributed execution against the sequential
+//! interpreter.
 //!
 //! The program is a two-field heat diffusion with a flux array — chosen so
 //! every optimization has something to do: a redundant re-read for rr,
@@ -10,11 +11,12 @@
 //! cargo run --release --example heat_diffusion
 //! ```
 
+use commopt::analysis::lint;
 use commopt::ir::offset::compass;
 use commopt::ir::{display, Expr, ProgramBuilder, Rect, ReduceOp, Region};
 use commopt::ironman::Library;
 use commopt::machine::MachineSpec;
-use commopt::opt::{optimize, verify_plan, OptConfig};
+use commopt::opt::{optimize, OptConfig};
 use commopt::sim::{SeqInterp, SimConfig, Simulator};
 
 fn main() {
@@ -71,7 +73,8 @@ fn main() {
     // Show what the optimizer does to the loop body.
     for (name, cfg) in [("baseline", OptConfig::baseline()), ("pl", OptConfig::pl())] {
         let opt = optimize(&program, &cfg);
-        verify_plan(&opt.program).expect("plan is communication-safe");
+        let report = lint(&opt.program);
+        assert!(report.safe(), "unsafe plan:\n{}", report.render());
         println!("=== {name}: {} communications ===", opt.static_count());
         let text = display::program_to_string(&opt.program);
         // Print just the loop body.
