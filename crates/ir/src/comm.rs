@@ -39,7 +39,7 @@ impl std::fmt::Debug for TransferId {
 /// the runtime moves exactly the boundary data those regions touch (a
 /// row-sweep region like `[i..i, 1..n]` moves at most a partial row, and
 /// usually nothing at all — the IRONMAN calls become cheap guards).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TransferItem {
     pub array: ArrayId,
     pub offset: Offset,

@@ -40,10 +40,12 @@ use commopt_ir::analysis::expr_flops;
 use commopt_ir::visit::walk_stmts;
 use commopt_ir::{
     loop_values, CallKind, Expr, LoopEnv, Program, Rect, ReduceOp, Region, ScalarRhs, Stmt,
-    TransferId, MAX_RANK,
+    TransferId, TransferItem, MAX_RANK,
 };
 use commopt_ironman::{Action, Binding, Library};
 use commopt_machine::{CommCosts, MachineSpec, ProcGrid, ProcId};
+use std::collections::hash_map::{DefaultHasher, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -198,9 +200,12 @@ pub struct Simulator<'p> {
     scalars: Vec<f64>,
     env: LoopEnv,
     layout: Layout,
-    /// Per transfer (indexed by `TransferId::index()`): its cached
+    /// Per distinct item list the program's transfers carry: its cached
     /// geometry (see [`GeomSlot`]).
     geoms: Vec<GeomSlot>,
+    /// Per transfer (indexed by `TransferId::index()`): its slot in
+    /// `geoms`, which every transfer with equal items shares.
+    geom_of: Vec<usize>,
     /// Per array assignment and reduction, in pre-order: its cached compute
     /// charge (see [`ChargeSlot`]).
     charges: Vec<ChargeSlot>,
@@ -255,11 +260,21 @@ impl<'p> Simulator<'p> {
             .faults
             .is_active()
             .then(|| FaultState::new(cfg.faults, n));
-        let layout = Layout::new(grid, program);
-        let geoms = program
+        let mut layout = Layout::new(grid, program, cfg.compute_data);
+        let mut geoms = Vec::new();
+        // Fixed hash keys: nothing in a run depends on the process's
+        // random seed.
+        let mut slots: HashMap<&[TransferItem], usize, BuildHasherDefault<DefaultHasher>> =
+            HashMap::default();
+        let geom_of = program
             .transfers
             .iter()
-            .map(|t| GeomSlot::new(t, &layout, !cfg.compute_data))
+            .map(|t| {
+                *slots.entry(&t.items).or_insert_with(|| {
+                    geoms.push(GeomSlot::new(&t.items, &layout, !cfg.compute_data));
+                    geoms.len() - 1
+                })
+            })
             .collect();
         let mut charges = Vec::new();
         walk_stmts(&program.body, &mut |stmt| {
@@ -270,7 +285,7 @@ impl<'p> Simulator<'p> {
                     region,
                     part,
                     flops,
-                    &layout,
+                    &mut layout,
                     m,
                     !cfg.compute_data,
                 ));
@@ -286,6 +301,7 @@ impl<'p> Simulator<'p> {
             env: LoopEnv::new(),
             layout,
             geoms,
+            geom_of,
             charges,
             stmt_dt: Vec::with_capacity(n),
             arrays,
@@ -302,7 +318,7 @@ impl<'p> Simulator<'p> {
         // Loop-invariant geometry is built here, once, as invariant
         // charges were above.
         for i in 0..program.transfers.len() {
-            if sim.geoms[i].key.vars.is_empty() {
+            if sim.geoms[sim.geom_of[i]].key.vars.is_empty() {
                 let tid = TransferId(i as u32);
                 let geom = sim.take_geometry(tid);
                 sim.put_geometry(tid, geom);
@@ -433,8 +449,8 @@ impl<'p> Simulator<'p> {
     /// statement, over `region`, under the current environment.
     fn charge_stmt(&mut self, slot: usize, region: &Region, span: Option<SpanKind>) {
         let charge = &mut self.charges[slot];
-        charge.update(region, &self.env, &self.layout, &self.cfg.machine);
-        let dt = &charge.dt;
+        charge.update(region, &self.env, &mut self.layout, &self.cfg.machine);
+        let dt = charge.dt();
         if self.faults.is_none() {
             self.ledger.compute_all(dt, span);
         } else {
@@ -627,14 +643,15 @@ impl<'p> Simulator<'p> {
     /// of its slot (see [`GeomSlot::take`]). Hand it back with
     /// [`put_geometry`](Simulator::put_geometry).
     fn take_geometry(&mut self, tid: TransferId) -> Geom {
-        let t = self.program.transfer(tid);
-        let geom = self.geoms[tid.index()].take(t, &self.env, &mut self.layout);
+        let items = &self.program.transfer(tid).items;
+        let slot = &mut self.geoms[self.geom_of[tid.index()]];
+        let geom = slot.take(items, &self.env, &mut self.layout);
         // Unit tests hold every call's geometry to a fresh build: all of
         // it in full mode, the fields timing runs read in timing mode.
         #[cfg(test)]
         {
             let mut rebuilt = Geom::default();
-            self.layout.build(&mut rebuilt, t, &self.env);
+            self.layout.build(&mut rebuilt, items, &self.env);
             if self.cfg.compute_data {
                 assert_eq!(rebuilt, geom, "t{}: cached geometry is stale", tid.0);
             } else {
@@ -647,7 +664,7 @@ impl<'p> Simulator<'p> {
     /// Returns a geometry taken by [`take_geometry`](Simulator::take_geometry)
     /// to its slot.
     fn put_geometry(&mut self, tid: TransferId, geom: Geom) {
-        self.geoms[tid.index()].put(geom);
+        self.geoms[self.geom_of[tid.index()]].put(geom);
     }
 
     /// SR under `csend`/`pvm_send` (blocking, buffered), `isend`/`hsend`
@@ -1225,9 +1242,31 @@ mod tests {
     /// times: the transfer runs once per `(i, k)` but reads only `i`.
     fn sweep(n: i64) -> Program {
         let mut b = ProgramBuilder::new("sweep");
+        let x = sweep_array(&mut b, n);
+        sweep_rows(&mut b, x, n);
+        b.finish()
+    }
+
+    /// [`sweep`]'s row sweep, run `repeats` times over.
+    fn repeated_sweep(n: i64, repeats: u64) -> Program {
+        let mut b = ProgramBuilder::new("sweep");
+        let x = sweep_array(&mut b, n);
+        b.repeat(repeats, |b| {
+            sweep_rows(b, x, n);
+        });
+        b.finish()
+    }
+
+    /// Declares the `n × n` array `X` a sweep rewrites and fills it.
+    fn sweep_array(b: &mut ProgramBuilder, n: i64) -> commopt_ir::ArrayId {
         let bounds = Rect::d2((1, n), (1, n));
         let x = b.array("X", bounds);
         b.assign(Region::from_rect(bounds), x, Expr::Index(0));
+        x
+    }
+
+    /// Appends the sweep over rows `2..=n` of `x`.
+    fn sweep_rows(b: &mut ProgramBuilder, x: commopt_ir::ArrayId, n: i64) {
         b.for_up("i", 2, n, |b, i| {
             b.for_up("k", 1, 3, |b, _| {
                 b.assign(
@@ -1237,7 +1276,6 @@ mod tests {
                 );
             });
         });
-        b.finish()
     }
 
     /// The machine whose cost tables cover `lib`.
@@ -1312,6 +1350,95 @@ mod tests {
                 assert_eq!(slot.builds, 11, "{name}/{lib:?}");
             }
         }
+    }
+
+    #[test]
+    fn repeated_sweep_builds_each_class_once_per_run() {
+        // `sweep(16)`'s 11 geometry classes and 4 charge classes, swept
+        // three times: the class tables serve the second and third
+        // sweeps, where full mode rebuilds every row of every sweep.
+        let src = repeated_sweep(16, 3);
+        for (name, cfg) in OptConfig::presets() {
+            let opt = optimize(&src, &cfg);
+            for lib in Library::ALL {
+                for (cfg, builds, charges) in [
+                    (SimConfig::timing(machine(lib), lib, 16), 11, 4),
+                    (SimConfig::full(machine(lib), lib, 16), 45, 45),
+                ] {
+                    let timing = !cfg.compute_data;
+                    let sim = executed(&opt.program, cfg);
+                    let [slot] = &sim.geoms[..] else {
+                        panic!("{name}: expected one transfer")
+                    };
+                    assert_eq!(slot.builds, builds, "{name}/{lib:?}/timing={timing}");
+                    let [_, row] = &sim.charges[..] else {
+                        panic!("{name}: expected two assignments")
+                    };
+                    assert_eq!(row.builds, charges, "{name}/{lib:?}/timing={timing}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn identical_transfers_share_one_geometry_slot() {
+        // Message vectorization alone leaves `A@east` a transfer for each
+        // statement that reads it, each carrying the same item.
+        let src = jacobi(16, 4);
+        let opt = optimize(&src, &OptConfig::baseline());
+        let transfers = &opt.program.transfers;
+        let mut distinct: Vec<&[TransferItem]> = Vec::new();
+        for t in transfers {
+            if !distinct.contains(&&t.items[..]) {
+                distinct.push(&t.items);
+            }
+        }
+        assert!(distinct.len() < transfers.len(), "no two transfers agree");
+        for cfg in [
+            SimConfig::timing(t3d(), Library::Pvm, 4),
+            SimConfig::full(t3d(), Library::Pvm, 4),
+        ] {
+            let sim = executed(&opt.program, cfg);
+            assert_eq!(sim.geoms.len(), distinct.len());
+            for (t, &k) in transfers.iter().zip(&sim.geom_of) {
+                for (u, &l) in transfers.iter().zip(&sim.geom_of) {
+                    assert_eq!(t.items == u.items, k == l, "{:?} and {:?}", t.id, u.id);
+                }
+            }
+            // Each slot is loop-invariant: built once, whoever asks.
+            assert!(sim.geoms.iter().all(|s| s.builds == 1));
+        }
+    }
+
+    #[test]
+    fn class_table_stays_at_its_construction_bound_over_a_long_sweep() {
+        // Rows 2..=64 over 16-row blocks, swept once and eight times: the
+        // table is sized by the partition at construction, never grows,
+        // and is the same size however many rows the run visits.
+        let sizes: Vec<(usize, usize)> = [1, 8]
+            .into_iter()
+            .map(|repeats| {
+                let program = repeated_sweep(64, repeats);
+                let opt = optimize(&program, &OptConfig::pl());
+                let cfg = SimConfig::timing(t3d(), Library::Pvm, 16);
+                let built = Simulator::new(&opt.program, cfg.clone());
+                let [slot] = &built.geoms[..] else {
+                    panic!("expected one transfer")
+                };
+                let classes = slot.key.shape.as_ref().expect("shape-keyed").filled.len();
+                let bound = (slot.geoms.len(), slot.geoms.capacity());
+                assert_eq!(bound.0, classes);
+                let sim = executed(&opt.program, cfg);
+                let [slot] = &sim.geoms[..] else {
+                    unreachable!()
+                };
+                assert_eq!((slot.geoms.len(), slot.geoms.capacity()), bound);
+                assert!(slot.builds <= classes as u64, "{} builds", slot.builds);
+                assert!(slot.takes > 63 * repeats, "{} takes", slot.takes);
+                bound
+            })
+            .collect();
+        assert_eq!(sizes[0], sizes[1]);
     }
 
     #[test]
@@ -1423,8 +1550,8 @@ mod tests {
         for (charge, region) in sim.charges.iter().zip(&regions) {
             let rect = region.eval(&LoopEnv::new());
             sim.layout
-                .stmt_costs(&rect, charge.part, charge.flops, &m, &mut fresh);
-            assert!(same_bits(&charge.dt, &fresh), "{region:?}");
+                .stmt_costs_per_proc(&rect, charge.part, charge.flops, &m, &mut fresh);
+            assert!(same_bits(charge.dt(), &fresh), "{region:?}");
         }
     }
 

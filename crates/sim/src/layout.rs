@@ -1,6 +1,6 @@
 //! Where every array's blocks lie, and what the engine caches from it: the
-//! geometry of each transfer and the compute charge of each statement,
-//! each in a slot refilled in place when its key goes stale (DESIGN.md,
+//! geometry of each distinct transfer and the compute charge of each
+//! statement, each in a slot refilled when its key goes stale (DESIGN.md,
 //! "Transfer geometry" and "Compute charges"). Ownership questions go to
 //! [`BlockDist`]; the one table kept here, each processor's owned block
 //! of every array, is filled from it.
@@ -10,7 +10,8 @@
 
 use commopt_ir::visit::walk_stmts;
 use commopt_ir::{
-    Expr, LoopEnv, LoopVarId, Offset, Program, Rect, Region, ScalarRhs, Stmt, Transfer, MAX_RANK,
+    Expr, LoopEnv, LoopVarId, Offset, Program, Rect, Region, ScalarRhs, Stmt, TransferItem,
+    MAX_RANK,
 };
 use commopt_machine::{BlockDist, MachineSpec, ProcGrid, ProcId};
 
@@ -29,13 +30,27 @@ pub(crate) struct Geom {
     /// CSR offsets into `slabs`, by receiving proc.
     slab_start: Vec<usize>,
     /// Every ghost slab as (array index, rect), grouped by receiver. Only
-    /// the full-mode snapshot reads it.
+    /// the full-mode snapshot reads it, so timing runs leave it empty.
     slabs: Vec<(usize, Rect)>,
     /// `true` when the instance moves data between some processor pair.
     pub(crate) active: bool,
 }
 
 impl Geom {
+    /// Empty buffers sized for `n` processors, with room for slabs only
+    /// when `slabs`.
+    fn with_capacity(n: usize, slabs: bool) -> Geom {
+        let (starts, parts) = if slabs { (n + 1, n) } else { (0, 0) };
+        Geom {
+            bytes: Vec::with_capacity(n),
+            out_start: Vec::with_capacity(n + 1),
+            outgoing: Vec::with_capacity(n),
+            slab_start: Vec::with_capacity(starts),
+            slabs: Vec::with_capacity(parts),
+            active: false,
+        }
+    }
+
     /// The messages processor `p` sends, as (reader, size).
     pub(crate) fn sends(&self, p: ProcId) -> &[(ProcId, u64)] {
         &self.outgoing[self.out_start[p]..self.out_start[p + 1]]
@@ -65,21 +80,29 @@ impl Geom {
 }
 
 /// Every array's block distribution with each processor's owned block
-/// precomputed, plus the scratch buffers of a geometry build.
+/// precomputed, plus the scratch buffers of a geometry build and of a
+/// charge.
 pub(crate) struct Layout {
     grid: ProcGrid,
     dists: Vec<BlockDist>,
     /// Per array × proc (row-major, `arrays × n`): the owned block.
     owned: Vec<Rect>,
+    /// `true` when builds record the ghost slabs (full mode).
+    slabs: bool,
     /// Build scratch: every ghost part as (receiver, sequence number,
     /// array index, rect), in item, region, part order.
     parts: Vec<(ProcId, usize, usize, Rect)>,
     /// Build scratch: per receiving proc, the proc its message comes from.
     provider: Vec<Option<ProcId>>,
+    /// Charge scratch: per grid row and per grid column, a statement's
+    /// overlap with that row's or column's blocks along the dimension.
+    overlaps: [Vec<u64>; 2],
 }
 
 impl Layout {
-    pub(crate) fn new(grid: ProcGrid, program: &Program) -> Layout {
+    /// The layout of `program`'s arrays on `grid`, whose geometry builds
+    /// record the ghost slabs when `slabs`.
+    pub(crate) fn new(grid: ProcGrid, program: &Program, slabs: bool) -> Layout {
         let dists: Vec<BlockDist> = program
             .arrays
             .iter()
@@ -98,8 +121,10 @@ impl Layout {
             grid,
             dists,
             owned,
+            slabs,
             parts: Vec::with_capacity(n),
             provider: Vec::with_capacity(n),
+            overlaps: grid.dims.map(Vec::with_capacity),
         }
     }
 
@@ -117,12 +142,69 @@ impl Layout {
         }
     }
 
-    /// Refills `dt` with every processor's cost for a statement over `rect`
-    /// of `flops` per element, split as [`part`](Layout::part) splits it:
-    /// the guard cost where its share is empty, else the statement
-    /// overhead plus its share's flops. One rect intersection per
-    /// processor, run only when a [`ChargeSlot`] goes stale.
+    /// Fills `dt`, one entry per processor, with each processor's cost for
+    /// a statement over `rect` of `flops` per element, split as
+    /// [`part`](Layout::part) splits it: the guard cost where its share is
+    /// empty, else the statement overhead plus its share's flops. A share
+    /// is a product of per-grid-dimension overlaps, so this intersects once
+    /// per grid row and once per grid column, not once per processor, in
+    /// scratch buffers sized at construction. Run only when a
+    /// [`ChargeSlot`] goes stale.
     pub(crate) fn stmt_costs(
+        &mut self,
+        rect: &Rect,
+        a: Option<usize>,
+        flops: f64,
+        m: &MachineSpec,
+        dt: &mut [f64],
+    ) {
+        let dist = match a {
+            Some(a) => self.dists[a],
+            None => BlockDist::new(self.grid, *rect),
+        };
+        let b = dist.bounds;
+        let overlap = |d: usize, (lo, hi): (i64, i64)| {
+            (rect.hi[d].min(hi) - rect.lo[d].max(lo) + 1).max(0) as u64
+        };
+        // Dimensions past the grid's are processor-local: every share
+        // spans the partition's bounds there.
+        let grid = self.grid;
+        let dist_dims = grid.dims.len();
+        let mut local = 1;
+        for d in dist_dims..MAX_RANK {
+            local *= overlap(d, (b.lo[d], b.hi[d]));
+        }
+        for (d, overlaps) in self.overlaps.iter_mut().enumerate() {
+            overlaps.clear();
+            overlaps.extend((0..grid.dims[d]).map(|k| {
+                // A dimension the partition does not split (a rank-1
+                // array's columns) is whole on every processor.
+                let span = if d < dist.bounds.rank {
+                    dist.span(d, k)
+                } else {
+                    (b.lo[d], b.hi[d])
+                };
+                overlap(d, span)
+            }));
+        }
+        let [rows, cols] = &self.overlaps;
+        for (row, &r) in dt.chunks_exact_mut(cols.len()).zip(rows) {
+            for (dt, &c) in row.iter_mut().zip(cols) {
+                let count = r * c * local;
+                *dt = if count == 0 {
+                    m.guard_overhead_us
+                } else {
+                    m.stmt_overhead_us + count as f64 * flops * m.flop_us
+                };
+            }
+        }
+    }
+
+    /// [`stmt_costs`](Layout::stmt_costs) computed one processor at a
+    /// time, by intersecting `rect` with each share: the independent
+    /// formula the unit tests hold the per-dimension one to.
+    #[cfg(test)]
+    pub(crate) fn stmt_costs_per_proc(
         &self,
         rect: &Rect,
         a: Option<usize>,
@@ -141,12 +223,13 @@ impl Layout {
         }));
     }
 
-    /// Refills `geom` for transfer `t` under `env`, reusing its buffers.
-    pub(crate) fn build(&mut self, geom: &mut Geom, t: &Transfer, env: &LoopEnv) {
+    /// Refills `geom` for a transfer carrying `items` under `env`, reusing
+    /// its buffers.
+    pub(crate) fn build(&mut self, geom: &mut Geom, items: &[TransferItem], env: &LoopEnv) {
         let n = self.grid.len();
         let cols = self.grid.dims[1];
         self.parts.clear();
-        for item in &t.items {
+        for item in items {
             let a = item.array.index();
             let bounds = self.dists[a].bounds;
             let mut delta = [0i64; MAX_RANK];
@@ -186,16 +269,23 @@ impl Layout {
         self.provider.resize(n, None);
         geom.slab_start.clear();
         geom.slabs.clear();
-        let mut parts = self.parts.iter().peekable();
+        let mut next = 0;
         for p in 0..n {
-            let first = geom.slabs.len();
-            geom.slab_start.push(first);
-            while let Some(&(_, _, a, part)) = parts.next_if(|e| e.0 == p) {
+            if self.slabs {
+                geom.slab_start.push(geom.slabs.len());
+            }
+            let first = next;
+            while let Some(&(q, _, a, part)) = self.parts.get(next) {
+                if q != p {
+                    break;
+                }
+                next += 1;
                 // Avoid double-charging identical slabs from overlapping
-                // use regions.
-                if geom.slabs[first..]
+                // use regions: an earlier equal part of this receiver was
+                // kept, or an equal one before it was.
+                if self.parts[first..next - 1]
                     .iter()
-                    .any(|&(ai, r2)| ai == a && r2 == part)
+                    .any(|&(_, _, ai, r2)| ai == a && r2 == part)
                 {
                     continue;
                 }
@@ -203,10 +293,14 @@ impl Layout {
                 if self.provider[p].is_none() {
                     self.provider[p] = Some(self.dists[a].owner_of(part.lo));
                 }
-                geom.slabs.push((a, part));
+                if self.slabs {
+                    geom.slabs.push((a, part));
+                }
             }
         }
-        geom.slab_start.push(geom.slabs.len());
+        if self.slabs {
+            geom.slab_start.push(geom.slabs.len());
+        }
         // Group readers by provider with a counting sort: count each
         // sender's messages, turn the counts into end offsets, then place
         // readers from the back so each sender's readers come out
@@ -233,18 +327,20 @@ impl Layout {
     }
 }
 
-/// When a cached slot must be refilled: the key half of a transfer's
-/// [`GeomSlot`] and of a statement's [`ChargeSlot`]. A slot whose regions
-/// read no loop variable is filled once per run. A loop-variant one is
-/// checked when one of its variables changes, and refilled when its key
-/// changes: the variables' values or, where the slot has a [`ShapeKey`],
-/// the shape class.
+/// Which entry of a cached slot is current and when it must be filled:
+/// the key half of a transfer's [`GeomSlot`] and of a statement's
+/// [`ChargeSlot`]. A slot whose regions read no loop variable is filled
+/// once per run. A loop-variant one is checked when one of its variables
+/// changes. Keyed on the variables' values, it has one entry, refilled
+/// whenever they change. Keyed on a [`ShapeKey`], it has one entry per
+/// shape class, each filled the first time its class comes up.
 pub(crate) struct SlotKey {
     /// The loop variables the slot's regions mention.
     pub(crate) vars: Vec<LoopVarId>,
     /// Their values at the last check.
     values: Vec<i64>,
-    /// The shape class at the last check, where keyed on one.
+    /// Where keyed on shape classes: the class at the last check, and
+    /// which classes are filled.
     pub(crate) shape: Option<ShapeKey>,
     /// `false` until the first fill.
     built: bool,
@@ -281,9 +377,10 @@ impl SlotKey {
         }
     }
 
-    /// Brings the key up to `env` and reports whether the slot must be
-    /// refilled, which its owner then does: it never was, or a variable
-    /// moved and, where the key has a shape, the shape class moved with it.
+    /// Brings the key up to `env` and reports whether the current entry
+    /// must be filled, which the slot's owner then does: without a shape,
+    /// when it never was or a variable moved; with one, when its class
+    /// was never filled.
     fn stale(&mut self, env: &LoopEnv) -> bool {
         let mut moved = !self.built;
         for (&v, k) in self.vars.iter().zip(&mut self.values) {
@@ -291,23 +388,42 @@ impl SlotKey {
             moved |= *k != x;
             *k = x;
         }
-        let stale = match &mut self.shape {
-            Some(shape) if moved => shape.reclassify(env) || !self.built,
-            _ => moved,
-        };
         self.built = true;
-        stale
+        match &mut self.shape {
+            Some(shape) => {
+                if moved {
+                    shape.class = shape.class_of(env);
+                }
+                !std::mem::replace(&mut shape.filled[shape.class], true)
+            }
+            None => moved,
+        }
+    }
+
+    /// The number of entries a slot under this key keeps.
+    fn entries(&self) -> usize {
+        self.shape.as_ref().map_or(1, |s| s.filled.len())
+    }
+
+    /// The current entry: the shape class at the last check, 0 without a
+    /// shape.
+    fn entry(&self) -> usize {
+        self.shape.as_ref().map_or(0, |s| s.class)
     }
 }
 
-/// One transfer's geometry cache: a single slot, refilled in place when
-/// its [`SlotKey`] goes stale, so the DR, SR and DN of one instance share
-/// a build. Full mode and transfers without a [`ShapeKey`] key on the loop
-/// variables' values; timing mode keys eligible transfers on shape class.
+/// The geometry cache of every transfer carrying one item list: transfers
+/// with equal items share a slot, so the DR, SR and DN of one instance,
+/// and the instances of its twins, share a build. A slot keyed on the loop
+/// variables' values (full mode, and transfers without a [`ShapeKey`]) has
+/// one geometry, refilled in place when its [`SlotKey`] goes stale. A
+/// timing-mode slot with a shape key keeps a table of one geometry per
+/// shape class, as many as the key derives from the partition, and builds
+/// each class at most once per run.
 pub(crate) struct GeomSlot {
     pub(crate) key: SlotKey,
-    /// The geometry; `None` while a caller holds it.
-    geom: Option<Geom>,
+    /// Per entry of the key: its geometry, `None` while a caller holds it.
+    pub(crate) geoms: Vec<Option<Geom>>,
     /// Builds and calls so far, for the tests that pin the cache.
     #[cfg(test)]
     pub(crate) builds: u64,
@@ -316,27 +432,22 @@ pub(crate) struct GeomSlot {
 }
 
 impl GeomSlot {
-    /// An unbuilt slot for `t` on `layout`'s processors, keyed on shape
-    /// classes when `timing` and `t` is eligible. Its buffers are sized
-    /// here, at construction, so that builds during the run refill them
-    /// rather than placing long-lived allocations among the run's
-    /// short-lived ones on the heap.
-    pub(crate) fn new(t: &Transfer, layout: &Layout, timing: bool) -> GeomSlot {
+    /// An unbuilt slot for transfers carrying `items` on `layout`'s
+    /// processors, keyed on shape classes when `timing` and the items are
+    /// eligible. Every class's buffers are sized here, at construction, so
+    /// that builds during the run fill them rather than placing long-lived
+    /// allocations among the run's short-lived ones on the heap.
+    pub(crate) fn new(items: &[TransferItem], layout: &Layout, timing: bool) -> GeomSlot {
         let n = layout.grid.len();
-        let items = t
-            .items
+        let key_items = items
             .iter()
             .map(|it| (it.array.index(), it.offset, it.regions.as_slice()));
+        let key = SlotKey::new(key_items, layout, timing);
         GeomSlot {
-            key: SlotKey::new(items, layout, timing),
-            geom: Some(Geom {
-                bytes: Vec::with_capacity(n),
-                out_start: Vec::with_capacity(n + 1),
-                outgoing: Vec::with_capacity(n),
-                slab_start: Vec::with_capacity(n + 1),
-                slabs: Vec::with_capacity(n),
-                active: false,
-            }),
+            geoms: (0..key.entries())
+                .map(|_| Some(Geom::with_capacity(n, layout.slabs)))
+                .collect(),
+            key,
             #[cfg(test)]
             builds: 0,
             #[cfg(test)]
@@ -344,21 +455,26 @@ impl GeomSlot {
         }
     }
 
-    /// Takes the geometry of `t` under `env` out of the slot, refilling it
-    /// in place on `layout` first when the key is stale. Hand it back with
-    /// [`put`](GeomSlot::put); a slot left empty is simply rebuilt on its
+    /// Takes the geometry of `items` under `env` out of the slot, building
+    /// it on `layout` first when the key is stale. Hand it back with
+    /// [`put`](GeomSlot::put); an entry left empty is simply rebuilt on its
     /// next take.
-    pub(crate) fn take(&mut self, t: &Transfer, env: &LoopEnv, layout: &mut Layout) -> Geom {
+    pub(crate) fn take(
+        &mut self,
+        items: &[TransferItem],
+        env: &LoopEnv,
+        layout: &mut Layout,
+    ) -> Geom {
         let stale = self.key.stale(env);
         #[cfg(test)]
         {
             self.takes += 1;
         }
-        match self.geom.take() {
+        match self.geoms[self.key.entry()].take() {
             Some(geom) if !stale => geom,
             old => {
                 let mut geom = old.unwrap_or_default();
-                layout.build(&mut geom, t, env);
+                layout.build(&mut geom, items, env);
                 #[cfg(test)]
                 {
                     self.builds += 1;
@@ -370,17 +486,18 @@ impl GeomSlot {
 
     /// Returns a geometry taken by [`take`](GeomSlot::take) to the slot.
     pub(crate) fn put(&mut self, geom: Geom) {
-        self.geom = Some(geom);
+        self.geoms[self.key.entry()] = Some(geom);
     }
 }
 
 /// One array statement's or reduction's compute charge (DESIGN.md,
 /// "Compute charges"): every processor's cost as [`Layout::stmt_costs`]
-/// fills it, refilled in place when the key goes stale. The key is the
-/// statement's region over its partition, read at no offset. Timing mode
-/// keys an eligible statement split as an array on its shape class; full
-/// mode, and a reduction split as its own region (whose partition moves
-/// with the region), key on the loop variables' values.
+/// fills it, per entry of the key. The key is the statement's region over
+/// its partition, read at no offset. Timing mode keys an eligible
+/// statement split as an array on its shape class, with one charge per
+/// class; full mode, and a reduction split as its own region (whose
+/// partition moves with the region), key on the loop variables' values,
+/// with one charge refilled in place.
 pub(crate) struct ChargeSlot {
     pub(crate) key: SlotKey,
     /// The array whose partition splits the statement (see
@@ -388,8 +505,11 @@ pub(crate) struct ChargeSlot {
     pub(crate) part: Option<usize>,
     /// Flops per element.
     pub(crate) flops: f64,
-    /// Per proc: the charge at the last refill.
-    pub(crate) dt: Vec<f64>,
+    /// Per entry of the key, per proc (row-major, `entries × n`): the
+    /// charge.
+    dts: Vec<f64>,
+    /// Processors per entry.
+    n: usize,
     /// Refills so far, for the tests that pin the cache.
     #[cfg(test)]
     pub(crate) builds: u64,
@@ -397,14 +517,14 @@ pub(crate) struct ChargeSlot {
 
 impl ChargeSlot {
     /// The slot for a statement over `region` split as `part`, of `flops`
-    /// per element, with its `n`-entry buffer sized here (see
-    /// [`GeomSlot::new`]) and, when the region reads no loop variable, its
-    /// charge computed here too.
+    /// per element, with its buffer sized here (see [`GeomSlot::new`])
+    /// and, when the region reads no loop variable, its charge computed
+    /// here too.
     pub(crate) fn new(
         region: &Region,
         part: Option<usize>,
         flops: f64,
-        layout: &Layout,
+        layout: &mut Layout,
         m: &MachineSpec,
         timing: bool,
     ) -> ChargeSlot {
@@ -414,11 +534,14 @@ impl ChargeSlot {
             Offset::ZERO,
             std::slice::from_ref(region),
         );
+        let key = SlotKey::new(std::iter::once(item), layout, timing && part.is_some());
+        let n = layout.grid.len();
         let mut slot = ChargeSlot {
-            key: SlotKey::new(std::iter::once(item), layout, timing && part.is_some()),
+            dts: vec![0.0; key.entries() * n],
+            n,
+            key,
             part,
             flops,
-            dt: Vec::with_capacity(layout.grid.len()),
             #[cfg(test)]
             builds: 0,
         };
@@ -428,29 +551,41 @@ impl ChargeSlot {
         slot
     }
 
-    /// Brings the charge up to `env`, refilling it when the key is stale.
+    /// Every processor's charge under the environment of the last
+    /// [`update`](ChargeSlot::update).
+    pub(crate) fn dt(&self) -> &[f64] {
+        let k = self.key.entry() * self.n;
+        &self.dts[k..k + self.n]
+    }
+
+    /// Brings the charge up to `env`, filling its entry when the key is
+    /// stale.
     pub(crate) fn update(
         &mut self,
         region: &Region,
         env: &LoopEnv,
-        layout: &Layout,
+        layout: &mut Layout,
         m: &MachineSpec,
     ) {
         if self.key.stale(env) {
             let rect = region.eval(env);
-            layout.stmt_costs(&rect, self.part, self.flops, m, &mut self.dt);
+            let k = self.key.entry() * self.n;
+            let dt = &mut self.dts[k..k + self.n];
+            layout.stmt_costs(&rect, self.part, self.flops, m, dt);
             #[cfg(test)]
             {
                 self.builds += 1;
             }
         }
-        // Unit tests hold every charge to a fresh computation, bit for bit.
+        // Unit tests hold every charge to the per-processor formula, bit
+        // for bit.
         #[cfg(test)]
         {
             let mut fresh = Vec::new();
-            layout.stmt_costs(&region.eval(env), self.part, self.flops, m, &mut fresh);
+            let rect = region.eval(env);
+            layout.stmt_costs_per_proc(&rect, self.part, self.flops, m, &mut fresh);
             assert!(
-                same_bits(&self.dt, &fresh),
+                same_bits(self.dt(), &fresh),
                 "stale charge for {region:?} under {env:?}"
             );
         }
@@ -489,11 +624,12 @@ pub(crate) fn charge_slots(block: &commopt_ir::Block) -> usize {
 /// A slot's items are eligible when, in each dimension, either every item
 /// region's bounds there are constant, or every one's `lo` and `hi` are
 /// both `v + c` for one shared loop variable `v`. Each distinct moving
-/// bound `x` is keyed on the block holding it (or the space below or
+/// bound `x` is classed by the block holding it (or the space below or
 /// above the bounds) and its distances to that block's ends, each capped
-/// at its dimension's `cap`. Two values of `v` with equal keys are equal,
-/// because some distance is below its cap and pins its `x`, or they put
-/// every moving bound at least `cap` inside its block. Then:
+/// at its dimension's `cap` ([`MovingBound::class`]). Two values of `v`
+/// whose bounds are all classed alike are equal, because some distance is
+/// below its cap and pins its `x`, or they put every moving bound at least
+/// `cap` inside its block. Then:
 ///
 /// - with `cap ≥ |offset|`, each shifted region stays in its block;
 /// - with `cap ≥ width / 2` (rounded down), at most `width − 2 · cap ≤ 1`
@@ -504,11 +640,26 @@ pub(crate) fn charge_slots(block: &commopt_ir::Block) -> usize {
 /// and the two geometries differ only by a translation of their slabs. A
 /// statement's charge is one item, its region over its partition at offset
 /// zero, so `cap = ⌊width / 2⌋`. The charge depends only on each
-/// processor's `|rect ∩ owned(a, p)|`, which equal keys keep equal.
+/// processor's `|rect ∩ owned(a, p)|`, which equal classes keep equal.
+///
+/// The classes are numbered densely. As `v` grows, a bound's class changes
+/// only within `cap + 1` of a block end and never returns to an earlier
+/// one, so the classes of one variable's values are the runs between the
+/// values where some bound's class changes, and a slot's class is the
+/// tuple of its variables' runs. Their count, the length of
+/// [`filled`](ShapeKey::filled), depends on the partition, the caps and
+/// the bounds' constants, never on a loop's trip count.
 pub(crate) struct ShapeKey {
-    bounds: Vec<MovingBound>,
-    /// Per bound, at the last check: its class (see [`MovingBound::class`]).
-    key: Vec<[i64; 3]>,
+    /// Per loop variable the moving bounds read: the variable and the
+    /// values at which some bound's class differs from its class one
+    /// lower, ascending.
+    axes: Vec<(LoopVarId, Vec<i64>)>,
+    /// Per class: whether the slot has filled its entry. There are as
+    /// many classes as the product, over the axes, of one more than their
+    /// change counts.
+    pub(crate) filled: Vec<bool>,
+    /// The class at the last check.
+    class: usize,
 }
 
 /// One moving region bound `var + c` of a transfer, classified against
@@ -524,13 +675,13 @@ struct MovingBound {
 }
 
 impl MovingBound {
-    /// The bound's class under `env`: one more than the index of the block
-    /// holding it (0 below the bounds, one more than the last block above
-    /// them), then its distances to the low and high end of that block,
-    /// capped at `cap`. The space outside the bounds is a block with one
-    /// end at infinity.
-    fn class(&self, env: &LoopEnv) -> [i64; 3] {
-        let x = env.get(self.var) + self.c;
+    /// The bound's class when its variable is `v`: one more than the index
+    /// of the block holding `v + c` (0 below the bounds, one more than the
+    /// last block above them), then its distances to the low and high end
+    /// of that block, capped at `cap`. The space outside the bounds is a
+    /// block with one end at infinity.
+    fn class(&self, v: i64) -> [i64; 3] {
+        let x = v + self.c;
         let (lo, hi) = (self.dist.bounds.lo[self.d], self.dist.bounds.hi[self.d]);
         let cap = |v: i64| v.min(self.cap);
         if x < lo {
@@ -545,6 +696,25 @@ impl MovingBound {
             let k = self.dist.block_of(self.d, x);
             let (l, h) = self.dist.span(self.d, k);
             [k as i64 + 1, cap(x - l), cap(h - x)]
+        }
+    }
+
+    /// Appends to `out` every value of the variable at which the bound's
+    /// class differs from its class one lower. Each lies within `cap + 1`
+    /// of the end of a non-empty block, so only those windows are scanned.
+    fn changes(&self, out: &mut Vec<i64>) {
+        let reach = self.cap + 1;
+        for k in 0..self.dist.blocks(self.d) {
+            let (l, h) = self.dist.span(self.d, k);
+            if h < l {
+                continue;
+            }
+            for x in (l - reach..=l + reach).chain(h - reach..=h + reach) {
+                let v = x - self.c;
+                if self.class(v) != self.class(v - 1) {
+                    out.push(v);
+                }
+            }
         }
     }
 }
@@ -595,21 +765,36 @@ impl ShapeKey {
                 }
             }
         }
+        let mut axes: Vec<(LoopVarId, Vec<i64>)> = Vec::new();
+        for b in &bounds {
+            let i = match axes.iter().position(|(v, _)| *v == b.var) {
+                Some(i) => i,
+                None => {
+                    axes.push((b.var, Vec::new()));
+                    axes.len() - 1
+                }
+            };
+            b.changes(&mut axes[i].1);
+        }
+        for (_, changes) in &mut axes {
+            changes.sort_unstable();
+            changes.dedup();
+        }
+        let classes = axes.iter().map(|(_, c)| c.len() + 1).product();
         Some(ShapeKey {
-            key: vec![[0; 3]; bounds.len()],
-            bounds,
+            filled: vec![false; classes],
+            axes,
+            class: 0,
         })
     }
 
-    /// Moves the key to `env`'s classes; `true` when any changed.
-    fn reclassify(&mut self, env: &LoopEnv) -> bool {
-        let mut changed = false;
-        for (b, k) in self.bounds.iter().zip(&mut self.key) {
-            let class = b.class(env);
-            changed |= *k != class;
-            *k = class;
-        }
-        changed
+    /// The class of `env`: per axis, the number of change values at or
+    /// below its variable's value, combined in mixed radix.
+    fn class_of(&self, env: &LoopEnv) -> usize {
+        self.axes.iter().fold(0, |k, (v, changes)| {
+            let x = env.get(*v);
+            k * (changes.len() + 1) + changes.partition_point(|&c| c <= x)
+        })
     }
 }
 
@@ -667,7 +852,7 @@ fn rect_subtract(a: Rect, b: Rect, mut f: impl FnMut(Rect)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commopt_ir::TransferId;
+    use commopt_ir::{Transfer, TransferId};
 
     /// The bound `v + c` on dimension `d` of `bounds` split over `grid`.
     fn bound(grid: ProcGrid, bounds: Rect, d: usize, c: i64, cap: i64) -> MovingBound {
@@ -682,15 +867,7 @@ mod tests {
 
     /// `b`'s class at each value of its variable.
     fn classes(b: &MovingBound, values: &[i64]) -> Vec<[i64; 3]> {
-        let mut env = LoopEnv::new();
-        env.push(LoopVarId(0), 0);
-        values
-            .iter()
-            .map(|&v| {
-                env.set(LoopVarId(0), v);
-                b.class(&env)
-            })
-            .collect()
+        values.iter().map(|&v| b.class(v)).collect()
     }
 
     #[test]
@@ -766,6 +943,79 @@ mod tests {
             classes(&line, &[5, 6, 9, 10]),
             [[1, 1, 0], [2, 0, 1], [2, 1, 0], [3, 0, 1]]
         );
+    }
+
+    #[test]
+    fn bound_changes_are_exactly_the_class_changes_and_never_revisit() {
+        // `changes` scans only windows around block ends; a brute-force
+        // scan far past both bounds must find the same values, and the
+        // class of each run between them must be new, so runs and class
+        // tuples are one to one.
+        commopt_testkit::cases(300, |rng| {
+            let grid = ProcGrid::new(rng.usize(1, 8), rng.usize(1, 8));
+            let lo = rng.i64(-2, 3);
+            let bounds = Rect::d3(
+                (lo, lo + rng.i64(0, 19)),
+                (lo, lo + rng.i64(0, 19)),
+                (1, rng.i64(1, 6)),
+            );
+            let (d, c, cap) = (rng.usize(0, 2), rng.i64(-3, 3), rng.i64(0, 4));
+            let b = bound(grid, bounds, d, c, cap);
+            let mut fast = Vec::new();
+            b.changes(&mut fast);
+            fast.sort_unstable();
+            fast.dedup();
+            let range = bounds.lo[d] - 40..=bounds.hi[d] + 40;
+            let slow: Vec<i64> = range
+                .clone()
+                .filter(|&v| b.class(v) != b.class(v - 1))
+                .collect();
+            assert_eq!(fast, slow, "{grid:?} {bounds:?} d={d} c={c} cap={cap}");
+            let mut runs = vec![b.class(*range.start())];
+            runs.extend(slow.iter().map(|&v| b.class(v)));
+            for (k, class) in runs.iter().enumerate() {
+                assert!(!runs[..k].contains(class), "{class:?} revisited");
+            }
+        });
+    }
+
+    #[test]
+    fn per_dimension_charges_match_the_per_processor_formula() {
+        // Ranks 1–3 on grids up to 8 × 8 over 3–20 indices per
+        // distributed dimension, so some blocks are empty and a rank-1
+        // array has a replica in every grid column; split as an array or
+        // as the region itself, at every step of a region moving along one
+        // dimension from below the bounds to above them.
+        let m = MachineSpec::t3d();
+        commopt_testkit::cases(300, |rng| {
+            let &(rows, cols) = rng.pick(&GRIDS);
+            let rank = rng.usize(1, 3);
+            let program = random_arrays(rng, rank, 2);
+            let mut layout = Layout::new(ProcGrid::new(rows, cols), &program, false);
+            let a = rng.usize(0, 1);
+            let part = rng.bool().then_some(a);
+            let bounds = program.arrays[a].rect;
+            let (mut lo, mut hi) = ([0; MAX_RANK], [0; MAX_RANK]);
+            for d in 0..rank {
+                lo[d] = rng.i64(bounds.lo[d] - 2, bounds.hi[d]);
+                hi[d] = lo[d] + rng.i64(-1, bounds.extent(d) + 1);
+            }
+            let rect = Rect::new(rank, lo, hi);
+            let d = rng.usize(0, rank - 1);
+            let flops = f64::from(rng.i32(1, 9)) * 0.5;
+            let (mut fast, mut slow) = (vec![0.0; rows * cols], Vec::new());
+            for s in -24..=24 {
+                let mut delta = [0; MAX_RANK];
+                delta[d] = s;
+                let moved = rect.shifted(delta);
+                layout.stmt_costs(&moved, part, flops, &m, &mut fast);
+                layout.stmt_costs_per_proc(&moved, part, flops, &m, &mut slow);
+                assert!(
+                    same_bits(&fast, &slow),
+                    "{rows}x{cols} grid, {moved:?} split as {part:?} of {bounds:?}"
+                );
+            }
+        });
     }
 
     /// `a \ b` collected into a list.
@@ -857,7 +1107,7 @@ mod tests {
             let rank = rng.usize(1, 3);
             let count = rng.usize(1, 3);
             let program = random_arrays(rng, rank, count);
-            let mut layout = Layout::new(ProcGrid::new(rows, cols), &program);
+            let mut layout = Layout::new(ProcGrid::new(rows, cols), &program, false);
             let mut offset = [0; MAX_RANK];
             for o in &mut offset[..rank] {
                 *o = rng.i32(-2, 2);
@@ -914,7 +1164,7 @@ mod tests {
                 });
             }
             let t = Transfer::new(TransferId(0), items);
-            let mut slot = GeomSlot::new(&t, &layout, true);
+            let mut slot = GeomSlot::new(&t.items, &layout, true);
             let vars = slot.key.vars.clone();
             if vars.is_empty() {
                 return;
@@ -927,12 +1177,13 @@ mod tests {
             let region = *rng.pick(&item.regions);
             let part = rng.bool().then_some(item.array.index());
             let m = MachineSpec::t3d();
-            let mut charge = ChargeSlot::new(&region, part, 3.0, &layout, &m, true);
+            let mut charge = ChargeSlot::new(&region, part, 3.0, &mut layout, &m, true);
             let eligible = region.dims[..rank].iter().all(|r| r.lo.var == r.hi.var);
             let shaped = part.is_some() && eligible && !charge.key.vars.is_empty();
             assert_eq!(charge.key.shape.is_some(), shaped, "{region:?}");
             // Sweep the first variable over every block and past both
-            // bounds, and under it the second, each forward or backward.
+            // bounds, and under it the second, each forward or backward,
+            // twice, so that the class table serves every class again.
             let mut sweep = |on: bool| {
                 let mut values: Vec<i64> = if on { (-4..=24).collect() } else { vec![0] };
                 if rng.bool() {
@@ -944,25 +1195,35 @@ mod tests {
             let mut env = LoopEnv::new();
             env.push(i, 0);
             env.push(j, 0);
-            let (mut geom, mut fresh) = (Geom::default(), Geom::default());
-            for &x in &outer {
+            let mut fresh = Geom::default();
+            for &x in outer.iter().chain(&outer) {
                 env.set(vars[0], x);
                 for &y in &inner {
                     if let Some(&v) = vars.get(1) {
                         env.set(v, y);
                     }
-                    if slot.key.stale(&env) {
-                        layout.build(&mut geom, &t, &env);
-                    }
-                    layout.build(&mut fresh, &t, &env);
+                    let geom = slot.take(&t.items, &env, &mut layout);
+                    layout.build(&mut fresh, &t.items, &env);
                     assert_eq!(
                         geom.timing(),
                         fresh.timing(),
                         "{rows}x{cols} grid, {t:?} under {env:?}"
                     );
-                    // `update` checks the charge against a fresh one.
-                    charge.update(&region, &env, &layout, &m);
+                    slot.put(geom);
+                    // `update` checks the charge against the per-processor
+                    // formula.
+                    charge.update(&region, &env, &mut layout, &m);
                 }
+            }
+            // A shaped slot builds each class at most once, in a table
+            // sized at construction.
+            if let Some(shape) = &slot.key.shape {
+                let classes = shape.filled.len();
+                assert_eq!(slot.geoms.len(), classes);
+                assert!(slot.builds <= classes as u64, "{t:?}");
+            }
+            if let Some(shape) = &charge.key.shape {
+                assert!(charge.builds <= shape.filled.len() as u64, "{region:?}");
             }
         });
     }
