@@ -11,8 +11,9 @@
 //! transfer slices carrying byte counts.
 //!
 //! Traces are recorded at a reduced problem size by default (`--size 64
-//! --iters 5 --procs 16`) — a paper-size run emits tens of millions of
-//! events. Override the flags to go bigger.
+//! --iters 5 --procs 16`). A paper-size run emits millions of spans; the
+//! recorder stores each in a byte or two, but the JSON takes about 135 bytes
+//! per span, hundreds of MB in all. Override the flags to go bigger.
 
 use commopt_bench::report::profile_report;
 use commopt_bench::{library_tag, machine_for, parse_exp};

@@ -17,9 +17,12 @@
 //! observers the way the plain lines pin the result. Every cell's
 //! per-processor breakdown must also sum to that processor's clock.
 //!
-//! The last line digests the Chrome trace JSON the `trace` binary writes
-//! for CI's export smoke cell (SWM at rr+cc+pl, the binary's defaults). It
-//! was generated before traces were stored by sweep, and pins the export
+//! The last lines digest the Chrome trace JSON the `trace` binary writes
+//! for CI's two export smoke cells, each at the binary's defaults: SWM at
+//! rr+cc+pl over PVM, generated before traces were stored by sweep, and
+//! SIMPLE at pl over SHMEM, a bytes-heavy cell whose three reductions
+//! leave sweeps whose starts cannot be derived from the previous sweep,
+//! generated before sweeps were stored compactly. They pin the export
 //! byte for byte.
 //!
 //! Regenerate (only when an *intentional* behavior change lands) with:
@@ -246,22 +249,33 @@ fn collect() -> Vec<(String, String, String)> {
     out
 }
 
-/// The CI trace-export smoke cell: runs the `trace` binary with its
-/// defaults on SWM at rr+cc+pl and digests the JSON it writes.
-fn chrome_cell() -> (String, String) {
-    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_swm.trace.json");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_trace"))
-        .args(["swm", "--exp", "rr+cc+pl", "--out"])
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("run the trace binary");
-    assert!(status.success(), "trace exited with {status}");
-    let json = std::fs::read(&out).expect("read the exported trace");
-    let mut d = Digest::new();
-    d.u64(json.len() as u64);
-    d.bytes(&json);
-    ("chrome/swm/pl/pvm/16p".into(), format!("{:016x}", d.0))
+/// The CI trace-export smoke cells: runs the `trace` binary with its
+/// defaults on each and digests the JSON it writes.
+fn chrome_cells() -> Vec<(String, String)> {
+    let cells: [(&str, &[&str]); 2] = [
+        ("chrome/swm/pl/pvm/16p", &["swm", "--exp", "rr+cc+pl"]),
+        ("chrome/simple/pl/shmem/16p", &["simple", "--lib", "shmem"]),
+    ];
+    cells
+        .into_iter()
+        .map(|(key, args)| {
+            let file = format!("golden_{}.trace.json", key.replace('/', "_"));
+            let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+            let status = std::process::Command::new(env!("CARGO_BIN_EXE_trace"))
+                .args(args)
+                .arg("--out")
+                .arg(&out)
+                .stdout(std::process::Stdio::null())
+                .status()
+                .expect("run the trace binary");
+            assert!(status.success(), "trace {args:?} exited with {status}");
+            let json = std::fs::read(&out).expect("read the exported trace");
+            let mut d = Digest::new();
+            d.u64(json.len() as u64);
+            d.bytes(&json);
+            (key.to_string(), format!("{:016x}", d.0))
+        })
+        .collect()
 }
 
 fn golden_path() -> std::path::PathBuf {
@@ -271,9 +285,9 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn sim_results_match_committed_goldens() {
     // Plain lines first, then the observed ones, each in cell order, then
-    // the Chrome export.
+    // the Chrome exports.
     let collected = collect();
-    let chrome = chrome_cell();
+    let chrome = chrome_cells();
     let cells: Vec<(String, &str)> = collected
         .iter()
         .map(|(k, plain, _)| (k.clone(), plain.as_str()))
@@ -282,7 +296,7 @@ fn sim_results_match_committed_goldens() {
                 .iter()
                 .map(|(k, _, obs)| (format!("obs/{k}"), obs.as_str())),
         )
-        .chain([(chrome.0.clone(), chrome.1.as_str())])
+        .chain(chrome.iter().map(|(k, d)| (k.clone(), d.as_str())))
         .collect();
     let rendered: String = cells.iter().map(|(k, d)| format!("{k} {d}\n")).collect();
     let path = golden_path();

@@ -422,7 +422,8 @@ impl SlotKey {
 /// each class at most once per run.
 pub(crate) struct GeomSlot {
     pub(crate) key: SlotKey,
-    /// Per entry of the key: its geometry, `None` while a caller holds it.
+    /// Per entry of the key: its geometry, `None` before its first build
+    /// and while a caller holds it.
     pub(crate) geoms: Vec<Option<Geom>>,
     /// Builds and calls so far, for the tests that pin the cache.
     #[cfg(test)]
@@ -434,19 +435,15 @@ pub(crate) struct GeomSlot {
 impl GeomSlot {
     /// An unbuilt slot for transfers carrying `items` on `layout`'s
     /// processors, keyed on shape classes when `timing` and the items are
-    /// eligible. Every class's buffers are sized here, at construction, so
-    /// that builds during the run fill them rather than placing long-lived
-    /// allocations among the run's short-lived ones on the heap.
+    /// eligible. A class's buffers are allocated when it is first built:
+    /// many classes a key derives from the partition never occur.
     pub(crate) fn new(items: &[TransferItem], layout: &Layout, timing: bool) -> GeomSlot {
-        let n = layout.grid.len();
         let key_items = items
             .iter()
             .map(|it| (it.array.index(), it.offset, it.regions.as_slice()));
         let key = SlotKey::new(key_items, layout, timing);
         GeomSlot {
-            geoms: (0..key.entries())
-                .map(|_| Some(Geom::with_capacity(n, layout.slabs)))
-                .collect(),
+            geoms: (0..key.entries()).map(|_| None).collect(),
             key,
             #[cfg(test)]
             builds: 0,
@@ -473,7 +470,8 @@ impl GeomSlot {
         match self.geoms[self.key.entry()].take() {
             Some(geom) if !stale => geom,
             old => {
-                let mut geom = old.unwrap_or_default();
+                let mut geom =
+                    old.unwrap_or_else(|| Geom::with_capacity(layout.grid.len(), layout.slabs));
                 layout.build(&mut geom, items, env);
                 #[cfg(test)]
                 {
@@ -517,7 +515,7 @@ pub(crate) struct ChargeSlot {
 
 impl ChargeSlot {
     /// The slot for a statement over `region` split as `part`, of `flops`
-    /// per element, with its buffer sized here (see [`GeomSlot::new`])
+    /// per element, with its one buffer, every entry's, allocated here
     /// and, when the region reads no loop variable, its charge computed
     /// here too.
     pub(crate) fn new(
