@@ -3,7 +3,7 @@
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
 
-use crate::eval::runs;
+use crate::eval::{copy_lane, runs};
 use commopt_ir::{Rect, MAX_RANK};
 use commopt_machine::{BlockDist, ProcGrid};
 
@@ -12,22 +12,22 @@ use commopt_machine::{BlockDist, ProcGrid};
 pub struct Block {
     /// The storage rectangle (owned block grown by the ghost width).
     pub rect: Rect,
-    extents: [usize; MAX_RANK],
+    /// Storage distance between neighbours along each dimension.
+    strides: [usize; MAX_RANK],
     data: Vec<f64>,
 }
 
 impl Block {
     /// Allocates storage over `rect`, filled with `fill`.
     pub fn new(rect: Rect, fill: f64) -> Block {
-        let mut extents = [1usize; MAX_RANK];
-        for d in 0..MAX_RANK {
-            extents[d] = rect.extent(d).max(0) as usize;
+        let mut strides = [1usize; MAX_RANK];
+        for d in (0..MAX_RANK - 1).rev() {
+            strides[d] = strides[d + 1] * rect.extent(d + 1) as usize;
         }
-        let len = extents.iter().product();
         Block {
             rect,
-            extents,
-            data: vec![fill; len],
+            strides,
+            data: vec![fill; rect.count() as usize],
         }
     }
 
@@ -41,7 +41,7 @@ impl Block {
         let o0 = (idx[0] - self.rect.lo[0]) as usize;
         let o1 = (idx[1] - self.rect.lo[1]) as usize;
         let o2 = (idx[2] - self.rect.lo[2]) as usize;
-        (o0 * self.extents[1] + o1) * self.extents[2] + o2
+        o0 * self.strides[0] + o1 * self.strides[1] + o2
     }
 
     /// Reads one element.
@@ -57,31 +57,36 @@ impl Block {
         self.data[i] = v;
     }
 
-    /// A contiguous slice of `len` elements along the *last* (fastest-
-    /// varying) dimension, starting at `base`.
-    ///
-    /// For rank-2 arrays the last real dimension (dim 1) is also the last
-    /// storage dimension because trailing dims have extent 1, so runs along
-    /// it are contiguous; likewise dim 2 for rank-3.
+    /// The storage distance between neighbours along dimension `d`: 1
+    /// along the last, and the product of the later extents before it.
     #[inline]
-    pub fn run(&self, base: [i64; MAX_RANK], len: usize) -> &[f64] {
-        let start = self.linear(base);
-        &self.data[start..start + len]
+    pub fn stride(&self, d: usize) -> usize {
+        self.strides[d]
     }
 
-    /// Mutable run (used to commit computed values).
+    /// The storage of a lane of `len` elements `stride` apart starting at
+    /// `base`, from its first element to its last; the elements between
+    /// belong to other lanes. With `stride` 1 it is the lane itself.
     #[inline]
-    pub fn run_mut(&mut self, base: [i64; MAX_RANK], len: usize) -> &mut [f64] {
+    pub fn lane(&self, base: [i64; MAX_RANK], len: usize, stride: usize) -> &[f64] {
         let start = self.linear(base);
-        &mut self.data[start..start + len]
+        &self.data[start..=start + (len - 1) * stride]
     }
 
-    /// Writes `vals`, row-major over `rect`, run by run.
+    /// [`Block::lane`], mutable.
+    #[inline]
+    pub fn lane_mut(&mut self, base: [i64; MAX_RANK], len: usize, stride: usize) -> &mut [f64] {
+        let start = self.linear(base);
+        &mut self.data[start..=start + (len - 1) * stride]
+    }
+
+    /// Writes `vals`, row-major over `rect`, lane by lane.
     pub fn write(&mut self, rect: &Rect, vals: &[f64]) {
         debug_assert_eq!(vals.len() as u64, rect.count());
-        for (base, len, pos) in runs(rect) {
-            self.run_mut(base, len)
-                .copy_from_slice(&vals[pos..pos + len]);
+        let lanes = runs(rect);
+        let s = self.stride(lanes.axis());
+        for (base, len, pos) in lanes {
+            copy_lane(self.lane_mut(base, len, s), s, &vals[pos..pos + len], 1);
         }
     }
 
@@ -112,8 +117,15 @@ impl DistArray {
             .map(|p| {
                 let owned = dist.owned(p);
                 let mut b = Block::new(owned.grown(ghost), f64::NAN);
-                for (base, len, _) in runs(&owned) {
-                    b.run_mut(base, len).fill(0.0);
+                let lanes = runs(&owned);
+                let s = b.stride(lanes.axis());
+                for (base, len, _) in lanes {
+                    let lane = b.lane_mut(base, len, s);
+                    if s == 1 {
+                        lane.fill(0.0);
+                    } else {
+                        lane.iter_mut().step_by(s).for_each(|v| *v = 0.0);
+                    }
                 }
                 b
             })
@@ -141,8 +153,9 @@ impl DistArray {
         self.blocks[self.dist.owner_of(idx)].get(idx)
     }
 
-    /// Appends `rect`'s values to `out` in row-major order, each copied by
-    /// rows from its owner's block. A rank-1 array is read from processor
+    /// Appends `rect`'s values to `out` in row-major order, each copied
+    /// lane by lane from its owner's block; a lane of an owner's part may
+    /// be strided on both sides. A rank-1 array is read from processor
     /// column 0's replica, the one [`BlockDist::owner_of`] names.
     pub fn read_into(&self, rect: &Rect, out: &mut Vec<f64>) {
         if rect.is_empty() {
@@ -157,9 +170,17 @@ impl DistArray {
             for c in blocks(1) {
                 let p = dist.grid.at([r, c]);
                 let part = rect.intersect(&dist.owned(p));
-                for (base, len, _) in runs(&part) {
+                let lanes = runs(&part);
+                let block = &self.blocks[p];
+                let (os, bs) = (row_stride(rect, lanes.axis()), block.stride(lanes.axis()));
+                for (base, len, _) in lanes {
                     let at = offset_in(rect, base);
-                    out[at..at + len].copy_from_slice(self.blocks[p].run(base, len));
+                    copy_lane(
+                        &mut out[at..=at + (len - 1) * os],
+                        os,
+                        block.lane(base, len, bs),
+                        bs,
+                    );
                 }
             }
         }
@@ -183,6 +204,12 @@ fn offset_in(rect: &Rect, idx: [i64; MAX_RANK]) -> usize {
     (o0 * rect.extent(1) as usize + o1) * rect.extent(2) as usize + o2
 }
 
+/// The distance between neighbours along dimension `d` in a row-major
+/// buffer over `rect`.
+fn row_stride(rect: &Rect, d: usize) -> usize {
+    (d + 1..MAX_RANK).map(|e| rect.extent(e) as usize).product()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,24 +223,64 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_contiguous_along_last_dim() {
+    fn lanes_along_the_last_dim_are_contiguous() {
         let mut b = Block::new(Rect::d2((1, 2), (1, 4)), 0.0);
         for j in 1..=4 {
             b.set([1, j, 0], j as f64);
         }
-        assert_eq!(b.run([1, 1, 0], 4), &[1.0, 2.0, 3.0, 4.0]);
-        b.run_mut([1, 2, 0], 2).copy_from_slice(&[9.0, 8.0]);
+        assert_eq!(b.stride(1), 1);
+        assert_eq!(b.lane([1, 1, 0], 4, 1), &[1.0, 2.0, 3.0, 4.0]);
+        b.lane_mut([1, 2, 0], 2, 1).copy_from_slice(&[9.0, 8.0]);
         assert_eq!(b.get([1, 2, 0]), 9.0);
         assert_eq!(b.get([1, 3, 0]), 8.0);
+        let mut c = Block::new(Rect::d3((1, 2), (1, 2), (1, 3)), 0.0);
+        for k in 1..=3 {
+            c.set([2, 1, k], 10.0 + k as f64);
+        }
+        assert_eq!(c.lane([2, 1, 1], 3, 1), &[11.0, 12.0, 13.0]);
     }
 
     #[test]
-    fn rank3_runs() {
-        let mut b = Block::new(Rect::d3((1, 2), (1, 2), (1, 3)), 0.0);
-        for k in 1..=3 {
-            b.set([2, 1, k], 10.0 + k as f64);
-        }
-        assert_eq!(b.run([2, 1, 1], 3), &[11.0, 12.0, 13.0]);
+    fn lanes_along_earlier_dims_are_strided() {
+        let r = Rect::d3((1, 3), (1, 4), (1, 5));
+        let mut b = Block::new(r, 0.0);
+        r.for_each(|i| b.set(i, (100 * i[0] + 10 * i[1] + i[2]) as f64));
+        assert_eq!([b.stride(0), b.stride(1), b.stride(2)], [20, 5, 1]);
+        let every = |lane: &[f64], s: usize| lane.iter().step_by(s).copied().collect::<Vec<_>>();
+        // Along dimension 1 at (2, *, 3): the span holds the lanes between.
+        let lane = b.lane([2, 1, 3], 4, 5);
+        assert_eq!(lane.len(), 16);
+        assert_eq!(every(lane, 5), [213.0, 223.0, 233.0, 243.0]);
+        // Along dimension 0 from the last row and column.
+        assert_eq!(every(b.lane([1, 4, 5], 3, 20), 20), [145.0, 245.0, 345.0]);
+        // A lane of one is its element.
+        assert_eq!(b.lane([3, 4, 5], 1, 20), [345.0]);
+        // Writing a z-plane goes lane by lane into strided storage and
+        // leaves every other element alone.
+        let plane = Rect::d3((1, 3), (2, 3), (4, 4));
+        let vals: Vec<f64> = (0..6).map(|v| -f64::from(v)).collect();
+        let before = b.clone();
+        b.write(&plane, &vals);
+        let mut k = 0;
+        r.for_each(|i| {
+            if plane.contains(i) {
+                assert_eq!(b.get(i), vals[k], "{i:?}");
+                k += 1;
+            } else {
+                assert_eq!(b.get(i), before.get(i), "{i:?}");
+            }
+        });
+        assert_eq!(k, 6);
+        // A rank-2 column lane strides by the row length.
+        let mut c = Block::new(Rect::d2((0, 3), (0, 2)), 0.0);
+        assert_eq!([c.stride(0), c.stride(1)], [3, 1]);
+        c.write(&Rect::d2((1, 3), (1, 1)), &[1.0, 2.0, 3.0]);
+        assert_eq!(
+            c.lane([1, 1, 0], 3, 3),
+            &[1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0]
+        );
+        c.lane_mut([0, 0, 0], 2, 1).fill(5.0);
+        assert_eq!(c.lane([0, 0, 0], 3, 1), &[5.0, 5.0, 0.0]);
     }
 
     #[test]
@@ -328,6 +395,33 @@ mod tests {
             d.read_into(&slab, &mut out);
             assert_eq!(out[0], -1.0);
             assert_eq!(bits(&out[1..]), per_element(d, &slab), "{slab:?}");
+        }
+    }
+
+    #[test]
+    fn slab_reads_over_single_row_and_column_owner_parts() {
+        // The fuzz sweep's 12² on 8×8: rows and columns 9–12 each have an
+        // owner of their own, so those owners' parts of a slab are single
+        // rows or columns, strided in the slab's row-major values.
+        let flat = tagged(ProcGrid::square(64), Rect::d2((1, 12), (1, 12)));
+        let deep = tagged(ProcGrid::square(64), Rect::d3((1, 12), (1, 12), (1, 3)));
+        for (d, slab) in [
+            // Three owners' single columns, six rows tall.
+            (&flat, Rect::d2((2, 7), (9, 11))),
+            // Three owners' single rows.
+            (&flat, Rect::d2((9, 11), (2, 7))),
+            // Single cells: a 2×2 slab over four 1×1 owners.
+            (&flat, Rect::d2((10, 11), (11, 12))),
+            // A z-plane over single columns and over single rows.
+            (&deep, Rect::d3((2, 7), (9, 10), (2, 2))),
+            (&deep, Rect::d3((9, 10), (1, 5), (3, 3))),
+            // Pencils along the processor-local dimension.
+            (&deep, Rect::d3((9, 10), (10, 12), (1, 3))),
+            (&deep, Rect::d3((1, 12), (12, 12), (1, 3))),
+        ] {
+            let mut out = Vec::new();
+            d.read_into(&slab, &mut out);
+            assert_eq!(bits(&out), per_element(d, &slab), "{slab:?}");
         }
     }
 

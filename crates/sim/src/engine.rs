@@ -29,7 +29,7 @@
 
 use crate::darray::{Block, DistArray};
 use crate::error::{SimError, StuckCall};
-use crate::eval::{eval_tile, runs, BlockSource, BufPool, EvalCtx};
+use crate::eval::{copy_lane, eval_tile, runs, BlockSource, BufPool, EvalCtx};
 use crate::faults::{FaultPlan, FaultState};
 use crate::layout::{charge_of, charge_slots, ChargeSlot, Geom, GeomSlot, Layout};
 use crate::ledger::{Cat, Ledger};
@@ -477,7 +477,7 @@ impl<'p> Simulator<'p> {
     /// processor (evaluate-all-then-commit preserves ZPL's read-before-
     /// write statement semantics, including self-shifts like `A := A@e`).
     fn compute_assign_data(&mut self, rect: Rect, lhs: usize, rhs: &Expr) {
-        // Fast path: a bare reference RHS is a run-by-run block copy — no
+        // Fast path: a bare reference RHS is a lane-by-lane block copy — no
         // scratch buffers, no per-element evaluation. A zero-offset copy
         // from the assigned array itself is the identity; a *shifted*
         // self-copy keeps the buffered path below, which is what preserves
@@ -513,7 +513,7 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// `A := B@off` (distinct arrays): memcpy each run straight from the
+    /// `A := B@off` (distinct arrays): copy each lane straight from the
     /// source block — the same reads and writes as the buffered path,
     /// minus the intermediates.
     fn copy_assign_data(
@@ -535,14 +535,22 @@ impl<'p> Simulator<'p> {
                 (&mut hi[0], &lo[src])
             };
             let (dst_block, src_block) = (dst.block_mut(p), sa.block(p));
-            for (base, len, _) in runs(&local) {
+            let lanes = runs(&local);
+            let (ds, ss) = (
+                dst_block.stride(lanes.axis()),
+                src_block.stride(lanes.axis()),
+            );
+            for (base, len, _) in lanes {
                 let mut b = base;
                 for d in 0..MAX_RANK {
                     b[d] += offset.get(d) as i64;
                 }
-                dst_block
-                    .run_mut(base, len)
-                    .copy_from_slice(src_block.run(b, len));
+                copy_lane(
+                    dst_block.lane_mut(base, len, ds),
+                    ds,
+                    src_block.lane(b, len, ss),
+                    ss,
+                );
             }
         }
     }
@@ -720,7 +728,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Full mode: capture, per reader, the slab values as of SR time —
-    /// copied by rows from their owning blocks, each slab into its own
+    /// copied lane by lane from their owning blocks, each slab into its own
     /// buffer.
     fn snapshot(&mut self, geom: &Geom, fl: &mut InFlight) {
         for p in 0..self.grid.len() {
@@ -851,7 +859,7 @@ impl<'p> Simulator<'p> {
 
     /// Marks the transfer's current in-flight instance retired (all of
     /// its messages consumed by a DN) and, in full mode, writes the
-    /// snapshotted slabs into each reader's ghosts, row by row.
+    /// snapshotted slabs into each reader's ghosts, lane by lane.
     fn retire(&mut self, tid: TransferId) {
         let Some(fl) = &mut self.inflight[tid.index()] else {
             return;
@@ -1118,6 +1126,60 @@ mod tests {
         let opt = optimize(&src, &OptConfig::pl());
         for nprocs in [4, 16] {
             assert_bit_identical(&src, &opt.program, nprocs);
+        }
+    }
+
+    #[test]
+    fn self_shifts_on_planes_and_columns_read_before_they_write() {
+        // A z-plane `[2..n-1, 1..n, k]` is evaluated as lanes along
+        // dimension 1, strided in block storage, and a column
+        // `[2..n-1, j]` as one lane along dimension 0. Each statement
+        // reads the rows on both sides of the ones it writes, so a commit
+        // of any lane before the next is evaluated would show.
+        let (n, depth) = (12, 3);
+        let mut b = ProgramBuilder::new("lane_shift");
+        let cube = Rect::d3((1, n), (1, n), (1, depth));
+        let square = Rect::d2((1, n), (1, n));
+        let a = b.array("A", cube);
+        let c = b.array("C", square);
+        let (xp, xm) = (Offset::d3(1, 0, 0), Offset::d3(-1, 0, 0));
+        b.assign(
+            Region::from_rect(cube),
+            a,
+            Expr::Index(0) * Expr::Index(0) + Expr::Index(1) * Expr::Const(3.0) + Expr::Index(2),
+        );
+        b.assign(
+            Region::from_rect(square),
+            c,
+            Expr::Index(0) * Expr::Index(0) - Expr::Index(1),
+        );
+        let var = |v| {
+            commopt_ir::DimRange::new(
+                commopt_ir::AffineBound::var_plus(v, 0),
+                commopt_ir::AffineBound::var_plus(v, 0),
+            )
+        };
+        let inner = commopt_ir::DimRange::new(2, n - 1);
+        b.repeat(2, |b| {
+            b.for_up("k", 1, depth, |b, k| {
+                let plane = Region::new(3, [inner, commopt_ir::DimRange::new(1, n), var(k)]);
+                b.assign(plane, a, Expr::at(a, xp));
+                b.assign(plane, a, Expr::at(a, xp) - Expr::at(a, xm));
+            });
+            b.for_up("j", 1, n, |b, j| {
+                let column = Region::new(2, [inner, var(j), commopt_ir::DimRange::new(0, 0)]);
+                b.assign(column, c, Expr::at(c, compass::SOUTH));
+                b.assign(
+                    column,
+                    c,
+                    Expr::at(c, compass::NORTH) * Expr::Const(0.5) + Expr::at(c, compass::SOUTH),
+                );
+            });
+        });
+        let src = b.finish();
+        for cfg in [OptConfig::baseline(), OptConfig::pl()] {
+            let opt = optimize(&src, &cfg);
+            assert_bit_identical(&src, &opt.program, 16);
         }
     }
 

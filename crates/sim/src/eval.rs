@@ -3,17 +3,17 @@
 //! An array statement is evaluated one *tile* at a time: the part of the
 //! statement's rectangle a processor owns, in row-major order. The
 //! expression tree is walked once per tile, and each node is one loop over
-//! a tile-length buffer; only shifted references work row by row, copying
-//! each *run* (the indices that share every coordinate but the last) out
-//! of the (local or ghost) block storage. [`runs`] is the one run iterator
-//! the simulator uses, here and wherever data moves between blocks. A
-//! small buffer pool keeps the evaluator allocation-free in steady state.
+//! a tile-length buffer; only shifted references work lane by lane, copying
+//! each *lane* (see [`runs`]) out of the (local or ghost) block storage.
+//! [`runs`] is the one run iterator the simulator uses, here and wherever
+//! data moves between blocks, and [`copy_lane`] its strided copy. A small
+//! buffer pool keeps the evaluator allocation-free in steady state.
 
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
 
 use crate::darray::Block;
-use commopt_ir::{BinOp, Expr, LoopEnv, Offset, Rect, UnaryOp, MAX_RANK};
+use commopt_ir::{ArrayId, BinOp, Expr, LoopEnv, Offset, Rect, UnaryOp, MAX_RANK};
 
 /// Reusable scratch buffers for one evaluation thread.
 #[derive(Default)]
@@ -61,26 +61,44 @@ pub struct EvalCtx<'a> {
     pub env: &'a LoopEnv,
 }
 
-/// The runs of `rect` in row-major order, as (first index, length,
-/// position in the tile): every run spans the last real dimension, and its
-/// position counts the indices before it.
+/// The lanes of `rect` in row-major order, as (first index, length,
+/// position in the tile). A lane runs along [`Runs::axis`], the innermost
+/// dimension whose extent is more than one (dimension 0 when there is
+/// none), so every later dimension has extent 1: a lane's positions in a
+/// row-major buffer over `rect` are `pos..pos + len`, while in block
+/// storage its elements lie [`Block::stride`] apart.
 pub fn runs(rect: &Rect) -> Runs {
+    let axis = (0..MAX_RANK)
+        .rev()
+        .find(|&d| rect.extent(d) > 1)
+        .unwrap_or(0);
     Runs {
         rect: *rect,
+        axis,
         base: rect.lo,
-        len: rect.extent(rect.rank - 1) as usize,
+        len: rect.extent(axis) as usize,
         pos: 0,
         done: rect.is_empty(),
     }
 }
 
 /// The iterator [`runs`] returns.
+#[derive(Clone)]
 pub struct Runs {
     rect: Rect,
+    axis: usize,
     base: [i64; MAX_RANK],
     len: usize,
     pos: usize,
     done: bool,
+}
+
+impl Runs {
+    /// The dimension every lane runs along.
+    #[inline]
+    pub fn axis(&self) -> usize {
+        self.axis
+    }
 }
 
 impl Iterator for Runs {
@@ -93,8 +111,9 @@ impl Iterator for Runs {
         }
         let run = (self.base, self.len, self.pos);
         self.pos += self.len;
-        // Row-major step over every dimension but the last.
-        let mut d = self.rect.rank - 1;
+        // Row-major step over the dimensions before the axis; those after
+        // it have extent 1.
+        let mut d = self.axis;
         loop {
             if d == 0 {
                 self.done = true;
@@ -111,18 +130,38 @@ impl Iterator for Runs {
     }
 }
 
+/// Copies a lane from `src`, its elements `ss` apart, into `dst`, its
+/// elements `ds` apart. Each slice runs from the lane's first element to
+/// its last; where both strides are 1 this is one slice copy.
+#[inline]
+pub fn copy_lane(dst: &mut [f64], ds: usize, src: &[f64], ss: usize) {
+    if ds == 1 && ss == 1 {
+        dst.copy_from_slice(src);
+    } else {
+        for (d, s) in dst.iter_mut().step_by(ds).zip(src.iter().step_by(ss)) {
+            *d = *s;
+        }
+    }
+}
+
 /// Evaluates `expr` at every index of `tile`, writing the results into
 /// `out` (`tile.count()` long) in row-major order.
 pub fn eval_tile(ctx: &EvalCtx<'_>, expr: &Expr, tile: &Rect, out: &mut [f64], pool: &mut BufPool) {
     debug_assert_eq!(out.len() as u64, tile.count());
+    eval(ctx, expr, &runs(tile), out, pool);
+}
+
+/// [`eval_tile`] over the tile whose lanes are `lanes`, worked out once
+/// per tile.
+fn eval(ctx: &EvalCtx<'_>, expr: &Expr, lanes: &Runs, out: &mut [f64], pool: &mut BufPool) {
     match expr {
         Expr::Const(c) => out.fill(*c),
         Expr::Scalar(s) => out.fill(ctx.scalars[s.index()]),
         Expr::LoopVar(v) => out.fill(ctx.env.get(*v) as f64),
         Expr::Index(d) => {
             let d = *d as usize;
-            let along = d == tile.rank - 1;
-            for (base, len, pos) in runs(tile) {
+            let along = d == lanes.axis();
+            for (base, len, pos) in lanes.clone() {
                 let run = &mut out[pos..pos + len];
                 if along {
                     for (k, o) in run.iter_mut().enumerate() {
@@ -133,35 +172,105 @@ pub fn eval_tile(ctx: &EvalCtx<'_>, expr: &Expr, tile: &Rect, out: &mut [f64], p
                 }
             }
         }
-        Expr::Ref { array, offset } => {
-            let block = ctx.src.block(array.index());
-            for (base, len, pos) in runs(tile) {
-                out[pos..pos + len].copy_from_slice(ref_run(block, offset, base, len));
-            }
-        }
+        Expr::Ref { array, offset } => zip_ref(ctx, *array, offset, lanes, out, |_, r| r),
         Expr::Unary { op, a } => {
-            eval_tile(ctx, a, tile, out, pool);
+            eval(ctx, a, lanes, out, pool);
             map_unary(*op, out);
         }
         Expr::Binary { op, a, b } => {
-            eval_tile(ctx, a, tile, out, pool);
-            // Fast path: a reference operand is a contiguous run of block
-            // storage per row — zip against the borrowed slices instead of
-            // round-tripping it through a scratch buffer.
-            if let Expr::Ref { array, offset } = &**b {
-                let block = ctx.src.block(array.index());
-                for (base, len, pos) in runs(tile) {
-                    zip_binary(
-                        *op,
-                        &mut out[pos..pos + len],
-                        ref_run(block, offset, base, len),
-                    );
-                }
-            } else {
-                let mut rhs = pool.get(out.len());
-                eval_tile(ctx, b, tile, &mut rhs, pool);
-                zip_binary(*op, out, &rhs);
-                pool.put(rhs);
+            // Match the operator once per node, not per element.
+            let (a, b) = (&**a, &**b);
+            match op {
+                BinOp::Add => binary(ctx, |x, y| BinOp::Add.apply(x, y), a, b, lanes, out, pool),
+                BinOp::Sub => binary(ctx, |x, y| BinOp::Sub.apply(x, y), a, b, lanes, out, pool),
+                BinOp::Mul => binary(ctx, |x, y| BinOp::Mul.apply(x, y), a, b, lanes, out, pool),
+                BinOp::Div => binary(ctx, |x, y| BinOp::Div.apply(x, y), a, b, lanes, out, pool),
+                BinOp::Min => binary(ctx, |x, y| BinOp::Min.apply(x, y), a, b, lanes, out, pool),
+                BinOp::Max => binary(ctx, |x, y| BinOp::Max.apply(x, y), a, b, lanes, out, pool),
+            }
+        }
+    }
+}
+
+/// The value of a leaf that is the same at every index: a constant, a
+/// scalar or a loop variable.
+#[inline]
+fn uniform(ctx: &EvalCtx<'_>, e: &Expr) -> Option<f64> {
+    match e {
+        Expr::Const(c) => Some(*c),
+        Expr::Scalar(s) => Some(ctx.scalars[s.index()]),
+        Expr::LoopVar(v) => Some(ctx.env.get(*v) as f64),
+        _ => None,
+    }
+}
+
+/// `out[k] = f(a[k], b[k])`. A leaf operand on either side folds into the
+/// pass over the other side's values in `out`: a uniform one is applied in
+/// place, and a reference is zipped lane by lane against its block. Any
+/// other pair evaluates `b` into a pooled buffer. `f` always takes `a`'s
+/// value first, so results are bit-identical to `op.apply(a, b)`.
+fn binary(
+    ctx: &EvalCtx<'_>,
+    f: impl Fn(f64, f64) -> f64 + Copy,
+    a: &Expr,
+    b: &Expr,
+    lanes: &Runs,
+    out: &mut [f64],
+    pool: &mut BufPool,
+) {
+    if let Some(c) = uniform(ctx, b) {
+        eval(ctx, a, lanes, out, pool);
+        for o in out.iter_mut() {
+            *o = f(*o, c);
+        }
+    } else if let Expr::Ref { array, offset } = b {
+        eval(ctx, a, lanes, out, pool);
+        zip_ref(ctx, *array, offset, lanes, out, f);
+    } else if let Some(c) = uniform(ctx, a) {
+        eval(ctx, b, lanes, out, pool);
+        for o in out.iter_mut() {
+            *o = f(c, *o);
+        }
+    } else if let Expr::Ref { array, offset } = a {
+        eval(ctx, b, lanes, out, pool);
+        zip_ref(ctx, *array, offset, lanes, out, |o, r| f(r, o));
+    } else {
+        eval(ctx, a, lanes, out, pool);
+        let mut rhs = pool.get(out.len());
+        eval(ctx, b, lanes, &mut rhs, pool);
+        for (o, r) in out.iter_mut().zip(&rhs) {
+            *o = f(*o, *r);
+        }
+        pool.put(rhs);
+    }
+}
+
+/// `out[k] = f(out[k], r[k])`, where `r` is `array` shifted by `offset`,
+/// read lane by lane straight out of its block, whose stride along the
+/// lanes is looked up once.
+#[inline]
+fn zip_ref(
+    ctx: &EvalCtx<'_>,
+    array: ArrayId,
+    offset: &Offset,
+    lanes: &Runs,
+    out: &mut [f64],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let block = ctx.src.block(array.index());
+    let s = block.stride(lanes.axis());
+    for (mut base, len, pos) in lanes.clone() {
+        for d in 0..MAX_RANK {
+            base[d] += offset.get(d) as i64;
+        }
+        let (out, src) = (&mut out[pos..pos + len], block.lane(base, len, s));
+        if s == 1 {
+            for (o, r) in out.iter_mut().zip(src) {
+                *o = f(*o, *r);
+            }
+        } else {
+            for (o, r) in out.iter_mut().zip(src.iter().step_by(s)) {
+                *o = f(*o, *r);
             }
         }
     }
@@ -183,39 +292,11 @@ fn map_unary(op: UnaryOp, out: &mut [f64]) {
     }
 }
 
-/// `out[k] = op(out[k], rhs[k])`, with the operator matched once per slice.
-fn zip_binary(op: BinOp, out: &mut [f64], rhs: &[f64]) {
-    fn each(out: &mut [f64], rhs: &[f64], f: impl Fn(f64, f64) -> f64) {
-        for (o, r) in out.iter_mut().zip(rhs) {
-            *o = f(*o, *r);
-        }
-    }
-    match op {
-        BinOp::Add => each(out, rhs, |a, b| BinOp::Add.apply(a, b)),
-        BinOp::Sub => each(out, rhs, |a, b| BinOp::Sub.apply(a, b)),
-        BinOp::Mul => each(out, rhs, |a, b| BinOp::Mul.apply(a, b)),
-        BinOp::Div => each(out, rhs, |a, b| BinOp::Div.apply(a, b)),
-        BinOp::Min => each(out, rhs, |a, b| BinOp::Min.apply(a, b)),
-        BinOp::Max => each(out, rhs, |a, b| BinOp::Max.apply(a, b)),
-    }
-}
-
-/// The `len`-element run a reference shifted by `offset` reads for the run
-/// starting at `base`, borrowed straight from `block`.
-#[inline]
-fn ref_run<'a>(block: &'a Block, offset: &Offset, base: [i64; MAX_RANK], len: usize) -> &'a [f64] {
-    let mut b = base;
-    for d in 0..MAX_RANK {
-        b[d] += offset.get(d) as i64;
-    }
-    block.run(b, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use commopt_ir::offset::compass;
-    use commopt_ir::{ArrayId, ScalarId};
+    use commopt_ir::{LoopVarId, ScalarId};
 
     fn two_blocks() -> Vec<Block> {
         // Array 0: values = 10*i + j over [1..4,1..4] grown by 1.
@@ -269,18 +350,47 @@ mod tests {
         assert_eq!(got, want, "{e:?} over {t:?}");
     }
 
+    /// `rect`'s lanes, checked to cover every index exactly once at its
+    /// row-major position.
+    fn lanes_of(rect: Rect) -> (usize, Vec<([i64; MAX_RANK], usize, usize)>) {
+        let lanes = runs(&rect);
+        let axis = lanes.axis();
+        let all: Vec<_> = lanes.collect();
+        let mut seen = Vec::new();
+        for &(base, len, pos) in &all {
+            assert_eq!(
+                pos,
+                seen.len(),
+                "{rect:?}: lanes are contiguous in the tile"
+            );
+            for k in 0..len {
+                let mut idx = base;
+                idx[axis] += k as i64;
+                seen.push(idx);
+            }
+        }
+        let mut want = Vec::new();
+        rect.for_each(|i| want.push(i));
+        assert_eq!(seen, want, "{rect:?}");
+        (axis, all)
+    }
+
     #[test]
     fn runs_cover_the_rect_row_major() {
-        let r: Vec<_> = runs(&Rect::d2((2, 4), (1, 3))).collect();
+        // A lane runs along the last dimension longer than one.
+        let (axis, r) = lanes_of(Rect::d2((2, 4), (1, 3)));
+        assert_eq!(axis, 1);
         assert_eq!(r, [([2, 1, 0], 3, 0), ([3, 1, 0], 3, 3), ([4, 1, 0], 3, 6)]);
-        // One column: a run of length 1 per row.
-        let r: Vec<_> = runs(&Rect::d2((1, 3), (5, 5))).collect();
-        assert_eq!(r, [([1, 5, 0], 1, 0), ([2, 5, 0], 1, 1), ([3, 5, 0], 1, 2)]);
-        // Rank 1: the whole rect is one run along dimension 0.
-        let r: Vec<_> = runs(&Rect::d1((3, 9))).collect();
-        assert_eq!(r, [([3, 0, 0], 7, 0)]);
-        // Rank 3: runs along dimension 2, dimension 1 varying fastest.
-        let r: Vec<_> = runs(&Rect::d3((1, 2), (1, 2), (4, 5))).collect();
+        // One column: one lane of 3 along dimension 0.
+        assert_eq!(
+            lanes_of(Rect::d2((1, 3), (5, 5))),
+            (0, vec![([1, 5, 0], 3, 0)])
+        );
+        // Rank 1: the whole rect is one lane along dimension 0.
+        assert_eq!(lanes_of(Rect::d1((3, 9))), (0, vec![([3, 0, 0], 7, 0)]));
+        // Rank 3: lanes along dimension 2, dimension 1 varying fastest.
+        let (axis, r) = lanes_of(Rect::d3((1, 2), (1, 2), (4, 5)));
+        assert_eq!(axis, 2);
         assert_eq!(
             r,
             [
@@ -290,7 +400,50 @@ mod tests {
                 ([2, 2, 4], 2, 6)
             ]
         );
+        // A plane of a rank-3 rect with last extent 1: 2 lanes of 2 along
+        // dimension 1.
+        assert_eq!(
+            lanes_of(Rect::d3((1, 2), (1, 2), (4, 4))),
+            (1, vec![([1, 1, 4], 2, 0), ([2, 1, 4], 2, 2)])
+        );
+        // A column of a rank-3 rect: one lane along dimension 0.
+        assert_eq!(
+            lanes_of(Rect::d3((1, 4), (3, 3), (7, 7))),
+            (0, vec![([1, 3, 7], 4, 0)])
+        );
+        // A single index is one lane of 1.
+        assert_eq!(
+            lanes_of(Rect::d2((6, 6), (2, 2))),
+            (0, vec![([6, 2, 0], 1, 0)])
+        );
+        assert_eq!(
+            lanes_of(Rect::d3((1, 1), (2, 2), (3, 3))),
+            (0, vec![([1, 2, 3], 1, 0)])
+        );
+        // An empty rect has no lanes.
         assert_eq!(runs(&Rect::d2((2, 1), (1, 3))).count(), 0);
+        assert_eq!(runs(&Rect::d3((1, 4), (1, 4), (2, 1))).count(), 0);
+    }
+
+    #[test]
+    fn copy_lane_steps_each_side_by_its_stride() {
+        let src: Vec<f64> = (0..9).map(f64::from).collect();
+        // Stride 1 both ways: a slice copy.
+        let mut dst = [0.0; 3];
+        copy_lane(&mut dst, 1, &src[2..5], 1);
+        assert_eq!(dst, [2.0, 3.0, 4.0]);
+        // Strided source into a contiguous destination.
+        copy_lane(&mut dst, 1, &src[1..=7], 3);
+        assert_eq!(dst, [1.0, 4.0, 7.0]);
+        // Contiguous source into a strided destination: the elements
+        // between are left alone.
+        let mut dst = [-1.0; 5];
+        copy_lane(&mut dst, 2, &src[..3], 1);
+        assert_eq!(dst, [0.0, -1.0, 1.0, -1.0, 2.0]);
+        // Both strided.
+        let mut dst = [-1.0; 3];
+        copy_lane(&mut dst, 2, &src[..=4], 4);
+        assert_eq!(dst, [0.0, -1.0, 4.0]);
     }
 
     #[test]
@@ -332,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn one_column_tile_has_runs_of_length_one() {
+    fn one_column_tile_is_one_lane() {
         let blocks = two_blocks();
         let env = LoopEnv::new();
         let c = ctx(&blocks, &[], &env);
@@ -368,8 +521,9 @@ mod tests {
         let env = LoopEnv::new();
         let c = ctx(&blocks, &[], &env);
         let t = Rect::d2((1, 4), (2, 4));
-        // The rhs of the outer `/` and `min` is a compound expression, so it
-        // is evaluated over the whole tile into a pooled buffer.
+        // The rhs of the outer `/` and `min` is a compound expression: the
+        // `/` zips it against its left reference, and `min`, whose left
+        // side is compound too, evaluates it into a pooled buffer.
         let rhs = Expr::at(ArrayId(0), compass::SOUTH) + Expr::Index(1);
         let e = Expr::local(ArrayId(0)) / rhs.clone();
         assert_matches_reference(&c, &e, t);
@@ -405,6 +559,189 @@ mod tests {
         // (i, j, k+1) - (i+1, j, k) + k = 1 - 100 + k.
         let got = tile(&c, &e, t);
         assert_eq!(&got[..3], [-97.0, -96.0, -95.0]);
+    }
+
+    /// A value per index that takes in NaN, −0.0 and +0.0 among distinct
+    /// finite values, so operand order shows in `min`, `max` and `-`.
+    fn awkward(i: [i64; MAX_RANK]) -> f64 {
+        match (i[0] + 2 * i[1] + 3 * i[2]).rem_euclid(7) {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            _ => (100 * i[0] + 10 * i[1] + i[2]) as f64 * 0.5 - 40.0,
+        }
+    }
+
+    /// Two arrays over `owned` grown by one, filled by [`awkward`]; the
+    /// second is the first shifted by one along every dimension.
+    fn awkward_blocks(owned: Rect) -> Vec<Block> {
+        let storage = owned.grown(1);
+        let mut a = Block::new(storage, 0.0);
+        let mut b = Block::new(storage, 0.0);
+        storage.for_each(|i| {
+            a.set(i, awkward(i));
+            b.set(i, awkward([i[0] + 1, i[1] + 1, i[2] + 1]));
+        });
+        vec![a, b]
+    }
+
+    const OPS: [BinOp; 6] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Min,
+        BinOp::Max,
+    ];
+
+    /// Every offset with components in -1..=1 over the first `rank`
+    /// dimensions.
+    fn every_direction(rank: usize) -> Vec<Offset> {
+        let mut all = Vec::new();
+        Rect::new(rank, [-1; MAX_RANK], [1; MAX_RANK]).for_each(|d| {
+            all.push(Offset::new([d[0] as i32, d[1] as i32, d[2] as i32]));
+        });
+        all
+    }
+
+    #[test]
+    fn rank3_planes_columns_and_points_match_reference() {
+        let owned = Rect::d3((1, 4), (1, 3), (1, 5));
+        let blocks = awkward_blocks(owned);
+        let env = LoopEnv::new();
+        let c = ctx(&blocks, &[], &env);
+        let (a, b) = (ArrayId(0), ArrayId(1));
+        let tiles = [
+            // A z-plane: last extent 1, lanes along dimension 1.
+            Rect::d3((1, 4), (1, 3), (2, 2)),
+            // One row of a plane: lanes along dimension 1 again.
+            Rect::d3((3, 3), (1, 3), (5, 5)),
+            // A column: one lane along dimension 0.
+            Rect::d3((1, 4), (2, 2), (3, 3)),
+            // A pencil along the last dimension.
+            Rect::d3((2, 2), (3, 3), (1, 5)),
+            // A whole block and a single element.
+            owned,
+            Rect::d3((2, 2), (2, 2), (4, 4)),
+        ];
+        for t in tiles {
+            for off in every_direction(3) {
+                for e in [
+                    Expr::at(a, off),
+                    Expr::at(a, off) - Expr::local(b),
+                    Expr::local(b) * Expr::at(a, off) + Expr::Index(0),
+                    Expr::bin(BinOp::Min, Expr::Index(1), Expr::at(b, off)),
+                    Expr::at(a, off) / (Expr::at(b, off) + Expr::Index(2)),
+                ] {
+                    assert_matches_reference(&c, &e, t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_d_columns_points_and_shifts_match_reference() {
+        let owned = Rect::d2((1, 5), (1, 4));
+        let blocks = awkward_blocks(owned);
+        let env = LoopEnv::new();
+        let c = ctx(&blocks, &[], &env);
+        let (a, b) = (ArrayId(0), ArrayId(1));
+        let tiles = [
+            Rect::d2((1, 5), (3, 3)),
+            Rect::d2((2, 4), (1, 1)),
+            Rect::d2((4, 4), (1, 4)),
+            Rect::d2((3, 3), (2, 2)),
+            owned,
+        ];
+        for t in tiles {
+            for off in every_direction(2) {
+                for e in [
+                    Expr::at(a, off),
+                    Expr::Index(0) - Expr::at(b, off),
+                    Expr::at(a, off) * (Expr::Index(1) - Expr::at(b, compass::SE)),
+                    Expr::un(UnaryOp::Abs, Expr::at(b, off)) + Expr::at(a, off),
+                ] {
+                    assert_matches_reference(&c, &e, t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_operands_fold_on_either_side_bit_for_bit() {
+        let owned = Rect::d3((1, 3), (1, 4), (1, 2));
+        let blocks = awkward_blocks(owned);
+        let scalars = [f64::NAN, -0.0, 0.0, 2.5];
+        let mut env = LoopEnv::new();
+        env.push(LoopVarId(0), -3);
+        let c = ctx(&blocks, &scalars, &env);
+        let leaves = [
+            Expr::Const(f64::NAN),
+            Expr::Const(-0.0),
+            Expr::Const(0.0),
+            Expr::Const(1.5),
+            Expr::Scalar(ScalarId(0)),
+            Expr::Scalar(ScalarId(1)),
+            Expr::Scalar(ScalarId(2)),
+            Expr::Scalar(ScalarId(3)),
+            Expr::LoopVar(LoopVarId(0)),
+        ];
+        let others = [
+            Expr::at(ArrayId(0), Offset::d3(1, 0, -1)),
+            Expr::local(ArrayId(1)) - Expr::Index(1),
+            Expr::Index(2),
+            Expr::Const(-0.0),
+        ];
+        let tiles = [
+            owned,
+            Rect::d3((1, 3), (1, 4), (2, 2)),
+            Rect::d3((1, 3), (4, 4), (1, 1)),
+            Rect::d3((2, 2), (3, 3), (1, 1)),
+        ];
+        for op in OPS {
+            for leaf in &leaves {
+                for other in &others {
+                    for t in tiles {
+                        assert_matches_reference(
+                            &c,
+                            &Expr::bin(op, leaf.clone(), other.clone()),
+                            t,
+                        );
+                        assert_matches_reference(
+                            &c,
+                            &Expr::bin(op, other.clone(), leaf.clone()),
+                            t,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_left_reference_with_a_compound_right_needs_no_buffer() {
+        let owned = Rect::d2((1, 4), (1, 5));
+        let blocks = awkward_blocks(owned);
+        let env = LoopEnv::new();
+        let c = ctx(&blocks, &[], &env);
+        let (a, b) = (ArrayId(0), ArrayId(1));
+        for op in OPS {
+            for t in [owned, Rect::d2((1, 4), (2, 2)), Rect::d2((3, 3), (4, 4))] {
+                for off in compass::ALL8 {
+                    let e = Expr::bin(
+                        op,
+                        Expr::at(a, off),
+                        Expr::local(b) * Expr::Index(0) - Expr::at(a, compass::NE),
+                    );
+                    assert_matches_reference(&c, &e, t);
+                    // Every operand folds into its operator's pass.
+                    let mut pool = BufPool::default();
+                    let mut out = vec![0.0; t.count() as usize];
+                    eval_tile(&c, &e, &t, &mut out, &mut pool);
+                    assert!(pool.free.is_empty(), "{e:?} took a pooled buffer");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,9 @@ struct State<'p> {
     data: Vec<Vec<f64>>,
     scalars: Vec<f64>,
     env: LoopEnv,
+    /// One assignment's values, all evaluated before any is committed;
+    /// reused from statement to statement.
+    vals: Vec<f64>,
 }
 
 impl SeqInterp {
@@ -46,6 +49,7 @@ impl SeqInterp {
             data,
             scalars: program.scalars.iter().map(|s| s.init).collect(),
             env: LoopEnv::new(),
+            vals: Vec::new(),
         };
         exec_block(&mut st, &program.body);
         SeqInterp {
@@ -86,6 +90,12 @@ fn linear(rect: &Rect, idx: [i64; MAX_RANK]) -> usize {
         rect.contains(idx),
         "sequential read {idx:?} outside {rect:?}"
     );
+    position(rect, idx)
+}
+
+/// The row-major position of `idx` in an array over `rect`, without
+/// checking that `rect` contains `idx`: the caller has.
+fn position(rect: &Rect, idx: [i64; MAX_RANK]) -> usize {
     let e1 = rect.extent(1) as usize;
     let e2 = rect.extent(2) as usize;
     let o0 = (idx[0] - rect.lo[0]) as usize;
@@ -99,23 +109,31 @@ fn exec_block(st: &mut State<'_>, block: &commopt_ir::Block) {
         match stmt {
             Stmt::Assign { region, lhs, rhs } => {
                 let rect = region.eval(&st.env);
+                check_reads(st, rhs, &rect);
+                let bounds = st.program.array(*lhs).rect;
+                check_inside("write", &rect, &bounds);
                 // Evaluate everything, then commit (ZPL statement
                 // semantics: RHS reads the pre-statement values).
-                let mut vals = Vec::with_capacity(rect.count() as usize);
+                let mut vals = std::mem::take(&mut st.vals);
+                vals.clear();
                 rect.for_each(|idx| vals.push(eval(st, rhs, idx)));
-                let bounds = st.program.array(*lhs).rect;
-                let mut it = vals.into_iter();
+                let mut it = vals.iter();
                 let li = lhs.index();
                 rect.for_each(|idx| {
-                    let k = linear(&bounds, idx);
-                    st.data[li][k] = it.next().expect("value per index");
+                    let k = position(&bounds, idx);
+                    st.data[li][k] = *it.next().expect("value per index");
                 });
+                st.vals = vals;
             }
             Stmt::ScalarAssign { lhs, rhs } => {
                 let v = match rhs {
-                    ScalarRhs::Expr(e) => eval(st, e, [0, 0, 0]),
+                    ScalarRhs::Expr(e) => {
+                        check_reads(st, e, &Rect::new(MAX_RANK, [0; MAX_RANK], [0; MAX_RANK]));
+                        eval(st, e, [0, 0, 0])
+                    }
                     ScalarRhs::Reduce { op, region, expr } => {
                         let rect = region.eval(&st.env);
+                        check_reads(st, expr, &rect);
                         let mut acc = op.identity();
                         rect.for_each(|idx| acc = op.fold(acc, eval(st, expr, idx)));
                         acc
@@ -151,6 +169,31 @@ fn exec_block(st: &mut State<'_>, block: &commopt_ir::Block) {
     }
 }
 
+/// Panics unless every reference in `e`, shifted over `rect`, reads inside
+/// its array: checked once per statement, so [`eval`] need not check each
+/// read.
+fn check_reads(st: &State<'_>, e: &Expr, rect: &Rect) {
+    e.walk(&mut |n| {
+        if let Expr::Ref { array, offset } = n {
+            let mut delta = [0; MAX_RANK];
+            for d in 0..MAX_RANK {
+                delta[d] = i64::from(offset.get(d));
+            }
+            let bounds = st.program.array(*array).rect;
+            check_inside("read", &rect.shifted(delta), &bounds);
+        }
+    });
+}
+
+/// Panics with a `sequential {what} … outside …` message unless `rect` is
+/// empty or lies inside `bounds`.
+fn check_inside(what: &str, rect: &Rect, bounds: &Rect) {
+    assert!(
+        rect.is_empty() || (bounds.contains(rect.lo) && bounds.contains(rect.hi)),
+        "sequential {what} {rect:?} outside {bounds:?}"
+    );
+}
+
 fn eval(st: &State<'_>, e: &Expr, idx: [i64; MAX_RANK]) -> f64 {
     match e {
         Expr::Const(c) => *c,
@@ -163,7 +206,7 @@ fn eval(st: &State<'_>, e: &Expr, idx: [i64; MAX_RANK]) -> f64 {
                 at[d] += i64::from(offset.get(d));
             }
             let bounds = st.program.array(*array).rect;
-            st.data[array.index()][linear(&bounds, at)]
+            st.data[array.index()][position(&bounds, at)]
         }
         Expr::Unary { op, a } => op.apply(eval(st, a, idx)),
         Expr::Binary { op, a, b } => op.apply(eval(st, a, idx), eval(st, b, idx)),
@@ -274,6 +317,23 @@ mod tests {
         let a = b.array("A", bounds);
         // Reading X@east over the full region steps outside the bounds.
         b.assign(Region::from_rect(bounds), a, Expr::at(x, compass::EAST));
+        SeqInterp::run(&b.finish());
+    }
+
+    #[test]
+    #[should_panic(expected = "sequential read [2..5, 1..4] outside [1..4, 1..4]")]
+    fn out_of_bounds_reduction_read_panics() {
+        let mut b = ProgramBuilder::new("t");
+        let bounds = Rect::d2((1, 4), (1, 4));
+        let x = b.array("X", bounds);
+        let s = b.scalar("s", 0.0);
+        // Reading X@south over the full region steps past the last row.
+        b.reduce(
+            s,
+            ReduceOp::Sum,
+            Region::from_rect(bounds),
+            Expr::at(x, compass::SOUTH),
+        );
         SeqInterp::run(&b.finish());
     }
 }
