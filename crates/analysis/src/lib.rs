@@ -16,10 +16,11 @@
 //! * **Missed optimizations** (warning severity): transfers nobody reads
 //!   ([`Code::C002`]), redundant re-deliveries the rr pass would remove
 //!   ([`Code::C003`]), and combinable transfers the cc pass would merge
-//!   ([`Code::C004`]). The C003/C004 counts at each optimization level
-//!   equal the corresponding `PassLog` event counts — they quantify the
-//!   *headroom* left on the table, in the spirit of the paper's
-//!   level-by-level comparison.
+//!   ([`Code::C004`]). At the vectorization-only level, the C003
+//!   findings name exactly the references rr removes and the C004
+//!   findings exactly the offsets cc merges (`PassLog` events) — they
+//!   quantify the *headroom* left on the table, in the spirit of the
+//!   paper's level-by-level comparison.
 //!
 //! The analyses run over a [`cfg::Cfg`], the program's statements as a
 //! pre-order node list whose loop headers record where their bodies end.
@@ -27,6 +28,21 @@
 //! [`cfg::forward`] for must-availability of ghost data
 //! (reaching-definitions style) and [`cfg::backward`] for may-liveness of
 //! delivered regions.
+//!
+//! ## Known limits
+//!
+//! Two simplifications make the legality check unsound for one kind of
+//! plan:
+//!
+//! * ghosts are interned by `(array, offset)` alone, with no region, and a
+//!   DN makes the whole reference available;
+//! * a loop's body counts as run at least once.
+//!
+//! So a plan that reads rows a row sweep never delivered (in part, or at
+//! all when the sweep runs zero times) lints clean. The dynamic checks
+//! catch it: `tests/oracle.rs`, which runs every mutant commlint calls
+//! safe against the sequential interpreter, and `commopt-sim`'s
+//! `prop_distributed` test `global_pass_keeps_a_transfer_a_row_sweep_covers_in_part`.
 
 pub mod bits;
 pub mod cfg;

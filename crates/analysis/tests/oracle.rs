@@ -9,8 +9,9 @@
 //! safe ([`LintReport::safe`]) runs in full mode on 4 processors over PVM,
 //! where ghost cells start as NaN and only executed transfers fill them.
 //! The run must finish with no [`SimError`](commopt_sim::SimError) and
-//! reproduce, bit for bit, the sequential interpreter's run of the mutant,
-//! which skips its communication calls. A floor on the number of safe
+//! pass [`SeqInterp::check`] against the sequential interpreter's run of
+//! the mutant, which skips its communication calls: every array bit for
+//! bit, every scalar within 1e-12 relative. A floor on the number of safe
 //! mutants keeps the test from passing vacuously.
 //!
 //! The reverse direction is not asserted: a mutant commlint rejects may
@@ -265,15 +266,8 @@ fn check_mutant(rng: &mut Rng, arb: fn(&mut Rng) -> Program, safe: &AtomicUsize)
     )
     .try_run()
     .unwrap_or_else(|e| panic!("safe mutant failed to run: {e}\nprogram:\n{text}"));
-    for a in &program.arrays {
-        let want = reference.array(&a.name).expect("reference array");
-        let got = run.array(&a.name).expect("simulated array");
-        if let Some(i) = (0..want.len()).find(|&i| want[i] != got[i]) {
-            panic!(
-                "safe mutant computed {}[{i}] = {} (reference {})\nprogram:\n{text}",
-                a.name, got[i], want[i]
-            );
-        }
+    if let Err(e) = reference.check(&run) {
+        panic!("safe mutant fails the reference check: {e}\nprogram:\n{text}");
     }
 }
 

@@ -9,7 +9,9 @@
 //! dropped-and-retried deliveries. Each case's plan must be one commlint
 //! finds safe (invariant 0), and each perturbed run must still
 //!
-//! 1. reproduce the independent sequential reference numerically,
+//! 1. reproduce the independent sequential reference, as
+//!    [`SeqInterp::check`] decides: every array bit for bit, every scalar
+//!    within 1e-12 relative,
 //! 2. finish with zero communication-safety violations and no deadlock,
 //! 3. (seed 0 only) be byte-identical to an un-faulted run when the plan
 //!    is the inert [`FaultPlan::none`], and leave every timing and count
@@ -49,14 +51,19 @@ pub fn case_name(key: Key) -> String {
     )
 }
 
+/// The sequential run of `key`'s program, which every case and seed of
+/// that program is checked against.
+pub fn reference(key: Key) -> SeqInterp {
+    SeqInterp::run(&key.sizing.program(&key.benchmark()))
+}
+
 /// Runs one case under one seeded fault plan in full (numeric) mode,
-/// checking the fuzz invariants. Returns a message describing the
-/// first broken invariant.
-pub fn fuzz_case(key: Key, seed: u64) -> Result<(), String> {
+/// checking the fuzz invariants against `reference`, the case's
+/// [`reference()`]. Returns a message describing the first broken invariant.
+pub fn fuzz_case(key: Key, seed: u64, reference: &SeqInterp) -> Result<(), String> {
     let bench = key.benchmark();
     let program = key.sizing.program(&bench);
     let procs = key.sizing.procs(&bench);
-    let reference = SeqInterp::run(&program);
     let opt = optimize(&program, &key.config);
     let machine = machine_for(key.library);
     let full = SimConfig::full(machine.clone(), key.library, procs);
@@ -100,47 +107,28 @@ pub fn fuzz_case(key: Key, seed: u64) -> Result<(), String> {
         .map_err(|e| format!("seeded run failed: {e}"))?;
 
     // Invariant 1: numerics still match the sequential reference.
-    for a in &program.arrays {
-        let want = reference
-            .array(&a.name)
-            .ok_or_else(|| format!("reference missing array {}", a.name))?;
-        let got = r
-            .array(&a.name)
-            .ok_or_else(|| format!("result missing array {}", a.name))?;
-        if want.len() != got.len() {
-            return Err(format!("array {}: length mismatch", a.name));
-        }
-        for (i, (x, y)) in want.iter().zip(got).enumerate() {
-            if !(x.is_finite() && y.is_finite()) || (x - y).abs() > 1e-9 * x.abs().max(1.0) {
-                return Err(format!("array {}[{i}]: {x} vs {y}", a.name));
-            }
-        }
-    }
-    for s in &program.scalars {
-        let x = reference
-            .scalar(&s.name)
-            .ok_or_else(|| format!("reference missing scalar {}", s.name))?;
-        let y = r
-            .scalar(&s.name)
-            .ok_or_else(|| format!("result missing scalar {}", s.name))?;
-        if (x - y).abs() > 1e-9 * x.abs().max(1.0) {
-            return Err(format!("scalar {}: {x} vs {y}", s.name));
-        }
-    }
-    Ok(())
+    reference.check(&r)
 }
 
 /// Runs the whole fuzz matrix under seeds `0..seeds`, fanned over `jobs`
-/// worker threads. Cases are independent (each builds its own program and
-/// fault state), and the sweep reports failures in case order whatever the
-/// worker count.
+/// worker threads. Cases are independent (each builds its own plan and
+/// fault state) but share their program's sequential [`reference()`], run
+/// once per benchmark; the sweep reports failures in case order whatever
+/// the worker count.
 pub fn run_fuzz(seeds: u64, jobs: usize) -> Sweep {
     let keys = matrix();
+    let mut references = HashMap::new();
+    for &key in &keys {
+        references
+            .entry((key.bench, key.sizing))
+            .or_insert_with(|| reference(key));
+    }
     let names: Vec<String> = keys.iter().copied().map(case_name).collect();
     // The sweep hands each run its case's name only.
     let cases: HashMap<&str, Key> = names.iter().map(String::as_str).zip(keys).collect();
     sweep_jobs(&names, seeds, jobs, |name, seed| {
-        fuzz_case(cases[name], seed)
+        let key = cases[name];
+        fuzz_case(key, seed, &references[&(key.bench, key.sizing)])
     })
 }
 
@@ -193,7 +181,7 @@ mod tests {
     fn one_case_passes_under_a_seeded_plan() {
         let bench = commopt_benchmarks::tomcatv();
         let key = Key::new(&bench, Experiment::Pl.config(), Library::Shmem).at(Sizing::FUZZ);
-        fuzz_case(key, 1).unwrap();
+        fuzz_case(key, 1, &reference(key)).unwrap();
     }
 
     #[test]

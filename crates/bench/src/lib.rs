@@ -42,17 +42,18 @@ use commopt_ironman::Library;
 use commopt_machine::MachineSpec;
 
 /// Parses an experiment name as accepted by the CLI binaries: the paper's
-/// names plus the cumulative `rr+cc`/`rr+cc+pl` spellings.
+/// names (`vect` for the message-vectorization-only level, as the perf
+/// snapshots print it) plus the cumulative `rr+cc`/`rr+cc+pl` spellings.
 pub fn parse_exp(s: &str) -> Result<Experiment, String> {
     match s.to_ascii_lowercase().as_str() {
-        "baseline" | "base" | "vec" => Ok(Experiment::Baseline),
+        "vect" | "baseline" | "base" | "vec" => Ok(Experiment::Baseline),
         "rr" => Ok(Experiment::Rr),
         "cc" | "rr+cc" => Ok(Experiment::Cc),
         "pl" | "rr+cc+pl" => Ok(Experiment::Pl),
         "shmem" | "pl+shmem" | "pl-shmem" => Ok(Experiment::PlShmem),
         "maxlat" | "max-latency" | "pl-maxlat" => Ok(Experiment::PlMaxLatency),
         other => Err(format!(
-            "unknown experiment '{other}' (expected baseline, rr, rr+cc, rr+cc+pl, shmem, or maxlat)"
+            "unknown experiment '{other}' (expected vect, baseline, rr, rr+cc, rr+cc+pl, shmem, or maxlat)"
         )),
     }
 }
@@ -149,6 +150,14 @@ mod tests {
         assert!(s.lines().count() == 4);
         // Numbers right-aligned under the widest cell.
         assert!(s.lines().last().unwrap().ends_with("10000"));
+    }
+
+    #[test]
+    fn parse_exp_accepts_the_vect_level() {
+        assert_eq!(parse_exp("vect"), Ok(Experiment::Baseline));
+        assert_eq!(parse_exp("VECT"), Ok(Experiment::Baseline));
+        let err = parse_exp("vector").unwrap_err();
+        assert!(err.contains("expected vect, baseline, rr"), "{err}");
     }
 
     #[test]

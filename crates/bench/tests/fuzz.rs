@@ -3,7 +3,7 @@
 //! `fuzz` binary runs the same harness with more seeds (see CI's
 //! fuzz-smoke job).
 
-use commopt_bench::fuzz::{broken_binding_is_caught, fuzz_case, run_fuzz};
+use commopt_bench::fuzz::{broken_binding_is_caught, fuzz_case, reference, run_fuzz};
 use commopt_bench::matrix::{Key, Sizing};
 use commopt_benchmarks::Experiment;
 use commopt_ironman::Library;
@@ -26,8 +26,9 @@ fn deep_seed_sweep_on_one_hard_case() {
     // schedule-sensitive cell of the matrix; give it extra seeds.
     let bench = commopt_benchmarks::sp();
     let key = Key::new(&bench, Experiment::Pl.config(), Library::Shmem).at(Sizing::FUZZ);
+    let reference = reference(key);
     for seed in 0..8 {
-        fuzz_case(key, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        fuzz_case(key, seed, &reference).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 

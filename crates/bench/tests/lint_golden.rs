@@ -1,42 +1,79 @@
 //! Golden commlint results over the paper suite.
 //!
 //! The analyzer's headroom findings must agree with what the optimizer
-//! actually does: C003 (redundant communication) at the vectorization-only
-//! level counts exactly the removals the rr pass performs, and C004
-//! (combinable) counts exactly the merges the cc pass performs. Stacking
-//! the levels must drain the findings monotonically to zero at `pl`, with
-//! no error-severity finding anywhere along the way.
+//! actually does, decision by decision: C003 (redundant communication) at
+//! the vectorization-only level names exactly the `(array, offset)`
+//! references the rr pass removes, and C004 (combinable) names transfers
+//! with exactly the offsets of the merges the cc pass performs, on the
+//! programs `golden_lint` covers at both of its sizings. Stacking the
+//! levels must drain the findings monotonically to zero at `pl`, with no
+//! error-severity finding anywhere along the way.
 
-use commopt_analysis::Code;
+use commopt_analysis::{lint, Code};
 use commopt_bench::lint::lint_at;
 use commopt_bench::matrix::Key;
-use commopt_benchmarks::{suite, Experiment};
-use commopt_core::optimize;
+use commopt_benchmarks::{jacobi_source, suite, Experiment};
+use commopt_core::{optimize, PassEvent};
+use commopt_ir::Program;
+use commopt_lang::Frontend;
 
-#[test]
-fn c003_at_vect_counts_the_rr_removals() {
-    for b in suite() {
-        let report = lint_at(Key::experiment(&b, Experiment::Baseline));
-        let rr = optimize(&b.program(), &Experiment::Rr.config());
-        assert_eq!(
-            report.count(Code::C003),
-            rr.log.removals().count(),
-            "{}: C003 findings at vect vs rr removals",
-            b.name
-        );
+/// The programs `golden_lint` covers (the suite, Jacobi and
+/// `examples/stencil.zpl`), each at the quick sizing (16×16, two
+/// iterations) and at its own, named like `swm/quick`.
+fn programs() -> Vec<(String, Program)> {
+    let mut sources: Vec<(&str, &str)> = suite().iter().map(|b| (b.name, b.source)).collect();
+    sources.push(("jacobi", jacobi_source()));
+    sources.push(("stencil", include_str!("../../../examples/stencil.zpl")));
+    let mut out = Vec::new();
+    for (name, source) in sources {
+        for (sizing, quick) in [("quick", true), ("own", false)] {
+            let mut frontend = Frontend::new(source);
+            if quick {
+                frontend = frontend.with_config("n", 16).with_config("iters", 2);
+            }
+            let program = frontend.compile().unwrap_or_else(|e| panic!("{name}: {e}"));
+            out.push((format!("{name}/{sizing}"), program));
+        }
     }
+    out
+}
+
+fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+    items.sort();
+    items
 }
 
 #[test]
-fn c004_at_vect_counts_the_cc_merges() {
-    for b in suite() {
-        let report = lint_at(Key::experiment(&b, Experiment::Baseline));
-        let cc = optimize(&b.program(), &Experiment::Cc.config());
+fn c003_and_c004_at_vect_name_the_rr_and_cc_decisions() {
+    for (cell, program) in programs() {
+        let vect = optimize(&program, &Experiment::Baseline.config()).program;
+        let report = lint(&vect);
+        let c003 = report
+            .with_code(Code::C003)
+            .map(|d| d.r.expect("C003 names its reference"))
+            .map(|r| (r.array, r.offset));
+        let c004 = report
+            .with_code(Code::C004)
+            .map(|d| vect.transfer(d.transfer.expect("C004 names its transfer")));
+        let rr = optimize(&program, &Experiment::Rr.config()).log.events;
+        let removed = rr.iter().filter_map(|e| match e {
+            PassEvent::Removed { array, offset, .. } => Some((*array, *offset)),
+            _ => None,
+        });
+        let cc = optimize(&program, &Experiment::Cc.config()).log.events;
+        let merged = cc.iter().filter_map(|e| match e {
+            PassEvent::Combined { offset, .. } => Some(*offset),
+            _ => None,
+        });
         assert_eq!(
-            report.count(Code::C004),
-            cc.log.merges().count(),
-            "{}: C004 findings at vect vs cc merges",
-            b.name
+            sorted(c003.collect()),
+            sorted(removed.collect()),
+            "{cell}: C003 findings at vect vs rr removals"
+        );
+        assert_eq!(
+            sorted(c004.map(|t| t.offset()).collect()),
+            sorted(merged.collect()),
+            "{cell}: offsets of C004 findings at vect vs cc merges"
         );
     }
 }

@@ -1006,6 +1006,7 @@ fn eval_scalar(e: &Expr, scalars: &[f64], env: &LoopEnv) -> Result<f64, SimError
 mod tests {
     use super::*;
     use crate::layout::same_bits;
+    use crate::seq::SeqInterp;
     use commopt_core::{optimize, OptConfig};
     use commopt_ir::offset::compass;
     use commopt_ir::{Offset, ProgramBuilder, Region};
@@ -1058,39 +1059,19 @@ mod tests {
     #[test]
     fn distributed_matches_sequential_for_all_presets() {
         let src = jacobi(12, 3);
-        let reference = crate::seq::SeqInterp::run(&src);
-        for (name, cfg) in OptConfig::presets() {
-            let opt = optimize(&src, &cfg);
-            let r = Simulator::new(&opt.program, SimConfig::full(t3d(), Library::Pvm, 4)).run();
-            let a_ref = reference.array("A").unwrap();
-            let a_sim = r.array("A").unwrap();
-            assert_eq!(a_ref.len(), a_sim.len());
-            for (x, y) in a_ref.iter().zip(a_sim) {
-                assert!(
-                    (x - y).abs() <= 1e-12 * x.abs().max(1.0),
-                    "{name}: mismatch {x} vs {y}"
-                );
-            }
-            assert!(
-                (reference.scalar("err").unwrap() - r.scalar("err").unwrap()).abs() < 1e-9,
-                "{name}: reduction mismatch"
-            );
+        let reference = SeqInterp::run(&src);
+        for (_, cfg) in OptConfig::presets() {
+            assert_matches(&reference, &src, &cfg, 4);
         }
     }
 
-    /// Every array of `src` after a full-mode run of `opt` on `nprocs`
-    /// processors equals the sequential reference, bit for bit.
-    fn assert_bit_identical(src: &Program, opt: &Program, nprocs: usize) {
-        let reference = crate::seq::SeqInterp::run(src);
-        let r = Simulator::new(opt, SimConfig::full(t3d(), Library::Pvm, nprocs)).run();
-        for a in &src.arrays {
-            let (want, got) = (reference.array(&a.name).unwrap(), r.array(&a.name).unwrap());
-            assert_eq!(want.len(), got.len());
-            let diff = want
-                .iter()
-                .zip(got)
-                .position(|(x, y)| x.to_bits() != y.to_bits());
-            assert_eq!(diff, None, "{} on {nprocs} procs: first mismatch", a.name);
+    /// A full-mode run of `src` optimized under `cfg`, on `nprocs`
+    /// processors, passes `reference`'s check.
+    fn assert_matches(reference: &SeqInterp, src: &Program, cfg: &OptConfig, nprocs: usize) {
+        let opt = optimize(src, cfg);
+        let r = Simulator::new(&opt.program, SimConfig::full(t3d(), Library::Pvm, nprocs)).run();
+        if let Err(e) = reference.check(&r) {
+            panic!("{cfg:?} on {nprocs} procs: {e}");
         }
     }
 
@@ -1123,9 +1104,9 @@ mod tests {
             );
         });
         let src = b.finish();
-        let opt = optimize(&src, &OptConfig::pl());
+        let reference = SeqInterp::run(&src);
         for nprocs in [4, 16] {
-            assert_bit_identical(&src, &opt.program, nprocs);
+            assert_matches(&reference, &src, &OptConfig::pl(), nprocs);
         }
     }
 
@@ -1177,9 +1158,9 @@ mod tests {
             });
         });
         let src = b.finish();
+        let reference = SeqInterp::run(&src);
         for cfg in [OptConfig::baseline(), OptConfig::pl()] {
-            let opt = optimize(&src, &cfg);
-            assert_bit_identical(&src, &opt.program, 16);
+            assert_matches(&reference, &src, &cfg, 16);
         }
     }
 
@@ -1203,8 +1184,9 @@ mod tests {
             Expr::at(a, east) - Expr::at(a, west),
         );
         let src = b.finish();
+        let reference = SeqInterp::run(&src);
         for (_, cfg) in OptConfig::presets() {
-            assert_bit_identical(&src, &optimize(&src, &cfg).program, 4);
+            assert_matches(&reference, &src, &cfg, 4);
         }
     }
 
@@ -1251,14 +1233,9 @@ mod tests {
     #[test]
     fn shmem_binding_runs_and_matches_numerically() {
         let src = jacobi(12, 2);
-        let reference = crate::seq::SeqInterp::run(&src);
         let opt = optimize(&src, &OptConfig::pl());
         let r = Simulator::new(&opt.program, SimConfig::full(t3d(), Library::Shmem, 4)).run();
-        let a_ref = reference.array("A").unwrap();
-        let a_sim = r.array("A").unwrap();
-        for (x, y) in a_ref.iter().zip(a_sim) {
-            assert!((x - y).abs() <= 1e-12 * x.abs().max(1.0));
-        }
+        assert_eq!(SeqInterp::run(&src).check(&r), Ok(()));
     }
 
     #[test]
@@ -1927,7 +1904,7 @@ mod tests {
     #[test]
     fn seeded_faults_change_timing_but_not_numerics() {
         let src = jacobi(12, 3);
-        let reference = crate::seq::SeqInterp::run(&src);
+        let reference = SeqInterp::run(&src);
         for (name, cfg) in OptConfig::presets() {
             let opt = optimize(&src, &cfg);
             for lib in [Library::Pvm, Library::Shmem] {
@@ -1941,13 +1918,8 @@ mod tests {
                     // The perturbed schedule is still a legal execution:
                     // numerics match the sequential reference exactly as
                     // tightly as the unperturbed run does.
-                    let a_ref = reference.array("A").unwrap();
-                    let a_sim = r.array("A").unwrap();
-                    for (x, y) in a_ref.iter().zip(a_sim) {
-                        assert!(
-                            (x - y).abs() <= 1e-12 * x.abs().max(1.0),
-                            "{name}/{lib:?}/seed{seed}: {x} vs {y}"
-                        );
+                    if let Err(e) = reference.check(&r) {
+                        panic!("{name}/{lib:?}/seed{seed}: {e}");
                     }
                     // The plan verifiably did something to the schedule.
                     assert!(
@@ -2076,12 +2048,14 @@ mod tests {
 
     #[test]
     fn missing_communication_poisons_results() {
-        // Strip the comm calls from an optimized program: ghosts stay NaN.
+        // Strip every call of one transfer (its DN with them, so no message
+        // is left unretired): the ghosts it fed stay NaN, and the reference
+        // check names the first element that read one.
         let src = jacobi(12, 1);
-        let opt = optimize(&src, &OptConfig::pl());
-        let mut broken = opt.program.clone();
+        let reference = SeqInterp::run(&src);
+        let mut broken = optimize(&src, &OptConfig::pl()).program;
         fn strip(b: &mut commopt_ir::Block) {
-            b.0.retain(|s| s.is_source_stmt());
+            b.0.retain(|s| !matches!(s, Stmt::Comm { transfer, .. } if transfer.0 == 0));
             for s in b.0.iter_mut() {
                 if let Stmt::Repeat { body, .. } | Stmt::For { body, .. } = s {
                     strip(body);
@@ -2089,9 +2063,14 @@ mod tests {
             }
         }
         strip(&mut broken.body);
-        let r = Simulator::new(&broken, SimConfig::full(t3d(), Library::Pvm, 4)).run();
-        let a = r.array("A").unwrap();
-        assert!(a.iter().any(|v| v.is_nan()), "stale ghosts must surface");
+        for lib in [Library::Pvm, Library::Shmem] {
+            let r = Simulator::new(&broken, SimConfig::full(t3d(), lib, 4)).run();
+            let err = reference.check(&r).unwrap_err();
+            assert!(
+                err.starts_with("array A[7, 2]: run NaN, reference "),
+                "{lib:?}: {err}"
+            );
+        }
     }
 
     use commopt_ir::Program;

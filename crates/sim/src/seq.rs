@@ -6,11 +6,13 @@
 //! deliberately shares no evaluation code with the distributed engine so
 //! the two can serve as oracles for each other: for every benchmark and
 //! every optimizer configuration, a full-mode [`Simulator`](crate::Simulator)
-//! run must reproduce `SeqInterp::run(source)` exactly.
+//! run must reproduce `SeqInterp::run(source)` exactly, as
+//! [`SeqInterp::check`] decides.
 
 // Dimension loops deliberately index several parallel arrays by `d`.
 #![allow(clippy::needless_range_loop)]
 
+use crate::SimResult;
 use commopt_ir::{loop_values, Expr, LoopEnv, Program, Rect, ScalarRhs, Stmt, MAX_RANK};
 use std::collections::BTreeMap;
 
@@ -83,6 +85,77 @@ impl SeqInterp {
         let (rect, v) = self.arrays.get(name)?;
         Some(v[linear(rect, idx)])
     }
+
+    /// Checks a full-mode run of the same source program against this
+    /// reference, naming the first difference.
+    ///
+    /// Every array must be present, finite and equal bit for bit: the
+    /// distributed evaluator computes each element by the same operations
+    /// in the same order as this interpreter, so nothing but a missing or
+    /// misplaced transfer can change one. Every scalar must be within
+    /// 1e-12 relative (floor 1.0), because a reduction folds each
+    /// processor's share in turn and so reassociates. A result with no
+    /// arrays (a timing-mode run) fails: it computed no numerics.
+    pub fn check(&self, r: &SimResult) -> Result<(), String> {
+        if r.arrays.is_empty() {
+            return Err("the run has no arrays: timing mode computes no numerics".into());
+        }
+        for (name, (rect, want)) in &self.arrays {
+            let got = r
+                .array(name)
+                .ok_or_else(|| format!("array {name} is missing from the run"))?;
+            if got.len() != want.len() {
+                return Err(format!(
+                    "array {name}: the run has {} elements, the reference {}",
+                    got.len(),
+                    want.len()
+                ));
+            }
+            let bad = want
+                .iter()
+                .zip(got)
+                .position(|(x, y)| !x.is_finite() || x.to_bits() != y.to_bits());
+            if let Some(k) = bad {
+                let (x, y) = (want[k], got[k]);
+                let at = index_label(rect, k);
+                return Err(if x.is_finite() {
+                    format!("array {name}{at}: run {y}, reference {x}")
+                } else {
+                    format!("array {name}{at}: reference {x} is not finite (run {y})")
+                });
+            }
+        }
+        for (name, &x) in &self.scalars {
+            let y = r
+                .scalar(name)
+                .ok_or_else(|| format!("scalar {name} is missing from the run"))?;
+            if !x.is_finite() {
+                return Err(format!(
+                    "scalar {name}: reference {x} is not finite (run {y})"
+                ));
+            }
+            if y.is_nan() || (x - y).abs() > 1e-12 * x.abs().max(1.0) {
+                return Err(format!(
+                    "scalar {name}: run {y}, reference {x}, more than 1e-12 relative apart"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The global index of row-major position `k` in an array over `rect`,
+/// as `[i, j]`.
+fn index_label(rect: &Rect, k: usize) -> String {
+    let mut rest = k as i64;
+    let mut idx = [0; MAX_RANK];
+    for d in (0..MAX_RANK).rev() {
+        let e = rect.extent(d);
+        idx[d] = rect.lo[d] + rest % e;
+        rest /= e;
+    }
+    let parts: Vec<String> = idx[..rect.rank].iter().map(i64::to_string).collect();
+    format!("[{}]", parts.join(", "))
 }
 
 fn linear(rect: &Rect, idx: [i64; MAX_RANK]) -> usize {
@@ -306,6 +379,102 @@ mod tests {
         for row in 1..=n {
             assert_eq!(r.at("A", [row, 2, 0]), Some(row as f64));
         }
+    }
+
+    /// A reference over `X` (4×4, `i*10 + j`, one element NaN when
+    /// `poison`) and `s := sum(X)`, and a run that reproduces it exactly.
+    fn reference_and_run(poison: bool) -> (SeqInterp, SimResult) {
+        let mut b = ProgramBuilder::new("t");
+        let bounds = Rect::d2((1, 4), (1, 4));
+        let x = b.array("X", bounds);
+        let s = b.scalar("s", 0.0);
+        b.assign(
+            Region::from_rect(bounds),
+            x,
+            Expr::Index(0) * Expr::Const(10.0) + Expr::Index(1) + Expr::Const(0.1),
+        );
+        if poison {
+            b.assign(Region::d2((3, 3), (2, 2)), x, Expr::Const(f64::NAN));
+        }
+        b.reduce(s, ReduceOp::Sum, Region::from_rect(bounds), Expr::local(x));
+        let reference = SeqInterp::run(&b.finish());
+        let run = SimResult {
+            arrays: reference
+                .arrays
+                .iter()
+                .map(|(name, (_, v))| (name.clone(), v.clone()))
+                .collect(),
+            scalars: reference.scalars.clone(),
+            ..SimResult::default()
+        };
+        (reference, run)
+    }
+
+    #[test]
+    fn check_rejects_an_element_one_ulp_off() {
+        let (reference, mut run) = reference_and_run(false);
+        assert_eq!(reference.check(&run), Ok(()));
+        // Row-major position 6 of [1..4, 1..4] is X[2, 3] = 23.1.
+        let v = &mut run.arrays.get_mut("X").unwrap()[6];
+        *v = f64::from_bits(v.to_bits() + 1);
+        let err = reference.check(&run).unwrap_err();
+        assert_eq!(err, "array X[2, 3]: run 23.100000000000005, reference 23.1");
+    }
+
+    #[test]
+    fn check_tells_the_signs_of_zero_apart() {
+        let (mut reference, mut run) = reference_and_run(false);
+        reference.arrays.get_mut("X").unwrap().1[0] = 0.0;
+        run.arrays.get_mut("X").unwrap()[0] = -0.0;
+        let err = reference.check(&run).unwrap_err();
+        assert_eq!(err, "array X[1, 1]: run -0, reference 0");
+    }
+
+    #[test]
+    fn check_rejects_a_nan_in_both_runs() {
+        let (reference, run) = reference_and_run(true);
+        assert!(run.arrays["X"][9].is_nan());
+        let err = reference.check(&run).unwrap_err();
+        assert_eq!(err, "array X[3, 2]: reference NaN is not finite (run NaN)");
+    }
+
+    #[test]
+    fn check_holds_scalars_to_1e12_relative() {
+        let (reference, mut run) = reference_and_run(false);
+        let want = reference.scalar("s").unwrap();
+        run.scalars.insert("s".into(), want * (1.0 + 1e-13));
+        assert_eq!(reference.check(&run), Ok(()));
+        run.scalars.insert("s".into(), want * (1.0 + 1e-11));
+        let err = reference.check(&run).unwrap_err();
+        assert!(err.starts_with("scalar s: run "), "{err}");
+        assert!(err.contains(&format!("reference {want}")), "{err}");
+        run.scalars.insert("s".into(), f64::NAN);
+        let err = reference.check(&run).unwrap_err();
+        assert!(err.starts_with("scalar s: run NaN, reference "), "{err}");
+        run.scalars.remove("s");
+        assert_eq!(
+            reference.check(&run).unwrap_err(),
+            "scalar s is missing from the run"
+        );
+    }
+
+    #[test]
+    fn check_rejects_timing_mode_and_missing_arrays() {
+        let (reference, mut run) = reference_and_run(false);
+        let timing = SimResult {
+            arrays: Default::default(),
+            ..run.clone()
+        };
+        assert_eq!(
+            reference.check(&timing).unwrap_err(),
+            "the run has no arrays: timing mode computes no numerics"
+        );
+        run.arrays.insert("Y".into(), vec![0.0]);
+        run.arrays.remove("X");
+        assert_eq!(
+            reference.check(&run).unwrap_err(),
+            "array X is missing from the run"
+        );
     }
 
     #[test]

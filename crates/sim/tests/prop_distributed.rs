@@ -101,40 +101,31 @@ fn arb_program(rng: &mut Rng) -> Program {
     b.finish()
 }
 
-/// Runs `plan` in full mode and compares every array with the sequential
-/// run of `source`.
-fn compare(source: &Program, plan: &Program, library: Library, procs: usize) -> Result<(), String> {
-    let reference = SeqInterp::run(source);
-    let r = Simulator::new(plan, SimConfig::full(MachineSpec::t3d(), library, procs))
+/// Runs `plan` in full mode and checks it against `reference`, the
+/// sequential run of its source.
+fn compare(
+    reference: &SeqInterp,
+    plan: &Program,
+    library: Library,
+    procs: usize,
+) -> Result<(), String> {
+    Simulator::new(plan, SimConfig::full(MachineSpec::t3d(), library, procs))
         .try_run()
-        .map_err(|e| format!("run failed: {e} ({library:?}, {procs}p)"))?;
-    for a in &source.arrays {
-        let xs = reference.array(&a.name).expect("reference array");
-        let ys = r.array(&a.name).expect("simulated array");
-        for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
-            if !(x.is_finite() && y.is_finite()) || (x - y).abs() > 1e-9 * x.abs().max(1.0) {
-                return Err(format!(
-                    "{}[{i}]: {x} vs {y} ({library:?}, {procs}p)",
-                    a.name
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check(p: &Program, cfg: &OptConfig, library: Library, procs: usize) -> Result<(), String> {
-    compare(p, &optimize(p, cfg).program, library, procs).map_err(|e| format!("{e} {cfg:?}"))
+        .map_err(|e| format!("run failed: {e}"))
+        .and_then(|r| reference.check(&r))
+        .map_err(|e| format!("{e} ({library:?}, {procs}p)"))
 }
 
 #[test]
 fn distributed_equals_sequential_for_presets() {
     cases(48, |rng| {
         let p = arb_program(rng);
+        let reference = SeqInterp::run(&p);
         let procs = rng.usize(1, 9);
         for (_, cfg) in OptConfig::presets() {
-            if let Err(e) = check(&p, &cfg, Library::Pvm, procs) {
-                panic!("{e}");
+            let plan = optimize(&p, &cfg).program;
+            if let Err(e) = compare(&reference, &plan, Library::Pvm, procs) {
+                panic!("{e} {cfg:?}");
             }
         }
     });
@@ -155,8 +146,9 @@ fn distributed_equals_sequential_for_random_configs() {
             max_combined_items: None,
         };
         let lib = *rng.pick(&[Library::Pvm, Library::Shmem]);
-        if let Err(e) = check(&p, &cfg, lib, 4) {
-            panic!("{e}");
+        let plan = optimize(&p, &cfg).program;
+        if let Err(e) = compare(&SeqInterp::run(&p), &plan, lib, 4) {
+            panic!("{e} {cfg:?}");
         }
     });
 }
@@ -173,7 +165,7 @@ fn global_pass_preserves_numerics() {
     cases(48, |rng| {
         let p = arb_program(rng);
         let procs = rng.usize(1, 9);
-        if let Err(e) = compare(&p, &global_plan(&p), Library::Pvm, procs) {
+        if let Err(e) = compare(&SeqInterp::run(&p), &global_plan(&p), Library::Pvm, procs) {
             panic!("{e} after global pass");
         }
     });
@@ -198,7 +190,7 @@ fn global_pass_keeps_a_transfer_a_row_sweep_covers_in_part() {
         });
         b.assign(interior(), c, Expr::at(bb, compass::EAST));
         let p = b.finish();
-        if let Err(e) = compare(&p, &global_plan(&p), Library::Pvm, 4) {
+        if let Err(e) = compare(&SeqInterp::run(&p), &global_plan(&p), Library::Pvm, 4) {
             panic!("hi = {hi}: {e} after global pass");
         }
     }

@@ -93,16 +93,12 @@ fn main() {
         SimConfig::full(MachineSpec::t3d(), Library::Pvm, 16),
     )
     .run();
-    let seq = SeqInterp::run(&program);
-    let a = sim.array("T").unwrap();
-    let r = seq.array("T").unwrap();
-    let max_err = a
-        .iter()
-        .zip(r)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0_f64, f64::max);
-    println!("max |distributed - sequential| over T: {max_err:.3e}");
-    assert!(max_err < 1e-12);
+    // `check` holds every array to bit equality, so once it passes the
+    // largest difference over T is zero.
+    SeqInterp::run(&program)
+        .check(&sim)
+        .unwrap_or_else(|e| panic!("distributed run differs from the sequential one: {e}"));
+    println!("max |distributed - sequential| over T: {:.3e}", 0.0);
     println!(
         "simulated time on 16 procs: {:.4}s ({} transfers moved data to the counting proc)",
         sim.time_s, sim.data_transfers

@@ -1,11 +1,13 @@
 //! End-to-end correctness: for every benchmark and every optimizer
 //! configuration, the distributed simulation (real blocks, real ghost
 //! traffic, data snapshotted at send time) must reproduce the independent
-//! sequential interpreter bit-for-bit (modulo floating-point association,
-//! which both executors perform in the same order).
+//! sequential interpreter as [`SeqInterp::check`] decides: every array bit
+//! for bit, every scalar within 1e-12 relative (a reduction folds each
+//! processor's share in turn).
 
 use commopt::benchmarks::suite;
 use commopt::ir::Program;
+use commopt::ironman::Library;
 use commopt::machine::MachineSpec;
 use commopt::opt::{optimize, OptConfig};
 use commopt::sim::{SeqInterp, SimConfig, Simulator};
@@ -13,51 +15,28 @@ use commopt::sim::{SeqInterp, SimConfig, Simulator};
 const N: i64 = 16;
 const ITERS: i64 = 2;
 
-fn assert_close(name: &str, what: &str, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len(), "{name}/{what}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!(
-            x.is_finite() && y.is_finite(),
-            "{name}/{what}[{i}]: non-finite ({x} vs {y})"
-        );
-        let tol = 1e-9 * x.abs().max(1.0);
-        assert!((x - y).abs() <= tol, "{name}/{what}[{i}]: {x} vs {y}");
+/// Runs `program` optimized under `cfg` with `sim` (a full-mode
+/// configuration) and checks it against `reference`, its sequential run.
+fn check(reference: &SeqInterp, program: &Program, name: &str, cfg: &OptConfig, sim: SimConfig) {
+    let opt = optimize(program, cfg);
+    let r = Simulator::new(&opt.program, sim).run();
+    if let Err(e) = reference.check(&r) {
+        panic!("{name}: {e}");
     }
 }
 
-fn check(program: &Program, name: &str, cfg: &OptConfig, procs: usize) {
-    let reference = SeqInterp::run(program);
-    let opt = optimize(program, cfg);
-    let r = Simulator::new(
-        &opt.program,
-        SimConfig::full(MachineSpec::t3d(), commopt::ironman::Library::Pvm, procs),
-    )
-    .run();
-    for a in &program.arrays {
-        assert_close(
-            name,
-            &a.name,
-            reference.array(&a.name).unwrap(),
-            r.array(&a.name).unwrap(),
-        );
-    }
-    for s in &program.scalars {
-        let x = reference.scalar(&s.name).unwrap();
-        let y = r.scalar(&s.name).unwrap();
-        assert!(
-            (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-            "{name}/{}: {x} vs {y}",
-            s.name
-        );
-    }
+fn pvm(procs: usize) -> SimConfig {
+    SimConfig::full(MachineSpec::t3d(), Library::Pvm, procs)
 }
 
 #[test]
 fn all_benchmarks_all_presets_match_sequential_on_4_procs() {
     for b in suite() {
         let p = b.program_with(N, ITERS);
+        let reference = SeqInterp::run(&p);
         for (cfg_name, cfg) in OptConfig::presets() {
-            check(&p, &format!("{}[{cfg_name}]", b.name), &cfg, 4);
+            let name = format!("{}[{cfg_name}]", b.name);
+            check(&reference, &p, &name, &cfg, pvm(4));
         }
     }
 }
@@ -68,8 +47,10 @@ fn grid_shapes_do_not_change_results() {
     // (including non-square factorizations).
     for b in suite() {
         let p = b.program_with(N, 1);
+        let reference = SeqInterp::run(&p);
         for procs in [1, 2, 4, 9, 16] {
-            check(&p, &format!("{}@{procs}", b.name), &OptConfig::pl(), procs);
+            let name = format!("{}@{procs}", b.name);
+            check(&reference, &p, &name, &OptConfig::pl(), pvm(procs));
         }
     }
 }
@@ -81,12 +62,12 @@ fn shmem_binding_matches_pvm_numerically() {
         let opt = optimize(&p, &OptConfig::pl());
         let pvm = Simulator::new(
             &opt.program,
-            SimConfig::full(MachineSpec::t3d(), commopt::ironman::Library::Pvm, 4),
+            SimConfig::full(MachineSpec::t3d(), Library::Pvm, 4),
         )
         .run();
         let shm = Simulator::new(
             &opt.program,
-            SimConfig::full(MachineSpec::t3d(), commopt::ironman::Library::Shmem, 4),
+            SimConfig::full(MachineSpec::t3d(), Library::Shmem, 4),
         )
         .run();
         for a in &p.arrays {
@@ -106,25 +87,10 @@ fn paragon_bindings_match_reference_numerically() {
     let b = commopt::benchmarks::tomcatv();
     let p = b.program_with(N, 1);
     let reference = SeqInterp::run(&p);
-    for lib in [
-        commopt::ironman::Library::NxSync,
-        commopt::ironman::Library::NxAsync,
-        commopt::ironman::Library::NxCallback,
-    ] {
-        let opt = optimize(&p, &OptConfig::pl());
-        let r = Simulator::new(
-            &opt.program,
-            SimConfig::full(MachineSpec::paragon(), lib, 4),
-        )
-        .run();
-        for a in &p.arrays {
-            assert_close(
-                "tomcatv",
-                &a.name,
-                reference.array(&a.name).unwrap(),
-                r.array(&a.name).unwrap(),
-            );
-        }
+    for lib in [Library::NxSync, Library::NxAsync, Library::NxCallback] {
+        let name = format!("tomcatv/{lib:?}");
+        let sim = SimConfig::full(MachineSpec::paragon(), lib, 4);
+        check(&reference, &p, &name, &OptConfig::pl(), sim);
     }
 }
 
