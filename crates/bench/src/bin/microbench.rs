@@ -2,9 +2,9 @@
 //! (the build must work offline, so external dev-dependencies are out).
 //!
 //! Measures the hot paths of the toolchain — frontend compilation, each
-//! optimizer preset, structural counting, commlint, and the simulator —
-//! over the paper's benchmark suite, reporting the median and minimum of
-//! repeated runs.
+//! optimizer preset, structural counting, commlint, and the simulator's
+//! whole runs and set-up alone — over the paper's benchmark suite,
+//! reporting the median and minimum of repeated runs.
 //!
 //! Usage: `cargo run --release -p commopt-bench --bin microbench [-- --quick]`
 
@@ -197,6 +197,30 @@ fn main() {
             t.row(&[
                 "simulate(paper,64p)".into(),
                 format!("{}/pl{observer}", b.name),
+                fmt_us(med),
+                fmt_us(min),
+            ]);
+        }
+    }
+
+    // Simulator set-up alone at the same sizes and partition: the transfer
+    // geometry built in the constructor and the charges filled there, at
+    // `vect` and at `pl`. Each case makes one untimed call first. That
+    // removes first-call effects only, not the heap state earlier rows
+    // leave behind: rows here can depend on what ran before them
+    // (CHANGES.md, the FOUND line on the `simulate(32,2,16p,full)` rows).
+    for b in suite() {
+        let cfg = SimConfig::timing(MachineSpec::t3d(), Library::Pvm, 64);
+        for (level, opt_cfg) in [("vect", OptConfig::baseline()), ("pl", OptConfig::pl())] {
+            let opt = optimize(&b.program(), &opt_cfg);
+            let setup = || black_box(Simulator::new(black_box(&opt.program), cfg.clone()));
+            setup();
+            let (med, min) = time_us(runs, || {
+                setup();
+            });
+            t.row(&[
+                "sim_new(paper,64p)".into(),
+                format!("{}/{level}", b.name),
                 fmt_us(med),
                 fmt_us(min),
             ]);

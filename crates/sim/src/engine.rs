@@ -654,12 +654,13 @@ impl<'p> Simulator<'p> {
         let items = &self.program.transfer(tid).items;
         let slot = &mut self.geoms[self.geom_of[tid.index()]];
         let geom = slot.take(items, &self.env, &mut self.layout);
-        // Unit tests hold every call's geometry to a fresh build: all of
-        // it in full mode, the fields timing runs read in timing mode.
+        // Unit tests hold every call's geometry to a fresh per-processor
+        // build, the independent one: all of it in full mode, the fields
+        // timing runs read in timing mode.
         #[cfg(test)]
         {
             let mut rebuilt = Geom::default();
-            self.layout.build(&mut rebuilt, items, &self.env);
+            self.layout.build_per_proc(&mut rebuilt, items, &self.env);
             if self.cfg.compute_data {
                 assert_eq!(rebuilt, geom, "t{}: cached geometry is stale", tid.0);
             } else {

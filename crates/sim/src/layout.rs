@@ -51,6 +51,35 @@ impl Geom {
         }
     }
 
+    /// Fills the messages from each receiver's provider, given its
+    /// `bytes`, and sets `active`.
+    fn fill_messages(&mut self, provider: &[Option<ProcId>]) {
+        let n = provider.len();
+        // Group readers by provider with a counting sort: count each
+        // sender's messages, turn the counts into end offsets, then place
+        // readers from the back so each sender's readers come out
+        // ascending and its offset lands on its first entry.
+        self.out_start.clear();
+        self.out_start.resize(n + 1, 0);
+        for &q in provider.iter().flatten() {
+            self.out_start[q] += 1;
+        }
+        let mut end = 0;
+        for s in &mut self.out_start {
+            end += *s;
+            *s = end;
+        }
+        self.outgoing.clear();
+        self.outgoing.resize(end, (0, 0));
+        for p in (0..n).rev() {
+            if let Some(q) = provider[p] {
+                self.out_start[q] -= 1;
+                self.outgoing[self.out_start[q]] = (p, self.bytes[p]);
+            }
+        }
+        self.active = self.bytes.iter().any(|&b| b > 0);
+    }
+
     /// The messages processor `p` sends, as (reader, size).
     pub(crate) fn sends(&self, p: ProcId) -> &[(ProcId, u64)] {
         &self.outgoing[self.out_start[p]..self.out_start[p + 1]]
@@ -89,9 +118,16 @@ pub(crate) struct Layout {
     owned: Vec<Rect>,
     /// `true` when builds record the ghost slabs (full mode).
     slabs: bool,
-    /// Build scratch: every ghost part as (receiver, sequence number,
-    /// array index, rect), in item, region, part order.
-    parts: Vec<(ProcId, usize, usize, Rect)>,
+    /// Build scratch: every (item, region) pair that touches its array,
+    /// in item, region order.
+    entries: Vec<Entry>,
+    /// Build scratch: per grid dimension, each entry's spans, one per grid
+    /// row (or column) its region touches.
+    spans: [Vec<Span>; 2],
+    /// Build scratch: the current receiver's kept ghost parts as (array
+    /// index, rect), in item, region, part order, where the slabs or the
+    /// duplicate check need them.
+    recv: Vec<(usize, Rect)>,
     /// Build scratch: per receiving proc, the proc its message comes from.
     provider: Vec<Option<ProcId>>,
     /// Charge scratch: per grid row and per grid column, a statement's
@@ -122,7 +158,9 @@ impl Layout {
             dists,
             owned,
             slabs,
-            parts: Vec::with_capacity(n),
+            entries: Vec::new(),
+            spans: grid.dims.map(Vec::with_capacity),
+            recv: Vec::new(),
             provider: Vec::with_capacity(n),
             overlaps: grid.dims.map(Vec::with_capacity),
         }
@@ -224,11 +262,164 @@ impl Layout {
     }
 
     /// Refills `geom` for a transfer carrying `items` under `env`, reusing
-    /// its buffers.
+    /// its buffers. Each (item, region) pair is split once per grid row and
+    /// once per grid column into [`Span`]s. Then each receiver, in
+    /// processor order, takes its ghost parts as products of its row's and
+    /// its column's spans, in the order `rect_subtract` gives them.
     pub(crate) fn build(&mut self, geom: &mut Geom, items: &[TransferItem], env: &LoopEnv) {
         let n = self.grid.len();
         let cols = self.grid.dims[1];
-        self.parts.clear();
+        self.split(items, env);
+        geom.bytes.clear();
+        geom.bytes.resize(n, 0);
+        self.provider.clear();
+        self.provider.resize(n, None);
+        geom.slab_start.clear();
+        geom.slabs.clear();
+        let Layout {
+            slabs,
+            entries,
+            spans,
+            recv,
+            provider,
+            ..
+        } = self;
+        // The slabs need each part, and so does the duplicate check, but
+        // only where a second entry follows.
+        let record = *slabs || entries.len() > 1;
+        // Only receivers inside some entry's rows and columns get parts.
+        let (mut lo, mut hi) = ([usize::MAX; 2], [0; 2]);
+        for e in entries.iter() {
+            for d in 0..2 {
+                lo[d] = lo[d].min(e.first[d]);
+                hi[d] = hi[d].max(e.last[d]);
+            }
+        }
+        for g0 in lo[0]..=hi[0] {
+            for g1 in lo[1]..=hi[1] {
+                let (g, p) = ([g0, g1], g0 * cols + g1);
+                if *slabs {
+                    geom.slab_start.resize(p + 1, geom.slabs.len());
+                }
+                recv.clear();
+                for e in entries.iter() {
+                    if (0..2).any(|d| g[d] < e.first[d] || e.last[d] < g[d]) {
+                        continue;
+                    }
+                    let [row, col] = [0, 1].map(|d| &spans[d][e.at[d] + g[d] - e.first[d]]);
+                    if row.void || col.void {
+                        continue;
+                    }
+                    // One entry's parts are disjoint, so only an earlier
+                    // entry's can equal one. Avoid double-charging
+                    // identical slabs from overlapping use regions. The
+                    // first part's owner, from the blocks holding its low
+                    // corner, provides the receiver's message.
+                    let earlier = recv.len();
+                    let mut keep = |span: [(i64, i64); 2], owner: [usize; 2]| {
+                        if record {
+                            let mut part = e.needed;
+                            for d in 0..2 {
+                                (part.lo[d], part.hi[d]) = span[d];
+                            }
+                            if recv[..earlier].contains(&(e.a, part)) {
+                                return;
+                            }
+                            recv.push((e.a, part));
+                        }
+                        let count = extent(span[0]).saturating_mul(extent(span[1]));
+                        geom.bytes[p] += count.saturating_mul(e.local) * 8;
+                        provider[p].get_or_insert(owner[0] * cols + owner[1]);
+                    };
+                    if let Some(rows) = row.below {
+                        keep([rows, col.need], [row.need_at, col.need_at]);
+                    }
+                    if let Some(rows) = row.above {
+                        keep([rows, col.need], [row.above_at, col.need_at]);
+                    }
+                    if row.rest.0 <= row.rest.1 {
+                        if let Some(cols) = col.below {
+                            keep([row.rest, cols], [g0, col.need_at]);
+                        }
+                        if let Some(cols) = col.above {
+                            keep([row.rest, cols], [g0, col.above_at]);
+                        }
+                    }
+                }
+                if *slabs {
+                    geom.slabs.extend_from_slice(recv);
+                }
+            }
+        }
+        if *slabs {
+            geom.slab_start.resize(n + 1, geom.slabs.len());
+        }
+        geom.fill_messages(provider);
+    }
+
+    /// Refills the build's entries with every (item, region) pair of
+    /// `items` under `env` that touches its array, and their spans with
+    /// each one's share of every grid row and column it touches.
+    fn split(&mut self, items: &[TransferItem], env: &LoopEnv) {
+        self.entries.clear();
+        for spans in &mut self.spans {
+            spans.clear();
+        }
+        let dims = self.spans.len();
+        for item in items {
+            let a = item.array.index();
+            let dist = self.dists[a];
+            let bounds = dist.bounds;
+            let mut delta = [0i64; MAX_RANK];
+            for d in 0..MAX_RANK {
+                delta[d] = i64::from(item.offset.get(d));
+            }
+            for region in &item.regions {
+                let r = region.eval(env).intersect(&bounds);
+                // Past the grid's dimensions every block spans the bounds,
+                // so every receiver needs the same extent there.
+                let needed = r.shifted(delta).intersect(&bounds);
+                if r.is_empty() || (dims..r.rank).any(|d| needed.hi[d] < needed.lo[d]) {
+                    continue;
+                }
+                let mut entry = Entry {
+                    a,
+                    needed,
+                    local: (dims..MAX_RANK)
+                        .fold(1, |n, d| n.saturating_mul(needed.extent(d) as u64)),
+                    first: [0; 2],
+                    last: [0; 2],
+                    at: [0; 2],
+                };
+                for (d, spans) in self.spans.iter_mut().enumerate() {
+                    entry.at[d] = spans.len();
+                    if d < r.rank {
+                        let (first, last) = (dist.block_of(d, r.lo[d]), dist.block_of(d, r.hi[d]));
+                        (entry.first[d], entry.last[d]) = (first, last);
+                        let r = (r.lo[d], r.hi[d]);
+                        spans.extend((first..=last).map(|k| Span::new(&dist, d, k, r, delta[d])));
+                    } else {
+                        // A rank-1 array's columns are one block, which
+                        // every grid column holds whole.
+                        let whole = Span::whole((needed.lo[d], needed.hi[d]));
+                        entry.last[d] = self.grid.dims[d] - 1;
+                        spans.extend(std::iter::repeat_n(whole, self.grid.dims[d]));
+                    }
+                }
+                self.entries.push(entry);
+            }
+        }
+    }
+
+    /// The per-processor build: item by item, each processor's ghost parts
+    /// from a 3-D intersection and `rect_subtract`, grouped by receiver
+    /// with a sort. The independent reference the unit tests hold
+    /// [`build`](Layout::build) to.
+    #[cfg(test)]
+    pub(crate) fn build_per_proc(&self, geom: &mut Geom, items: &[TransferItem], env: &LoopEnv) {
+        let n = self.grid.len();
+        let cols = self.grid.dims[1];
+        let mut parts: Vec<(ProcId, usize, usize, Rect)> = Vec::new();
         for item in items {
             let a = item.array.index();
             let bounds = self.dists[a].bounds;
@@ -253,8 +444,8 @@ impl Layout {
                         }
                         let needed = local.shifted(delta).intersect(&bounds);
                         rect_subtract(needed, own, |part| {
-                            let seq = self.parts.len();
-                            self.parts.push((p, seq, a, part));
+                            let seq = parts.len();
+                            parts.push((p, seq, a, part));
                         });
                     }
                 }
@@ -262,11 +453,10 @@ impl Layout {
         }
         // Group the parts by receiver, keeping each receiver's parts in
         // item, region, part order.
-        self.parts.sort_unstable_by_key(|&(p, seq, ..)| (p, seq));
+        parts.sort_unstable_by_key(|&(p, seq, ..)| (p, seq));
         geom.bytes.clear();
         geom.bytes.resize(n, 0);
-        self.provider.clear();
-        self.provider.resize(n, None);
+        let mut provider = vec![None; n];
         geom.slab_start.clear();
         geom.slabs.clear();
         let mut next = 0;
@@ -275,7 +465,7 @@ impl Layout {
                 geom.slab_start.push(geom.slabs.len());
             }
             let first = next;
-            while let Some(&(q, _, a, part)) = self.parts.get(next) {
+            while let Some(&(q, _, a, part)) = parts.get(next) {
                 if q != p {
                     break;
                 }
@@ -283,15 +473,15 @@ impl Layout {
                 // Avoid double-charging identical slabs from overlapping
                 // use regions: an earlier equal part of this receiver was
                 // kept, or an equal one before it was.
-                if self.parts[first..next - 1]
+                if parts[first..next - 1]
                     .iter()
                     .any(|&(_, _, ai, r2)| ai == a && r2 == part)
                 {
                     continue;
                 }
                 geom.bytes[p] += part.count() * 8;
-                if self.provider[p].is_none() {
-                    self.provider[p] = Some(self.dists[a].owner_of(part.lo));
+                if provider[p].is_none() {
+                    provider[p] = Some(self.dists[a].owner_of(part.lo));
                 }
                 if self.slabs {
                     geom.slabs.push((a, part));
@@ -301,29 +491,96 @@ impl Layout {
         if self.slabs {
             geom.slab_start.push(geom.slabs.len());
         }
-        // Group readers by provider with a counting sort: count each
-        // sender's messages, turn the counts into end offsets, then place
-        // readers from the back so each sender's readers come out
-        // ascending and its offset lands on its first entry.
-        geom.out_start.clear();
-        geom.out_start.resize(n + 1, 0);
-        for &q in self.provider.iter().flatten() {
-            geom.out_start[q] += 1;
+        geom.fill_messages(&provider);
+    }
+}
+
+/// One (item, region) pair of a build that touches its array: the array,
+/// the extent every receiver needs past the grid's dimensions, and the
+/// grid rows and columns the region touches, with their spans.
+struct Entry {
+    /// The item's array index.
+    a: usize,
+    /// The needed footprint: exact past the grid's dimensions, where
+    /// receivers do not differ. Each part replaces dimensions 0 and 1.
+    needed: Rect,
+    /// The number of indices `needed` spans past the grid's dimensions.
+    local: u64,
+    /// Per grid dimension: the first and last grid index whose blocks the
+    /// region touches.
+    first: [usize; 2],
+    last: [usize; 2],
+    /// Per grid dimension: where grid index `first`'s span lies in the
+    /// build's spans.
+    at: [usize; 2],
+}
+
+/// The number of indices in the inclusive interval `r`.
+fn extent(r: (i64, i64)) -> u64 {
+    (r.1 - r.0 + 1).max(0) as u64
+}
+
+/// One block's share of a build entry along one grid dimension, with the
+/// ghost intervals `rect_subtract` cuts from it there.
+#[derive(Clone, Copy)]
+struct Span {
+    /// The needed interval: the region within the block, shifted by the
+    /// item's offset and clipped to the bounds.
+    need: (i64, i64),
+    /// The part of `need` below the block, if any.
+    below: Option<(i64, i64)>,
+    /// The part of `need` above the block, if any.
+    above: Option<(i64, i64)>,
+    /// The part of `need` inside the block (possibly empty): where
+    /// dimension 1's parts lie along dimension 0.
+    rest: (i64, i64),
+    /// `true` when `need` is empty, so the block receives nothing.
+    void: bool,
+    /// The blocks holding the low ends of `need` and `above`: where a
+    /// part starting there finds its owner.
+    need_at: usize,
+    above_at: usize,
+}
+
+impl Span {
+    /// Block `k`'s share, along dimension `d` of `dist`, of the region
+    /// interval `r` read at offset `delta`.
+    fn new(dist: &BlockDist, d: usize, k: usize, r: (i64, i64), delta: i64) -> Span {
+        let own = dist.span(d, k);
+        let need = (
+            (r.0.max(own.0) + delta).max(dist.bounds.lo[d]),
+            (r.1.min(own.1) + delta).min(dist.bounds.hi[d]),
+        );
+        if need.1 < need.0 {
+            return Span {
+                void: true,
+                ..Span::whole(need)
+            };
         }
-        let mut end = 0;
-        for s in &mut geom.out_start {
-            end += *s;
-            *s = end;
+        let above = (need.1 > own.1).then(|| ((own.1 + 1).max(need.0), need.1));
+        Span {
+            need,
+            below: (need.0 < own.0).then(|| (need.0, (own.0 - 1).min(need.1))),
+            above,
+            rest: (need.0.max(own.0), need.1.min(own.1)),
+            void: false,
+            need_at: dist.block_of(d, need.0),
+            above_at: above.map_or(k, |(lo, _)| dist.block_of(d, lo)),
         }
-        geom.outgoing.clear();
-        geom.outgoing.resize(end, (0, 0));
-        for p in (0..n).rev() {
-            if let Some(q) = self.provider[p] {
-                geom.out_start[q] -= 1;
-                geom.outgoing[geom.out_start[q]] = (p, geom.bytes[p]);
-            }
+    }
+
+    /// The share along a dimension the partition does not split and
+    /// `rect_subtract` does not cut: `need` whole.
+    fn whole(need: (i64, i64)) -> Span {
+        Span {
+            need,
+            below: None,
+            above: None,
+            rest: need,
+            void: false,
+            need_at: 0,
+            above_at: 0,
         }
-        geom.active = geom.bytes.iter().any(|&b| b > 0);
     }
 }
 
@@ -818,7 +1075,9 @@ pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Visits `a \ b` as disjoint non-empty rectangles (at most `2 * rank`):
-/// the ghost parts of a footprint `a` outside an owned block `b`.
+/// the ghost parts of a footprint `a` outside an owned block `b`, in the
+/// order a build emits them.
+#[cfg(test)]
 fn rect_subtract(a: Rect, b: Rect, mut f: impl FnMut(Rect)) {
     let mut rest = a;
     if rest.is_empty() {
@@ -1047,7 +1306,8 @@ mod tests {
 
     #[test]
     fn ghost_parts_are_outside_owned_and_inside_bounds() {
-        // The footprint split `Layout::build` makes: a block's shifted
+        // The footprint split `Layout::build_per_proc` makes, and
+        // `Layout::build` reproduces per dimension: a block's shifted
         // footprint, clipped to the bounds, minus the block itself.
         commopt_testkit::cases(256, |rng| {
             let grid = ProcGrid::new(rng.usize(1, 6), rng.usize(1, 6));
@@ -1094,6 +1354,113 @@ mod tests {
             });
         }
         program
+    }
+
+    #[test]
+    fn span_build_matches_the_per_processor_build() {
+        use commopt_ir::{AffineBound, ArrayId, DimRange, TransferItem};
+        let i = LoopVarId(0);
+        // Partitions with uneven blocks (13 × 7 on 3 × 3) and with empty
+        // ones (3 × 2 on 4 × 4, 12² on 8 × 8), then random arrays of ranks
+        // 1–3 on 4 to 256 processors: rank-1 arrays have a replica in
+        // every grid column, rank-3 ones a processor-local third dimension.
+        let fixed = [
+            ((3, 3), Rect::d2((1, 13), (1, 7))),
+            ((4, 4), Rect::d2((1, 3), (1, 2))),
+            ((8, 8), Rect::d2((1, 12), (1, 12))),
+        ];
+        commopt_testkit::cases(300, |rng| {
+            let (grid, program) = match rng.usize(0, 5) {
+                k @ 0..=2 => {
+                    let (grid, rect) = fixed[k];
+                    let mut program = random_arrays(rng, 2, 1);
+                    program.arrays[0].rect = rect;
+                    (grid, program)
+                }
+                _ => {
+                    let grid = *rng.pick(&[(2, 2), (4, 4), (8, 8), (16, 16)]);
+                    let rank = rng.usize(1, 3);
+                    (grid, random_arrays(rng, rank, 2))
+                }
+            };
+            let rank = program.arrays[0].rect.rank;
+            // Each dimension of every region is constant, reaching up to
+            // three indices past the bounds, or moves with `i`.
+            let moving: Vec<bool> = (0..rank).map(|_| rng.bool()).collect();
+            let region = |rng: &mut commopt_testkit::Rng, a: usize| {
+                let bounds = program.arrays[a].rect;
+                let mut region = Region::from_rect(bounds);
+                for d in 0..rank {
+                    let w = rng.i64(0, bounds.extent(d) + 2);
+                    region.dims[d] = if moving[d] {
+                        let c = rng.i64(-3, 3);
+                        DimRange::new(AffineBound::var_plus(i, c), AffineBound::var_plus(i, c + w))
+                    } else {
+                        let lo = rng.i64(bounds.lo[d] - 3, bounds.hi[d] + 1);
+                        DimRange::new(AffineBound::constant(lo), AffineBound::constant(lo + w))
+                    };
+                }
+                region
+            };
+            // Offsets in −2..=2 per dimension, diagonals included. A second
+            // region may repeat the first or overlap it one index over, and
+            // a later item may repeat an earlier one's array and offset,
+            // so equal parts reach the duplicate check.
+            let mut items: Vec<TransferItem> = Vec::new();
+            for _ in 0..rng.usize(1, 3) {
+                let (array, offset) = match items.last() {
+                    Some(prev) if rng.bool() => (prev.array, prev.offset),
+                    _ => {
+                        let mut offset = [0; MAX_RANK];
+                        for o in &mut offset[..rank] {
+                            *o = rng.i32(-2, 2);
+                        }
+                        let a = rng.usize(0, program.arrays.len() - 1);
+                        (ArrayId(a as u32), Offset(offset))
+                    }
+                };
+                let mut regions = vec![region(rng, array.index())];
+                if rng.bool() {
+                    let mut twin = regions[0];
+                    if rng.bool() {
+                        let d = rng.usize(0, rank - 1);
+                        twin.dims[d].lo.c += 1;
+                        twin.dims[d].hi.c += 1;
+                    }
+                    regions.push(twin);
+                }
+                if rng.bool() {
+                    regions.push(region(rng, array.index()));
+                }
+                items.push(TransferItem {
+                    array,
+                    offset,
+                    regions,
+                });
+            }
+            // At every value of `i` from where each moving region lies
+            // below the bounds (its width is at most 22) to where it lies
+            // above them, with and without slabs, refilling one geometry
+            // in place.
+            let grid = ProcGrid::new(grid.0, grid.1);
+            let ends = program.arrays.iter().flat_map(|a| [a.rect.lo, a.rect.hi]);
+            let (bottom, top) = ends
+                .flatten()
+                .fold((0, 0), |(l, h), x| (l.min(x), h.max(x)));
+            for slabs in [false, true] {
+                let mut layout = Layout::new(grid, &program, slabs);
+                let mut env = LoopEnv::new();
+                env.push(i, 0);
+                let mut fast = Geom::default();
+                for x in bottom - 26..=top + 4 {
+                    env.set(i, x);
+                    let mut slow = Geom::default();
+                    layout.build(&mut fast, &items, &env);
+                    layout.build_per_proc(&mut slow, &items, &env);
+                    assert_eq!(fast, slow, "{grid:?}, {items:?} under {env:?}");
+                }
+            }
+        });
     }
 
     #[test]
@@ -1201,7 +1568,7 @@ mod tests {
                         env.set(v, y);
                     }
                     let geom = slot.take(&t.items, &env, &mut layout);
-                    layout.build(&mut fresh, &t.items, &env);
+                    layout.build_per_proc(&mut fresh, &t.items, &env);
                     assert_eq!(
                         geom.timing(),
                         fresh.timing(),
