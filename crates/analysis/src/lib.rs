@@ -22,6 +22,10 @@
 //!   quantify the *headroom* left on the table, in the spirit of the
 //!   paper's level-by-level comparison.
 //!
+//! rr and cc themselves live here, in [`rrcc`]: one decision procedure
+//! over a straight segment that the optimizer's planner runs to decide
+//! and C003/C004 run over a plan's DNs to measure.
+//!
 //! The analyses run over a [`cfg::Cfg`], the program's statements as a
 //! pre-order node list whose loop headers record where their bodies end.
 //! Two structured drivers iterate each loop body to a fixpoint:
@@ -49,6 +53,7 @@ pub mod cfg;
 mod ghost;
 mod live;
 mod local;
+pub mod rrcc;
 
 pub use ghost::{GhostAnalysis, GhostState};
 pub use live::{LiveAnalysis, LiveState};

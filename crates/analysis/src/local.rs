@@ -2,16 +2,19 @@
 //! and the unsafe-hoist, call-protocol and source-volatility checks
 //! (C005, C006, W101).
 //!
-//! C003/C004 replay the optimizer's own redundant-removal and combination
-//! decision procedures over the *emitted* transfers of a straight-line
-//! segment, so what they flag is exactly the headroom the rr/cc passes
-//! would reclaim — the counts match the `PassLog` event counts at every
-//! optimization level (asserted by the golden tests in `commopt-bench`).
+//! C003/C004 hand the DNs of each straight-line segment to the rr/cc
+//! procedure the optimizer's planner decides with ([`crate::rrcc`]), so
+//! what they flag is exactly the headroom the rr/cc passes would reclaim:
+//! at the vectorization-only level C003 names the references rr removes
+//! and C004 the merges cc makes (asserted on the paper suite by
+//! `commopt-bench`'s `lint_golden` and on random programs by
+//! `tests/oracle.rs`).
 
+use crate::rrcc::{CombineMode, Segment, Source};
 use crate::{Code, Diagnostic};
 use commopt_ir::analysis::{written_arrays, CommRef, Span};
-use commopt_ir::{ArrayId, CallKind, Offset, Program, Stmt, TransferId};
-use std::collections::{BTreeMap, HashMap};
+use commopt_ir::{ArrayId, CallKind, Program, Stmt, TransferId};
+use std::collections::BTreeMap;
 
 /// Walks every statement list of the program and reports C003–C006 and
 /// W101 findings.
@@ -31,47 +34,17 @@ struct CallState {
     sr_span: Option<Span>,
 }
 
-/// One surviving (non-redundant) communication of a straight segment, with
-/// the planner-equivalent constraints reconstructed from the source
-/// statements around it.
-struct SimComm {
-    transfer: TransferId,
-    span: Span,
-    offset: Offset,
-    /// `(ref, first_use, ready_gap)` in segment-local source-statement
-    /// coordinates.
-    items: Vec<(CommRef, usize, usize)>,
-}
-
-impl SimComm {
-    fn ready(&self) -> usize {
-        self.items.iter().map(|i| i.2).max().unwrap_or(0)
-    }
-    fn first_use(&self) -> usize {
-        self.items.iter().map(|i| i.1).min().unwrap_or(0)
-    }
-    fn carries(&self, r: CommRef) -> bool {
-        self.items.iter().any(|i| i.0 == r)
-    }
-}
-
-/// Source-statement summary within one straight segment.
-struct SourceInfo {
-    refs: Vec<CommRef>,
-    writes: Option<ArrayId>,
-}
-
+/// The straight segment being scanned: what the rr/cc procedure judges,
+/// and each delivery's DN (its transfer and span).
 #[derive(Default)]
 struct SegmentState {
-    /// (array, offset) -> transfer whose ghost data is still valid.
-    valid: HashMap<CommRef, TransferId>,
-    sources: Vec<SourceInfo>,
-    comms: Vec<(SimComm, /* redundant */ bool)>,
+    seg: Segment,
+    dns: Vec<(TransferId, Span)>,
 }
 
 fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Diagnostic>) {
     let mut calls: BTreeMap<TransferId, CallState> = BTreeMap::new();
-    let mut seg = SegmentState::default();
+    let mut state = SegmentState::default();
 
     for (i, stmt) in stmts.iter().enumerate() {
         let span = prefix.child(i);
@@ -95,7 +68,15 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
                             push_order(out, &span, *transfer, "DN before SR");
                         }
                         st.dn += 1;
-                        scan_dn(program, &mut seg, *transfer, &span, out);
+                        state
+                            .seg
+                            .deliver(program.transfer(*transfer).items.iter().map(|item| {
+                                CommRef {
+                                    array: item.array,
+                                    offset: item.offset,
+                                }
+                            }));
+                        state.dns.push((*transfer, span));
                     }
                     CallKind::SV => {
                         if st.sr == 0 {
@@ -119,7 +100,7 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
                         }
                     }
                 }
-                flush_segment(&mut seg, out);
+                flush_segment(program, &mut state, out);
                 scan_list(program, &body.0, &span, out);
             }
             source => {
@@ -152,16 +133,12 @@ fn scan_list(program: &Program, stmts: &[Stmt], prefix: &Span, out: &mut Vec<Dia
                             push_unsafe_hoist(program, out, st, *t, w, &span, false);
                         }
                     }
-                    seg.valid.retain(|r, _| r.array != w);
                 }
-                seg.sources.push(SourceInfo {
-                    refs: commopt_ir::analysis::stmt_comm_refs(source),
-                    writes: commopt_ir::arrays_written(source),
-                });
+                state.seg.push(Source::of(source));
             }
         }
     }
-    flush_segment(&mut seg, out);
+    flush_segment(program, &mut state, out);
 
     // C006 multiplicity: each of a transfer's four calls must appear
     // exactly once in its block.
@@ -227,107 +204,42 @@ fn push_unsafe_hoist(
     });
 }
 
-/// C003 at a DN: items whose ghost data an earlier, still-valid transfer
-/// of this segment already delivered.
-fn scan_dn(
-    program: &Program,
-    seg: &mut SegmentState,
-    transfer: TransferId,
-    span: &Span,
-    out: &mut Vec<Diagnostic>,
-) {
-    let t = program.transfer(transfer);
-    let mut redundant_items = 0usize;
-    let mut sim_items = Vec::new();
-    for item in &t.items {
-        let r = CommRef {
-            array: item.array,
-            offset: item.offset,
-        };
-        if let Some(prev) = seg.valid.get(&r) {
-            redundant_items += 1;
-            out.push(Diagnostic {
-                code: Code::C003,
-                span: span.clone(),
-                message: format!(
-                    "redundant communication: t{} re-delivers {} still valid from t{} (rr headroom)",
-                    transfer.0,
-                    crate::ref_name(program, r),
-                    prev.0
-                ),
-                transfer: Some(transfer),
-                r: Some(r),
-            });
-        } else {
-            seg.valid.insert(r, transfer);
-        }
-        sim_items.push(r);
-    }
-    let redundant = !t.items.is_empty() && redundant_items == t.items.len();
-    // Planner-equivalent constraints, reconstructed lazily at flush time
-    // (first uses lie after this DN): record the DN's source position now.
-    let dn_pos = seg.sources.len();
-    seg.comms.push((
-        SimComm {
-            transfer,
+/// End of a straight segment: judge its DNs with rr on, max combining
+/// and no item cap. Each redundant item is rr headroom (C003), each merge
+/// cc headroom (C004).
+fn flush_segment(program: &Program, state: &mut SegmentState, out: &mut Vec<Diagnostic>) {
+    let SegmentState { seg, dns } = std::mem::take(state);
+    let verdict = seg.judge(true, CombineMode::MaxCombining, None);
+    for reuse in verdict.reuses {
+        let (transfer, span) = &dns[reuse.delivery];
+        let (provider, _) = &dns[reuse.provider];
+        out.push(Diagnostic {
+            code: Code::C003,
             span: span.clone(),
-            offset: t.items[0].offset,
-            items: sim_items.into_iter().map(|r| (r, dn_pos, 0)).collect(),
-        },
-        redundant,
-    ));
-}
-
-/// End of a straight segment: resolve first-use/ready constraints and
-/// replay the combination pass (max-combining, uncapped) over the
-/// surviving transfers — every merge it finds is cc headroom (C004).
-fn flush_segment(seg: &mut SegmentState, out: &mut Vec<Diagnostic>) {
-    let state = std::mem::take(seg);
-    let sources = &state.sources;
-    let mut survivors: Vec<SimComm> = Vec::new();
-    for (mut comm, redundant) in state.comms {
-        if redundant {
-            continue;
-        }
-        for (r, first_use, ready) in comm.items.iter_mut() {
-            let dn_pos = *first_use;
-            *first_use = sources[dn_pos..]
-                .iter()
-                .position(|s| s.refs.contains(r))
-                .map(|k| dn_pos + k)
-                .unwrap_or(sources.len());
-            *ready = sources[..*first_use]
-                .iter()
-                .rposition(|s| s.writes == Some(r.array))
-                .map(|i| i + 1)
-                .unwrap_or(0);
-        }
-        survivors.push(comm);
-    }
-
-    let mut merged: Vec<SimComm> = Vec::new();
-    for comm in survivors {
-        let host = merged.iter().position(|h| {
-            h.offset == comm.offset
-                && !comm.items.iter().any(|i| h.carries(i.0))
-                && h.ready().max(comm.ready()) <= h.first_use().min(comm.first_use())
+            message: format!(
+                "redundant communication: t{} re-delivers {} still valid from t{} (rr headroom)",
+                transfer.0,
+                crate::ref_name(program, reuse.r),
+                provider.0
+            ),
+            transfer: Some(*transfer),
+            r: Some(reuse.r),
         });
-        match host {
-            Some(hix) => {
-                out.push(Diagnostic {
-                    code: Code::C004,
-                    span: comm.span.clone(),
-                    message: format!(
-                        "combinable: t{} could merge into t{} (same {} offset, compatible send window; cc headroom)",
-                        comm.transfer.0, merged[hix].transfer.0, comm.offset
-                    ),
-                    transfer: Some(comm.transfer),
-                    r: None,
-                });
-                let items = comm.items;
-                merged[hix].items.extend(items);
-            }
-            None => merged.push(comm),
-        }
+    }
+    for (member, host) in verdict.merges {
+        let (transfer, span) = &dns[member];
+        let (host, _) = &dns[host];
+        out.push(Diagnostic {
+            code: Code::C004,
+            span: span.clone(),
+            message: format!(
+                "combinable: t{} could merge into t{} (same {} offset, compatible send window; cc headroom)",
+                transfer.0,
+                host.0,
+                seg.refs(member)[0].offset
+            ),
+            transfer: Some(*transfer),
+            r: None,
+        });
     }
 }

@@ -18,10 +18,15 @@
 //! still compute the right values in this one run, for instance when the
 //! ghost it reads stale holds the same values as the current array.
 //!
+//! Each of the 400 source programs also checks what `lint_golden` checks
+//! on the paper suite: commlint's C003 findings on the vectorization-only
+//! plan name exactly the references the rr pass removes, and its C004
+//! findings carry exactly the offsets of the cc pass's merges.
+//!
 //! [`LintReport::safe`]: commopt_analysis::LintReport::safe
 
-use commopt_analysis::lint;
-use commopt_core::{optimize, OptConfig};
+use commopt_analysis::{lint, Code};
+use commopt_core::{optimize, OptConfig, PassEvent};
 use commopt_ir::offset::compass;
 use commopt_ir::{ArrayId, Block, Expr, Offset, Program, ProgramBuilder, Stmt};
 use commopt_ironman::Library;
@@ -245,6 +250,7 @@ fn safe_nested_loop_mutants_run_exactly() {
 /// `safe`).
 fn check_mutant(rng: &mut Rng, arb: fn(&mut Rng) -> Program, safe: &AtomicUsize) {
     let source = arb(rng);
+    check_headroom_matches_passes(&source);
     let presets = OptConfig::presets();
     let (_, cfg) = &presets[rng.usize(0, presets.len() - 1)];
     let mut program = optimize(&source, cfg).program;
@@ -269,6 +275,47 @@ fn check_mutant(rng: &mut Rng, arb: fn(&mut Rng) -> Program, safe: &AtomicUsize)
     if let Err(e) = reference.check(&run) {
         panic!("safe mutant fails the reference check: {e}\nprogram:\n{text}");
     }
+}
+
+fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+    items.sort();
+    items
+}
+
+/// C003 at `vect` names the `(array, offset)` multiset rr removes, and the
+/// offsets of C004's transfers are the offsets cc merges.
+fn check_headroom_matches_passes(source: &Program) {
+    let vect = optimize(source, &OptConfig::baseline()).program;
+    let report = lint(&vect);
+    let c003 = report
+        .with_code(Code::C003)
+        .map(|d| d.r.expect("C003 names its reference"))
+        .map(|r| (r.array, r.offset));
+    let c004 = report.with_code(Code::C004).map(|d| {
+        vect.transfer(d.transfer.expect("C004 names its transfer"))
+            .offset()
+    });
+    let rr = optimize(source, &OptConfig::rr()).log.events;
+    let removed = rr.iter().filter_map(|e| match e {
+        PassEvent::Removed { array, offset, .. } => Some((*array, *offset)),
+        _ => None,
+    });
+    let cc = optimize(source, &OptConfig::cc()).log.events;
+    let merged = cc.iter().filter_map(|e| match e {
+        PassEvent::Combined { offset, .. } => Some(*offset),
+        _ => None,
+    });
+    let text = commopt_ir::display::program_to_string(source);
+    assert_eq!(
+        sorted(c003.collect()),
+        sorted(removed.collect()),
+        "C003 findings at vect vs rr removals\nprogram:\n{text}"
+    );
+    assert_eq!(
+        sorted(c004.collect()),
+        sorted(merged.collect()),
+        "offsets of C004 findings at vect vs cc merges\nprogram:\n{text}"
+    );
 }
 
 #[test]

@@ -1,106 +1,10 @@
-//! Source-level basic blocks and per-statement dataflow summaries.
+//! Source-level basic blocks.
 //!
 //! The optimizer's scope is a single source-level basic block (paper §3.1):
 //! a maximal run of whole-array / scalar statements. Loop statements bound
 //! blocks; their bodies are optimized recursively as their own blocks.
 
-use commopt_ir::analysis::{stmt_comm_refs, CommRef};
-use commopt_ir::{ArrayId, Region, ScalarRhs, Stmt};
-
-/// Dataflow summary of one statement inside a basic block.
-#[derive(Clone, PartialEq, Debug)]
-pub struct StmtInfo {
-    /// Distinct non-local references (first-use order).
-    pub refs: Vec<CommRef>,
-    /// Array written by the statement, if any.
-    pub writes: Option<ArrayId>,
-    /// `true` for statements that do element-wise computation (used as the
-    /// latency-hiding distance measure between send and receive).
-    pub is_compute: bool,
-    /// The region the statement executes over (None for pure scalar
-    /// statements). Transfers record the regions of the uses they cover so
-    /// the runtime moves exactly the data those uses touch.
-    pub region: Option<Region>,
-}
-
-/// Dataflow summary of a basic block: one [`StmtInfo`] per statement.
-///
-/// Gap `g` (0 ≤ g ≤ n) denotes the insertion point *before* statement `g`;
-/// gap `n` is the end of the block.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct BlockInfo {
-    pub stmts: Vec<StmtInfo>,
-}
-
-impl BlockInfo {
-    /// Summarizes a run of source statements.
-    ///
-    /// # Panics
-    /// Panics on loop or communication statements — callers partition those
-    /// out first.
-    pub fn from_stmts(stmts: &[Stmt]) -> BlockInfo {
-        let stmts = stmts
-            .iter()
-            .map(|s| {
-                assert!(
-                    !s.is_block_boundary() && s.is_source_stmt(),
-                    "BlockInfo expects straight-line source statements"
-                );
-                let region = match s {
-                    Stmt::Assign { region, .. } => Some(*region),
-                    Stmt::ScalarAssign {
-                        rhs: ScalarRhs::Reduce { region, .. },
-                        ..
-                    } => Some(*region),
-                    _ => None,
-                };
-                StmtInfo {
-                    refs: stmt_comm_refs(s),
-                    writes: commopt_ir::arrays_written(s),
-                    is_compute: matches!(s, Stmt::Assign { .. } | Stmt::ScalarAssign { .. }),
-                    region,
-                }
-            })
-            .collect();
-        BlockInfo { stmts }
-    }
-
-    /// Number of statements in the block.
-    pub fn len(&self) -> usize {
-        self.stmts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.stmts.is_empty()
-    }
-
-    /// The gap just after the last write of `array` strictly before
-    /// statement `before` — the earliest point at which data of `array` is
-    /// ready to send for a use at `before`. Gap 0 when never written.
-    pub fn ready_gap(&self, array: ArrayId, before: usize) -> usize {
-        (0..before)
-            .rev()
-            .find(|&i| self.stmts[i].writes == Some(array))
-            .map(|i| i + 1)
-            .unwrap_or(0)
-    }
-
-    /// The index of the first write to `array` at or after statement
-    /// `from`, or `len()` when there is none — the statement before which
-    /// SV must complete.
-    pub fn next_write_gap(&self, array: ArrayId, from: usize) -> usize {
-        (from..self.stmts.len())
-            .find(|&i| self.stmts[i].writes == Some(array))
-            .unwrap_or(self.stmts.len())
-    }
-
-    /// Number of compute statements in gaps `(from, to)` — i.e. statements
-    /// `from..to` — the machine-independent latency-hiding *distance*
-    /// between a send placed at gap `from` and a receive at gap `to`.
-    pub fn distance(&self, from: usize, to: usize) -> usize {
-        self.stmts[from..to].iter().filter(|s| s.is_compute).count()
-    }
-}
+use commopt_ir::Stmt;
 
 /// Splits a statement list into alternating runs: straight-line segments
 /// (basic blocks) and single boundary statements (loops).
@@ -134,8 +38,7 @@ pub enum Segment<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commopt_ir::offset::compass;
-    use commopt_ir::{Block, Expr, Region};
+    use commopt_ir::{ArrayId, Block, Expr, Region};
 
     fn r() -> Region {
         Region::d2((1, 4), (1, 4))
@@ -143,49 +46,6 @@ mod tests {
 
     fn a(i: u32) -> ArrayId {
         ArrayId(i)
-    }
-
-    #[test]
-    fn summarizes_statements() {
-        let stmts = vec![
-            Stmt::assign(r(), a(0), Expr::at(a(1), compass::EAST)),
-            Stmt::assign(r(), a(1), Expr::Const(0.0)),
-        ];
-        let info = BlockInfo::from_stmts(&stmts);
-        assert_eq!(info.len(), 2);
-        assert_eq!(info.stmts[0].refs.len(), 1);
-        assert_eq!(info.stmts[0].writes, Some(a(0)));
-        assert_eq!(info.stmts[1].writes, Some(a(1)));
-    }
-
-    #[test]
-    fn ready_and_next_write_gaps() {
-        // s0: B := ...; s1: A := B@e; s2: B := ...; s3: C := B@e
-        let stmts = vec![
-            Stmt::assign(r(), a(1), Expr::Const(1.0)),
-            Stmt::assign(r(), a(0), Expr::at(a(1), compass::EAST)),
-            Stmt::assign(r(), a(1), Expr::Const(2.0)),
-            Stmt::assign(r(), a(2), Expr::at(a(1), compass::EAST)),
-        ];
-        let info = BlockInfo::from_stmts(&stmts);
-        assert_eq!(info.ready_gap(a(1), 1), 1); // written at s0
-        assert_eq!(info.ready_gap(a(1), 3), 3); // written at s2
-        assert_eq!(info.ready_gap(a(0), 0), 0); // never written before
-        assert_eq!(info.next_write_gap(a(1), 2), 2);
-        assert_eq!(info.next_write_gap(a(1), 3), 4); // none -> len
-    }
-
-    #[test]
-    fn distance_counts_compute_stmts() {
-        let stmts = vec![
-            Stmt::assign(r(), a(0), Expr::Const(1.0)),
-            Stmt::assign(r(), a(1), Expr::Const(2.0)),
-            Stmt::assign(r(), a(2), Expr::Const(3.0)),
-        ];
-        let info = BlockInfo::from_stmts(&stmts);
-        assert_eq!(info.distance(0, 3), 3);
-        assert_eq!(info.distance(1, 2), 1);
-        assert_eq!(info.distance(2, 2), 0);
     }
 
     #[test]
@@ -204,14 +64,5 @@ mod tests {
         assert!(matches!(&segs[0], Segment::Straight(v) if v.len() == 1));
         assert!(matches!(&segs[1], Segment::Boundary(_)));
         assert!(matches!(&segs[2], Segment::Straight(v) if v.len() == 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "straight-line")]
-    fn rejects_loops_in_block_info() {
-        BlockInfo::from_stmts(&[Stmt::Repeat {
-            count: 1,
-            body: Block::default(),
-        }]);
     }
 }

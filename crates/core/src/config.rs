@@ -1,20 +1,6 @@
 //! Optimizer configuration and the paper's experiment presets (Figure 9).
 
-/// How (and whether) communication combination is performed.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum CombineMode {
-    /// No combination.
-    #[default]
-    Off,
-    /// Combine whenever legal, without regard for the send→receive distance
-    /// (paper Figure 2(b)). This is the heuristic used for all experiments
-    /// except "pl with max latency"; on the studied machines it was always
-    /// at least as good because no benchmark message reached the 4 KB knee.
-    MaxCombining,
-    /// Combine only completely nested communications, preserving every
-    /// message's latency-hiding distance (paper Figure 2(c)).
-    MaxLatencyHiding,
-}
+pub use commopt_analysis::rrcc::CombineMode;
 
 /// Selects which communication optimizations run on top of the always-on
 /// baseline of message vectorization.

@@ -1,10 +1,10 @@
 //! Rebuilding the program with IRONMAN calls inserted at the planned gaps.
 
-use crate::block::{segments, BlockInfo, Segment};
+use crate::block::{segments, Segment};
 use crate::config::OptConfig;
 use crate::passlog::{PassEvent, PassLog};
-use crate::planner::{plan_block_logged, PlannedComm};
-use commopt_ir::{Block, CallKind, Program, Stmt, TransferId, TransferItem};
+use crate::planner::{plan_block, PlannedComm};
+use commopt_ir::{Block, CallKind, Program, Stmt, TransferId};
 
 /// The result of optimization: the instrumented program plus the
 /// configuration that produced it and a log of every pass decision.
@@ -90,14 +90,12 @@ fn rebuild_block(
                 stmts.push(rebuilt);
             }
             Segment::Straight(run) => {
-                let owned: Vec<Stmt> = run.iter().map(|s| (*s).clone()).collect();
                 assert!(
-                    owned.iter().all(|s| s.is_source_stmt()),
+                    run.iter().all(|s| s.is_source_stmt()),
                     "optimize() expects a source program without Comm statements"
                 );
-                let info = BlockInfo::from_stmts(&owned);
-                let plan = plan_block_logged(&info, config, log);
-                emit_block(program, &owned, &plan, config, log, &mut stmts);
+                let plan = plan_block(&run, config, log);
+                emit_block(program, &run, plan, config, log, &mut stmts);
             }
         }
     }
@@ -112,8 +110,8 @@ fn rebuild_block(
 /// canonical DR/SR/DN/SV order of the paper's §3.1 example.
 fn emit_block(
     program: &mut Program,
-    stmts: &[Stmt],
-    plan: &[PlannedComm],
+    stmts: &[&Stmt],
+    plan: Vec<PlannedComm>,
     config: &OptConfig,
     log: &mut PassLog,
     out: &mut Vec<Stmt>,
@@ -121,21 +119,13 @@ fn emit_block(
     // Register transfers and collect (gap, kind, id) events.
     let mut events: Vec<(usize, CallKind, TransferId)> = Vec::new();
     for comm in plan {
-        let items: Vec<TransferItem> = comm
-            .items
-            .iter()
-            .map(|i| TransferItem {
-                array: i.r.array,
-                offset: i.r.offset,
-                regions: i.regions.clone(),
-            })
-            .collect();
-        let id = program.add_transfer(items);
+        let (items, offset) = (comm.items.len(), comm.offset());
+        let id = program.add_transfer(comm.items);
         log.push(PassEvent::Emitted {
             seq: comm.seq,
             transfer: id,
-            items: comm.items.len(),
-            offset: comm.offset(),
+            items,
+            offset,
             dr_gap: comm.dr_gap,
             sr_gap: comm.sr_gap,
             dn_gap: comm.dn_gap,
@@ -158,10 +148,9 @@ fn emit_block(
                 break;
             }
             out.push(Stmt::comm(kind, id));
-            let _ = (gap, kind, id);
             ev.next();
         }
-        out.push(stmt.clone());
+        out.push((*stmt).clone());
     }
     for (_, kind, id) in ev {
         out.push(Stmt::comm(kind, id));

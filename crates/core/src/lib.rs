@@ -20,6 +20,9 @@
 //!
 //! The optimization scope is a *source-level basic block*: a maximal run of
 //! whole-array statements; loop boundaries delimit blocks (paper §3.1).
+//! The rr and cc decisions are `commopt_analysis::rrcc`, the procedure
+//! commlint's C003/C004 run too; the [`planner`] generates the naive
+//! transfers, passes its policy to it, and places the calls.
 //!
 //! The entry point is [`optimize`], which takes a source [`Program`] and an
 //! [`OptConfig`] and returns the program with IRONMAN communication calls
@@ -58,13 +61,12 @@ pub mod global;
 pub mod passlog;
 pub mod planner;
 
-pub use block::{BlockInfo, StmtInfo};
 pub use config::{CombineMode, OptConfig};
 pub use counts::{dynamic_count, static_count};
 pub use emit::Optimized;
 pub use global::{global_pass, GlobalStats};
 pub use passlog::{PassEvent, PassLog};
-pub use planner::{plan_block, plan_block_logged, PlannedComm};
+pub use planner::{plan_block, PlannedComm};
 
 use commopt_ir::Program;
 

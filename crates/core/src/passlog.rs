@@ -118,24 +118,17 @@ impl PassLog {
                 map.insert(*seq, *transfer);
             }
         }
-        // Resolve merged seqs through their hosts (hosts may themselves
-        // have been merged later in the chain, so iterate to a fixpoint —
-        // chains are short, one extra pass suffices in practice).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for e in &self.events {
-                if let PassEvent::Combined {
-                    host_seq,
-                    merged_seq,
-                    ..
-                } = e
-                {
-                    if let Some(&t) = map.get(host_seq) {
-                        if map.insert(*merged_seq, t) != Some(t) {
-                            changed = true;
-                        }
-                    }
+        // A host is never merged later (cc merges only into survivors), so
+        // every host is emitted and one pass resolves every merged seq.
+        for e in &self.events {
+            if let PassEvent::Combined {
+                host_seq,
+                merged_seq,
+                ..
+            } = e
+            {
+                if let Some(&t) = map.get(host_seq) {
+                    map.insert(*merged_seq, t);
                 }
             }
         }
